@@ -19,7 +19,7 @@ import numpy as np
 
 from .cz import cz_decompose, weak11_certify
 from .dyadic import REL_SLACK, ROOT, lp_norm
-from .generate import (generate_multiplier, generate_signal,
+from .generate import (SIGNAL_KINDS, generate_multiplier, generate_signal,
                        generate_sparse_collection, generate_weight)
 from .hardy import ap_characteristic, atomic_decompose
 from .sparse import (carleson_constant, certify_sparse, greedy_max_eta,
@@ -73,6 +73,8 @@ class CampaignConfig:
             raise ValueError("hardy_p must lie in (0, 1]")
         if self.r is not None and not 0.0 < self.r < self.hardy_p:
             raise ValueError("need 0 < r < hardy_p")
+        if self.signal_kind not in SIGNAL_KINDS:
+            raise ValueError(f"unknown signal_kind {self.signal_kind!r}")
         if self.chi_M < 1:
             raise ValueError("chi_M must be >= 1")
         if self.stop_C < 1.0:
@@ -116,8 +118,8 @@ def _domination_record(cert, extra=None):
 def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
     J = cfg.depth_J
     s = _trial_seed(cfg.seed, mode, trial)
-    f = generate_signal("gaussian_noise", J, seed=s)
-    g = generate_signal("gaussian_noise", J, seed=s + 1)
+    f = generate_signal(cfg.signal_kind, J, seed=s)
+    g = generate_signal(cfg.signal_kind, J, seed=s + 1)
     T = generate_multiplier(J, seed=s + 2, n_intervals=cfg.n_intervals)
     if mode == "avg":
         cert = dominate_avg(T, f, g, M=cfg.chi_M, C=cfg.stop_C)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import interval_sums
+from .kernels import chi_kernel, interval_sums
 
 #: relative slack used when certifying inequalities in floating point
 REL_SLACK = 1e-9
@@ -263,19 +263,16 @@ def localization_weight(I: DyadicInterval, cell: int, depth_J: int,
     chi_I(x) = (1 + d(x, I)/len(I))**-1; distances are taken inside [0, 1)
     without periodization.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    x = (cell + 0.5) * 2.0 ** (-depth_J)
-    d = max(0.0, I.start - x, x - I.end)
-    return (1.0 + d / I.length) ** (-M)
+    if not 0 <= cell < (1 << depth_J):
+        raise ValueError(f"cell {cell} out of range at depth {depth_J}")
+    return float(chi_weights(I, depth_J, M)[cell])
 
 
 def chi_weights(I: DyadicInterval, depth_J: int, M: int = DEFAULT_CHI_M) -> np.ndarray:
-    """chi_I^M sampled at every cell center of the depth-J grid."""
+    """chi_I^M sampled at every cell center of the depth-J grid (read-only)."""
+    lo, _ = I.cell_range(depth_J)
     n = 1 << depth_J
-    x = (np.arange(n) + 0.5) / n
-    d = np.maximum(0.0, np.maximum(I.start - x, x - I.end))
-    return (1.0 + d / I.length) ** (-float(M))
+    return chi_kernel(depth_J, I.depth, M)[n - lo : 2 * n - lo]
 
 
 class StepFunction:

@@ -223,7 +223,7 @@ def tilde_size(f: Signal, family, M: int = DEFAULT_CHI_M) -> float:
     absf = np.abs(f.values)
     dx = f.cell_width
     for I in family:
-        val = float(np.dot(absf, chi_weights(I, f.depth_J, M))) * dx / I.length
+        val = float(kernels.dot(absf, chi_weights(I, f.depth_J, M))) * dx / I.length
         best = max(best, val)
     return best
 

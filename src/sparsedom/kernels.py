@@ -1,17 +1,21 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels: subtree square profiles and chi^M integrals.
 
 The two inner loops that dominate every stopping-time run are
 
 * accumulating a "square profile" sum(v_I * 1_I(x) / |I|) over the dyadic
   subtree of a node, and
-* integrating |f| against the localization weight chi_I^M for every
-  interval of one depth.
+* integrating |f| against the localization weight chi_I^M.
 
-Both carry an ``@njit`` implementation and an equivalent vectorized numpy
-one.  The backend is picked once at import time from the environment
-variable ``SPARSEDOM_BACKEND`` (``numba`` or ``numpy``; default is numba
-when importable).  ``benchmarks/bench_kernels.py`` times the two paths
-against each other.
+The subtree profile carries an ``@njit`` implementation and an equivalent
+vectorized numpy one; the backend is picked once at import time from the
+environment variable ``SPARSEDOM_BACKEND`` (``numba`` or ``numpy``; default
+is numba when importable).
+
+chi^M has a single numpy path.  At depth d every weight chi_I^M(x) depends
+only on the offset of the cell x from the start of I, so :func:`chi_kernel`
+computes one cached offset kernel per (J, d, M); every chi^M weight is a
+slice of it, and every chi^M integral a block-wise :func:`dot` with a slice.
+Time the layers with ``python3 perfbench/run.py``.
 
 Interval-indexed data lives in flat "heap" arrays: the node at (depth d,
 index i) sits at position ``(1 << d) + i``, so an array of length 2**J
@@ -20,6 +24,7 @@ covers depths 0 .. J-1 (entry 0 unused).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -27,6 +32,8 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "subtree_profile",
+    "dot",
+    "chi_kernel",
     "chi_sums_depth",
     "interval_sums",
     "heap_subtree_sums",
@@ -45,19 +52,6 @@ def _subtree_profile_np(vals, J, d0, i0):
         if np.any(row):
             out += np.repeat(row * float(1 << d), seg)
     return out
-
-
-def _chi_sums_depth_np(absf, J, d, M):
-    n = absf.shape[0]
-    cnt = 1 << d
-    B = 1 << (J - d)
-    centers = np.arange(n) + 0.5
-    out = np.empty(cnt)
-    for i in range(cnt):
-        lo = i * B
-        u = np.maximum(0.0, np.maximum(lo - centers, centers - (lo + B))) / B
-        out[i] = np.dot(absf, (1.0 + u) ** (-float(M)))
-    return out / n
 
 
 BACKEND = "numpy"
@@ -92,45 +86,56 @@ if _requested != "numpy":
                             out[c] += add
             return out
 
-        @njit(cache=True)
-        def _chi_sums_depth_nb(absf, J, d, M):  # pragma: no cover
-            n = absf.shape[0]
-            cnt = 1 << d
-            B = 1 << (J - d)
-            out = np.empty(cnt)
-            for i in range(cnt):
-                lo = float(i * B)
-                hi = lo + B
-                s = 0.0
-                for c in range(n):
-                    x = c + 0.5
-                    if x < lo:
-                        u = (lo - x) / B
-                    elif x > hi:
-                        u = (x - hi) / B
-                    else:
-                        s += absf[c]
-                        continue
-                    base = 1.0 / (1.0 + u)
-                    w = 1.0
-                    m = M
-                    while m > 0:        # integer power by squaring
-                        if m & 1:
-                            w *= base
-                        base *= base
-                        m >>= 1
-                    s += absf[c] * w
-                out[i] = s / n
-            return out
-
         BACKEND = "numba"
 
-if BACKEND == "numba":
-    subtree_profile = _subtree_profile_nb
-    chi_sums_depth = _chi_sums_depth_nb
-else:
-    subtree_profile = _subtree_profile_np
-    chi_sums_depth = _chi_sums_depth_np
+subtree_profile = _subtree_profile_nb if BACKEND == "numba" else _subtree_profile_np
+
+#: Longest vector handed to BLAS in one dot: OpenBLAS runs longer dots on its
+#: thread pool, whose wake-up can stall the caller on a loaded machine.
+DOT_BLOCK = 8192
+
+
+def dot(a, b):
+    """In-order sum of BLAS dots over DOT_BLOCK-cell blocks: independent of the
+    BLAS thread count, and at 2**14 cells OpenBLAS's two-thread np.dot exactly."""
+    return sum((np.dot(a[lo : lo + DOT_BLOCK], b[lo : lo + DOT_BLOCK])
+                for lo in range(DOT_BLOCK, a.shape[0], DOT_BLOCK)),
+               np.dot(a[:DOT_BLOCK], b[:DOT_BLOCK]))
+
+
+@functools.lru_cache(maxsize=32)
+def chi_kernel(J, d, M):
+    """Read-only chi^M offset kernel of depth d at resolution 2**-J.
+
+    Entry ``n + t`` (n = 2**J, -n <= t < n) is chi_I^M at the center of the
+    cell t cells to the right of the start of any depth-d interval I, with
+    distances measured in cells.  Offsets are exact dyadic rationals, so
+    every slice equals the direct formula bit for bit.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    n = 1 << J
+    B = 1 << (J - d)
+    t = np.arange(-n, n) + 0.5
+    u = np.maximum(0.0, np.maximum(-t, t - B)) / B
+    K = (1.0 + u) ** (-float(M))
+    K.flags.writeable = False
+    return K
+
+
+def chi_sums_depth(absf, J, d, M, index=None):
+    """2**-J * sum over cells of absf * chi_I^M for depth-d intervals I.
+
+    ``index`` lists the interval indices wanted (default: the whole row of
+    2**d entries); entry k of the result belongs to ``index[k]``.
+    """
+    n = 1 << J
+    B = 1 << (J - d)
+    K = chi_kernel(J, d, M)
+    if index is None:
+        index = range(1 << d)
+    out = np.array([dot(absf, K[n - i * B : 2 * n - i * B]) for i in index])
+    return out / n
 
 
 def interval_sums(values):

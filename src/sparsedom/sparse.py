@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .dyadic import DyadicInterval, Signal, average, chi_weights
 
 __all__ = [
@@ -265,8 +266,8 @@ def sparse_form(S: SparseCollection, f: Signal, g: Signal,
             ag = np.mean(np.abs(g.values[lo:hi]) ** q) ** (1.0 / q)
         else:
             w = chi_weights(Q, f.depth_J, chi_M)
-            af = (np.dot(np.abs(f.values) ** p, w) * dx / Q.length) ** (1.0 / p)
-            ag = (np.dot(np.abs(g.values) ** q, w) * dx / Q.length) ** (1.0 / q)
+            af = (kernels.dot(np.abs(f.values) ** p, w) * dx / Q.length) ** (1.0 / p)
+            ag = (kernels.dot(np.abs(g.values) ** q, w) * dx / Q.length) ** (1.0 / q)
         total += af * ag * Q.length
     return float(total)
 

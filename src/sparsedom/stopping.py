@@ -91,19 +91,19 @@ def _maximal_intervals(intervals):
     return kept
 
 
-def _lambda_value(T: HaarMultiplier, cf, cg, family) -> float:
-    eps = dict(zip(T.intervals, T.coefficients))
+def _lambda_value(eps, cf, cg, family) -> float:
+    """Form restricted to ``family``; eps maps each interval to its coefficient."""
     return float(sum(eps[I] * cf.heap[I.node] * cg.heap[I.node] for I in family))
 
 
-def _finalize(mode, T, f, g, order, subfam, child_map, C, rhs_fn, per_q_fn,
+def _finalize(mode, T, cf, cg, order, subfam, child_map, C, rhs_fn, per_q_fn,
               measure=None, params=None):
     """Assemble the certificate and run the structural checks."""
-    cf, cg = haar_transform(f), haar_transform(g)
+    eps = dict(zip(T.intervals, T.coefficients))
     collection = SparseCollection(order)
     rhs_terms = {Q: rhs_fn(Q) for Q in order}
     rhs = float(sum(rhs_terms.values()))
-    lhs = abs(_lambda_value(T, cf, cg, T.intervals))
+    lhs = abs(_lambda_value(eps, cf, cg, T.intervals))
 
     # exact partition of the input family
     seen = [I for Q in order for I in subfam[Q]]
@@ -111,29 +111,19 @@ def _finalize(mode, T, f, g, order, subfam, child_map, C, rhs_fn, per_q_fn,
                     and set(seen) == set(T.intervals))
 
     # child budget at eta = 1/2 in the run's measure
-    budget_ok = True
-    for Q in order:
-        if measure is None:
-            mQ = Q.length
-            mch = sum(P.length for P in child_map[Q])
-        else:
-            mQ = measure(Q)
-            mch = sum(measure(P) for P in child_map[Q])
-        if mch > 0.5 * mQ:
-            budget_ok = False
+    budget_ok = _budget_holds(order, child_map, measure)
 
     # the recursion's children are exactly the collection's derived children
     forest_ok = all(set(collection.children(Q)) == set(child_map[Q]) for Q in order)
 
     # exact reconstruction of the form from the sub-families
-    pieces = sum(_lambda_value(T, cf, cg, subfam[Q]) for Q in order)
-    whole = _lambda_value(T, cf, cg, T.intervals)
+    pieces = sum(_lambda_value(eps, cf, cg, subfam[Q]) for Q in order)
+    whole = _lambda_value(eps, cf, cg, T.intervals)
     recon_ok = abs(pieces - whole) <= REL_SLACK * (1.0 + abs(whole))
 
     realized = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
-    domination_ok = lhs <= realized * rhs * (1.0 + REL_SLACK) if np.isfinite(realized) else False
-    if lhs == 0.0:
-        domination_ok = True
+    domination_ok = lhs == 0.0 or (np.isfinite(realized)
+                                   and lhs <= realized * rhs * (1.0 + REL_SLACK))
 
     carleson = carleson_constant(collection) if len(collection) else 0.0
 
@@ -147,7 +137,7 @@ def _finalize(mode, T, f, g, order, subfam, child_map, C, rhs_fn, per_q_fn,
     per_interval = []
     for Q in order:
         entry = {"Q": Q, "rhs_term": rhs_terms[Q],
-                 "lambda_Q": _lambda_value(T, cf, cg, subfam[Q])}
+                 "lambda_Q": _lambda_value(eps, cf, cg, subfam[Q])}
         if per_q_fn is not None:
             entry.update(per_q_fn(Q, subfam[Q]))
         per_interval.append(entry)
@@ -175,23 +165,30 @@ def _budget_holds(order, child_map, measure):
 # ---------------------------------------------------------------------------
 
 class _ChiCache:
-    """Lazy per-depth arrays of int |f| chi_I^M over the whole domain."""
+    """Heap of |I|**-1 int |f| chi_I^M over the ancestor closure of a family.
 
-    def __init__(self, f: Signal, M: int):
-        self.absf = np.abs(f.values)
-        self.J = f.depth_J
-        self.M = M
-        self._rows = {}
+    The average stopping time reads no other interval: its nodes, stock
+    members and candidate children all contain a family member.  Entries
+    outside the closure stay NaN.
+    """
 
-    def integral(self, I: DyadicInterval) -> float:
-        row = self._rows.get(I.depth)
-        if row is None:
-            row = kernels.chi_sums_depth(self.absf, self.J, I.depth, self.M)
-            self._rows[I.depth] = row
-        return float(row[I.index])
+    def __init__(self, f: Signal, M: int, intervals):
+        J = self.J = f.depth_J
+        absf = np.abs(f.values)
+        rows = [set() for _ in range(J + 1)]
+        for I in intervals:
+            rows[I.depth].add(I.index)
+        for d in range(J, 0, -1):
+            rows[d - 1].update(i >> 1 for i in rows[d])
+        self.heap = np.full(2 << J, np.nan)
+        for d, row in enumerate(rows):
+            index = sorted(row)
+            if index:
+                sums = kernels.chi_sums_depth(absf, J, d, M, index)
+                self.heap[(1 << d) + np.array(index)] = sums / 2.0 ** (-d)
 
     def avg(self, I: DyadicInterval) -> float:
-        return self.integral(I) / I.length
+        return float(self.heap[I.node])
 
 
 def _run_avg(intervals, chif, chig, C):
@@ -247,7 +244,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("stopping constant C must be >= 1 for termination")
     if f.depth_J != g.depth_J:
         raise ValueError("f and g must share a depth")
-    chif, chig = _ChiCache(f, M), _ChiCache(g, M)
+    chif, chig = _ChiCache(f, M, T.intervals), _ChiCache(g, M, T.intervals)
     attempt_C = float(C)
     for _ in range(MAX_DOUBLINGS + 1):
         try:
@@ -262,6 +259,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
         raise StoppingFailure(f"no admissible C up to {attempt_C} (avg mode)")
 
     cf, cg = haar_transform(f), haar_transform(g)
+    eps = dict(zip(T.intervals, T.coefficients))
 
     def rhs_fn(Q):
         return chif.avg(Q) * chig.avg(Q) * Q.length
@@ -274,13 +272,13 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
             out["tilde_size_f"] = tf
             out["tilde_size_g"] = tg
             denom = tf * tg * Q.length
-            lam = abs(_lambda_value(T, cf, cg, fam))
+            lam = abs(_lambda_value(eps, cf, cg, fam))
             out["localization_ratio"] = lam / denom if denom > 0 else 0.0
             out["size_control_f"] = tf / (attempt_C * chif.avg(Q)) if chif.avg(Q) > 0 else 0.0
             out["size_control_g"] = tg / (attempt_C * chig.avg(Q)) if chig.avg(Q) > 0 else 0.0
         return out
 
-    cert = _finalize("avg", T, f, g, order, subfam, child_map, attempt_C,
+    cert = _finalize("avg", T, cf, cg, order, subfam, child_map, attempt_C,
                      rhs_fn, per_q, params={"M": M, "p": 1.0, "q": 1.0})
     # selected families obey the size control by construction
     cert.checks["size_control_ok"] = all(
@@ -380,8 +378,7 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("f and g must share a depth")
     cf, cg = haar_transform(f), haar_transform(g)
     fam_mask = np.zeros(1 << J)
-    for I in T.intervals:
-        fam_mask[I.node] = 1.0
+    fam_mask[[I.node for I in T.intervals]] = 1.0
     dx = f.cell_width
 
     def make_attempt():
@@ -414,13 +411,13 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     max_eps = max((abs(e) for e in T.coefficients), default=0.0)
 
     def per_q(Q, fam):
-        lam = abs(sum(eps[I] * cf.heap[I.node] * cg.heap[I.node] for I in fam))
+        lam = abs(_lambda_value(eps, cf, cg, fam))
         a2 = (_profile_lp(full_f, J, Q, 2.0, dx)
               * _profile_lp(full_g, J, Q, 2.0, dx) * Q.length)
         return {"lambda_abs": lam, "l2_bound": a2,
                 "cs_ratio": lam / a2 if a2 > 0 else 0.0}
 
-    cert = _finalize("square", T, f, g, order, subfam, child_map, final_C,
+    cert = _finalize("square", T, cf, cg, order, subfam, child_map, final_C,
                      rhs_fn, per_q, params={"p": p, "q": q})
     cert.checks["cs_ratio_max"] = max((e["cs_ratio"] for e in cert.per_interval),
                                       default=0.0)
@@ -454,8 +451,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError("weight must be strictly positive")
     cf, cg = haar_transform(f), haar_transform(g)
     fam_mask = np.zeros(1 << J)
-    for I in T.intervals:
-        fam_mask[I.node] = 1.0
+    fam_mask[[I.node for I in T.intervals]] = 1.0
     dx = f.cell_width
     wvals = weight.values
 
@@ -491,7 +487,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         term = _profile_lp_weighted(sel, J, Q, r, wvals, weight.measure(Q), dx)
         return term * weight.measure(Q) ** (1.0 / p) * cg_norm
 
-    cert = _finalize("weighted", T, f, g, order, subfam, child_map, final_C,
+    cert = _finalize("weighted", T, cf, cg, order, subfam, child_map, final_C,
                      rhs_fn, None, measure=weight.measure,
                      params={"p": p, "r": r})
     # the certified inequality is the pairing bound, not the chain sum
@@ -521,8 +517,7 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("f and g must share a depth")
     cf, cg = haar_transform(f), haar_transform(g)
     fam_mask = np.zeros(1 << J)
-    for I in T.intervals:
-        fam_mask[I.node] = 1.0
+    fam_mask[[I.node for I in T.intervals]] = 1.0
     dx = f.cell_width
 
     def make_attempt():
@@ -556,7 +551,7 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     def per_q(Q, fam):
         return {"osc_f": oscillation(f, Q), "osc_g": oscillation(g, Q)}
 
-    return _finalize("osc", T, f, g, order, subfam, child_map, final_C,
+    return _finalize("osc", T, cf, cg, order, subfam, child_map, final_C,
                      rhs_fn, per_q, params={})
 
 

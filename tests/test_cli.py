@@ -114,6 +114,22 @@ class TestCampaign:
             data = json.loads(line)
             assert revalidate_certificate(data), data["mode"]
 
+    def test_signal_kind_is_used(self, monkeypatch):
+        drawn = []
+
+        def spy(kind, J, **kw):
+            drawn.append(kind)
+            return generate_signal(kind, J, **kw)
+
+        monkeypatch.setattr("sparsedom.campaign.generate_signal", spy)
+        cfg = CampaignConfig(depth_J=5, trials=2, seed=2, n_intervals=12,
+                             modes=("avg", "cz"), signal_kind="step")
+        records, _, ok = run_campaign(cfg)
+        assert ok and len(records) == 4
+        assert len(drawn) == 8 and set(drawn) == {"step"}
+        with pytest.raises(ValueError, match="signal_kind"):
+            CampaignConfig(signal_kind="bogus").validate()
+
     def test_workers_match_serial(self):
         base = dict(depth_J=5, trials=4, seed=7, modes=("square", "weak11"))
         r1, _, _ = run_campaign(CampaignConfig(**base, workers=1))

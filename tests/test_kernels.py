@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsedom import kernels
-from sparsedom.dyadic import DyadicInterval, Signal, chi_weights
+from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, localization_weight
 
 
 def test_backend_env_flag_selects_numpy():
@@ -33,16 +33,85 @@ def test_backends_agree_subtree_profile():
                 assert np.allclose(a, b, rtol=1e-13, atol=0)
 
 
-def test_backends_agree_chi_sums():
-    if kernels.BACKEND != "numba":
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(1)
-    for J in (3, 6):
-        absf = np.abs(rng.standard_normal(1 << J))
+def _direct_chi_row(absf, J, d, M):
+    """Per-interval chi^M integrals straight from the distance formula."""
+    n = absf.shape[0]
+    B = 1 << (J - d)
+    centers = np.arange(n) + 0.5
+    out = np.empty(1 << d)
+    for i in range(1 << d):
+        lo = i * B
+        u = np.maximum(0.0, np.maximum(lo - centers, centers - (lo + B))) / B
+        out[i] = np.dot(absf, (1.0 + u) ** (-float(M)))
+    return out / n
+
+
+def _direct_chi_weights(I, J, M):
+    n = 1 << J
+    x = (np.arange(n) + 0.5) / n
+    dist = np.maximum(0.0, np.maximum(I.start - x, x - I.end))
+    return (1.0 + dist / I.length) ** (-float(M))
+
+
+def _chi_test_signals(J, rng):
+    n = 1 << J
+    point = np.zeros(n)
+    point[rng.choice(n, size=min(3, n), replace=False)] = n / 3.0
+    return {"gaussian": np.abs(rng.standard_normal(n)), "point_masses": point,
+            "zero": np.zeros(n), "constant": np.full(n, 0.7)}
+
+
+@pytest.mark.parametrize("J", [1, 3, 5, 8])
+@pytest.mark.parametrize("M", [1, 3, 8, 16])
+def test_chi_kernel_slices_equal_direct_formula(J, M):
+    rng = np.random.default_rng(10 * J + M)
+    for name, absf in _chi_test_signals(J, rng).items():
         for d in range(J + 1):
-            a = kernels._chi_sums_depth_nb(absf, J, d, 8)
-            b = kernels._chi_sums_depth_np(absf, J, d, 8)
-            assert np.allclose(a, b, rtol=1e-12, atol=0)
+            row = _direct_chi_row(absf, J, d, M)
+            assert np.array_equal(kernels.chi_sums_depth(absf, J, d, M), row), (name, d)
+            index = rng.permutation(1 << d)[: max(1, (1 << d) // 3)]
+            subset = kernels.chi_sums_depth(absf, J, d, M, index)
+            assert np.array_equal(subset, row[index]), (name, d)
+    for d in range(J + 1):
+        for i in {0, (1 << d) // 2, (1 << d) - 1}:
+            I = DyadicInterval(d, i)
+            assert np.array_equal(chi_weights(I, J, M), _direct_chi_weights(I, J, M))
+
+
+def test_chi_weights_read_only_and_shared_with_localization_weight():
+    J = 6
+    I = DyadicInterval(2, 1)
+    w = chi_weights(I, J, 8)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert not kernels.chi_kernel(J, 2, 8).flags.writeable
+    for cell in range(1 << J):
+        assert localization_weight(I, cell, J, 8) == w[cell]
+    for cell in (-1, 1 << J):
+        with pytest.raises(ValueError):
+            localization_weight(I, cell, J, 8)
+
+
+def test_dot_is_blas_dot_below_one_block():
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 1000, kernels.DOT_BLOCK):
+        a, b = rng.random(n), rng.random(n)
+        assert kernels.dot(a, b) == np.dot(a, b)
+    a, b = rng.random(3 * kernels.DOT_BLOCK + 5), rng.random(3 * kernels.DOT_BLOCK + 5)
+    assert kernels.dot(a, b) == pytest.approx(np.dot(a, b), rel=1e-12)
+
+
+def test_dot_does_not_depend_on_blas_threads():
+    code = ("import numpy as np; from sparsedom import kernels; "
+            "r = np.random.default_rng(9); a, b = r.random(1 << 14), r.random(1 << 14); "
+            "print(repr(float(kernels.dot(a, b))))")
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outs.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, check=True).stdout)
+    assert len(outs) == 1
 
 
 def test_chi_sums_match_direct_weights():

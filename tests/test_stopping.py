@@ -1,8 +1,14 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsedom import kernels, stopping
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
-from sparsedom.generate import (full_multiplier, generate_multiplier,
+from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
 from sparsedom.haar import HaarMultiplier, htilde
 from sparsedom.hardy import Weight
@@ -87,6 +93,52 @@ class TestDominateAvg:
         T = HaarMultiplier.from_dict({ROOT: 1.0})
         with pytest.raises(ValueError):
             dominate_avg(T, Signal(np.ones(8)), Signal(np.ones(16)))
+
+
+class _RowCache:
+    """Reference chi cache: whole chi_sums_depth rows for every depth."""
+
+    def __init__(self, f, M, intervals):
+        self.J = f.depth_J
+        absf = np.abs(f.values)
+        self.rows = [kernels.chi_sums_depth(absf, self.J, d, M) for d in range(self.J + 1)]
+
+    def avg(self, I):
+        return float(self.rows[I.depth][I.index]) / I.length
+
+
+def _test_signal(kind, J, seed):
+    if kind == "zero":
+        return Signal(np.zeros(1 << J))
+    if kind == "constant":
+        return Signal(np.full(1 << J, 1.5))
+    return generate_signal(kind, J, seed=seed, k=3)
+
+
+def _avg_certificate_json(T, f, g, M, C):
+    try:
+        return json.dumps(dominate_avg(T, f, g, M=M, C=C).to_dict(), sort_keys=True)
+    except stopping.StoppingFailure as exc:
+        return f"StoppingFailure: {exc}"
+
+
+class TestAvgChiCacheEquivalence:
+    """The ancestor-closure chi cache gives the certificate of whole rows."""
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @settings(max_examples=12, deadline=None)
+    @given(J=st.integers(3, 6), seed=st.integers(0, 10_000),
+           n_intervals=st.integers(1, 40), C=st.sampled_from([1.0, 4.0]),
+           M=st.sampled_from([1, 8]), signs_only=st.booleans())
+    def test_matches_full_rows(self, kind, J, seed, n_intervals, C, M, signs_only):
+        f = _test_signal(kind, J, seed)
+        g = _test_signal(kind, J, seed + 1)
+        T = generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals,
+                                signs_only=signs_only)
+        fast = _avg_certificate_json(T, f, g, M, C)
+        with mock.patch.object(stopping, "_ChiCache", _RowCache):
+            reference = _avg_certificate_json(T, f, g, M, C)
+        assert fast == reference
 
 
 class TestDominateSquare:
