@@ -27,6 +27,5 @@ from .stopping import (DominationCertificate, StoppingFailure, dominate_avg,
 from .cz import CZDecomposition, cz_decompose, weak11_certify
 from .generate import (generate_multiplier, generate_signal,
                        generate_sparse_collection, generate_weight)
-from .kernels import BACKEND
 
 __version__ = "0.1.0"

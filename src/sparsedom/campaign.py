@@ -2,16 +2,15 @@
 
 Every trial owns its inputs and derives its seed from the master seed and
 the trial index, so reports are byte-identical across runs with the same
-config.  Hard invariant failures (partition, child budget, reconstruction,
-atom validity) are recorded per trial and surface as a nonzero campaign
-status; they are never downgraded to warnings.
+config.  Hard invariant failures (any ``*_ok`` check of a certificate, atom
+validity, the CZ and weak (1,1) checks) are recorded per trial and surface
+as a nonzero campaign status; they are never downgraded to warnings.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +54,6 @@ class CampaignConfig:
     weak_K: float = 4.0
     n_intervals: int = 96
     signal_kind: str = "gaussian_noise"
-    workers: int = 1
     out_jsonl: str | None = None
     out_csv: str | None = None
 
@@ -83,8 +81,6 @@ class CampaignConfig:
             raise ValueError("lambda must lie in (0, 1/2)")
         if self.weak_K <= 0:
             raise ValueError("weak_K must be > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @classmethod
     def from_file(cls, path) -> "CampaignConfig":
@@ -107,9 +103,7 @@ def _trial_seed(seed: int, mode: str, trial: int) -> int:
 
 def _domination_record(cert, extra=None):
     rec = cert.to_dict()
-    rec["hard_ok"] = bool(
-        cert.checks["partition_ok"] and cert.checks["child_budget_ok"]
-        and cert.checks["forest_ok"] and cert.checks["reconstruction_ok"])
+    rec["hard_ok"] = cert.ok()
     if extra:
         rec.update(extra)
     return rec
@@ -189,12 +183,7 @@ def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
 def run_campaign(cfg: CampaignConfig):
     """Run all configured modes; returns (records, summary, ok)."""
     cfg.validate()
-    jobs = [(mode, t) for mode in cfg.modes for t in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            records = list(ex.map(lambda mt: _run_one(cfg, *mt), jobs))
-    else:
-        records = [_run_one(cfg, mode, t) for mode, t in jobs]
+    records = [_run_one(cfg, mode, t) for mode in cfg.modes for t in range(cfg.trials)]
 
     summary = {}
     for mode in cfg.modes:

@@ -179,7 +179,8 @@ def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,
     norm1 = lp_norm(f, 1.0)
     if norm1 == 0.0:
         return {"weak_quasinorm": 0.0, "proxy": 0.0, "majority_ok": True,
-                "alpha_levels": [], "weak_constants": [], "worst_E": None}
+                "crosscheck_ok": True, "alpha_levels": [], "weak_constants": [],
+                "worst_E": None, "K": K}
     fn = Signal(f.values / norm1)
     J = fn.depth_J
     n = fn.n_cells

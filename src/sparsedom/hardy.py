@@ -16,8 +16,8 @@ import numpy as np
 from . import kernels
 from .dyadic import DyadicInterval, Signal, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
-from .sparse import SparseCollection
-from .stopping import _family_with_retries, _profile_lp
+from .sparse import SparseCollection, child_budget_ok
+from .stopping import _profile_lp, _run_family, _with_retries
 
 __all__ = [
     "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
@@ -112,24 +112,19 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
     coeffs = g_or_coeffs if isinstance(g_or_coeffs, HaarCoefficients) \
         else haar_transform(g_or_coeffs)
     J = coeffs.depth_J
+    if weight.depth_J < J - 1:
+        raise ValueError("weight is coarser than the finest Haar mode")
+    # heap entries 1 .. 2**J - 1: w(I), |I| and a_I of every mode
+    wI = kernels.interval_sums(weight.values)[1 : 1 << J] * 2.0 ** (-weight.depth_J)
+    length = np.ldexp(1.0, -np.repeat(np.arange(J), 1 << np.arange(J)))
+    a = coeffs.heap[1:]
     vals = np.zeros(1 << J)
-    for d in range(J):
-        base = 1 << d
-        length = 2.0 ** (-d)
-        for i in range(base):
-            a = coeffs.heap[base + i]
-            if a != 0.0:
-                vals[base + i] = a * a * length / weight.measure(DyadicInterval(d, i))
-    sub = kernels.heap_subtree_sums(vals, J)
-    best = 0.0
-    for d in range(J):
-        base = 1 << d
-        for i in range(base):
-            s = sub[base + i]
-            if s > 0.0:
-                wI = weight.measure(DyadicInterval(d, i))
-                best = max(best, (wI * s) ** 0.5 / wI ** (1.0 / p))
-    return best
+    vals[1:] = a * a * length / wI
+    sub = kernels.heap_subtree_sums(vals, J)[1:]
+    hit = sub > 0.0
+    if not hit.any():
+        return 0.0
+    return float(np.max((wI[hit] * sub[hit]) ** 0.5 / wI[hit] ** (1.0 / p)))
 
 
 @dataclass
@@ -195,24 +190,14 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     if not family:
         return AtomicDecomposition(SparseCollection([]), {}, {}, {}, mean, J,
                                    p, r, C, checks={"empty": True})
-    fam_mask = np.zeros(1 << J)
-    for I in family:
-        fam_mask[I.node] = 1.0
     dx = f.cell_width
 
-    def make_attempt():
-        vals = coeffs.heap**2 * fam_mask
+    def n_r(vals, I):
+        return _profile_lp(vals, J, I, r, dx)
 
-        def n_r(I):
-            return _profile_lp(vals, J, I, r, dx)
-
-        def on_remove(I):
-            vals[I.node] = 0.0
-
-        return (n_r,), (n_r,), on_remove
-
-    order, subfam, child_map, final_C = _family_with_retries(
-        "atoms", family, make_attempt, C)
+    # the family is the support, so the squared heap is already the stock
+    order, subfam, child_map, final_C = _with_retries(
+        "atoms", lambda c: _run_family(family, (coeffs.heap**2,), (n_r,), None, c), C)
 
     coefficients, atoms = {}, {}
     for Q in order:
@@ -235,8 +220,7 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
                                J, p, r, final_C)
 
     recon_err = float(np.max(np.abs(deco.reconstruct().values - f.values)))
-    budget_ok = all(
-        sum(P.length for P in child_map[Q]) <= 0.5 * Q.length for Q in order)
+    budget_ok = child_budget_ok(child_map)
     atom_ok = True
     for Q, atom in atoms.items():
         lo, hi = Q.cell_range(J)

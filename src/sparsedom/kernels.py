@@ -6,12 +6,7 @@ The two inner loops that dominate every stopping-time run are
   subtree of a node, and
 * integrating |f| against the localization weight chi_I^M.
 
-The subtree profile carries an ``@njit`` implementation and an equivalent
-vectorized numpy one; the backend is picked once at import time from the
-environment variable ``SPARSEDOM_BACKEND`` (``numba`` or ``numpy``; default
-is numba when importable).
-
-chi^M has a single numpy path.  At depth d every weight chi_I^M(x) depends
+Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
 only on the offset of the cell x from the start of I, so :func:`chi_kernel`
 computes one cached offset kernel per (J, d, M); every chi^M weight is a
 slice of it, and every chi^M integral a block-wise :func:`dot` with a slice.
@@ -25,12 +20,10 @@ covers depths 0 .. J-1 (entry 0 unused).
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
 __all__ = [
-    "BACKEND",
     "subtree_profile",
     "dot",
     "chi_kernel",
@@ -40,7 +33,11 @@ __all__ = [
 ]
 
 
-def _subtree_profile_np(vals, J, d0, i0):
+def subtree_profile(vals, J, d0, i0):
+    """sum over I <= (d0, i0) of vals[I] 1_I / |I| on the cells of (d0, i0).
+
+    ``vals`` is a heap array of length 2**J; the result has 2**(J-d0) entries.
+    """
     n = 1 << (J - d0)
     out = np.zeros(n)
     for d in range(d0, J):
@@ -53,42 +50,6 @@ def _subtree_profile_np(vals, J, d0, i0):
             out += np.repeat(row * float(1 << d), seg)
     return out
 
-
-BACKEND = "numpy"
-_requested = os.environ.get("SPARSEDOM_BACKEND", "").strip().lower()
-if _requested not in ("", "numpy", "numba"):
-    raise RuntimeError(f"SPARSEDOM_BACKEND must be 'numpy' or 'numba', got {_requested!r}")
-
-if _requested != "numpy":
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        njit = None
-    if njit is not None:
-        @njit(cache=True)
-        def _subtree_profile_nb(vals, J, d0, i0):  # pragma: no cover - timed via tests
-            n = 1 << (J - d0)
-            out = np.zeros(n)
-            for d in range(d0, J):
-                base = 1 << d
-                start = i0 << (d - d0)
-                cnt = 1 << (d - d0)
-                seg = 1 << (J - d)
-                scale = float(1 << d)
-                for t in range(cnt):
-                    v = vals[base + start + t]
-                    if v != 0.0:
-                        add = v * scale
-                        c0 = t * seg
-                        for c in range(c0, c0 + seg):
-                            out[c] += add
-            return out
-
-        BACKEND = "numba"
-
-subtree_profile = _subtree_profile_nb if BACKEND == "numba" else _subtree_profile_np
 
 #: Longest vector handed to BLAS in one dot: OpenBLAS runs longer dots on its
 #: thread pool, whose wake-up can stall the caller on a loaded machine.

@@ -16,7 +16,7 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, average, chi_weights
 
 __all__ = [
-    "SparseCollection", "carleson_constant", "certify_sparse",
+    "SparseCollection", "child_budget_ok", "carleson_constant", "certify_sparse",
     "sparse_vs_carleson", "max_sparse_eta_lp", "sparse_operator",
     "sparse_form", "bmo_norm",
 ]
@@ -85,20 +85,18 @@ class SparseCollection:
             total[Q] = Q.length + sum(total[P] for P in self.children(Q))
         return total
 
-    def child_budget_ok(self, eta: float = 0.5, weight=None,
-                        rel_slack: float = 0.0) -> bool:
-        """Check sum over children of measure <= eta * measure(Q) for all Q."""
-        for Q in self.intervals:
-            mQ, mch = _measures(Q, self.children(Q), weight)
-            if mch > eta * mQ * (1.0 + rel_slack):
-                return False
-        return True
 
+def child_budget_ok(children, measure=None) -> bool:
+    """The 1/2 child budget: sum of measure(P) over children P <= measure(Q) / 2.
 
-def _measures(Q, children, weight):
-    if weight is None:
-        return Q.length, sum(P.length for P in children)
-    return weight.measure(Q), sum(weight.measure(P) for P in children)
+    ``children`` maps each node Q to its children; ``measure`` defaults to
+    the length, and ``Weight.measure`` gives the weighted budget.
+    """
+    if measure is None:
+        def measure(I):
+            return I.length
+    return all(sum(measure(P) for P in kids) <= 0.5 * measure(Q)
+               for Q, kids in children.items())
 
 
 def carleson_constant(S: SparseCollection) -> float:

@@ -21,7 +21,7 @@ from . import kernels
 from .dyadic import DEFAULT_CHI_M, REL_SLACK, DyadicInterval, Signal, oscillation
 from .haar import HaarMultiplier, haar_transform, tilde_size
 from .maximal import DEFAULT_LAMBDA
-from .sparse import SparseCollection, carleson_constant
+from .sparse import SparseCollection, carleson_constant, child_budget_ok
 
 __all__ = [
     "DominationCertificate", "dominate_avg", "dominate_square",
@@ -111,7 +111,7 @@ def _finalize(mode, T, cf, cg, order, subfam, child_map, C, rhs_fn, per_q_fn,
                     and set(seen) == set(T.intervals))
 
     # child budget at eta = 1/2 in the run's measure
-    budget_ok = _budget_holds(order, child_map, measure)
+    budget_ok = child_budget_ok(child_map, measure)
 
     # the recursion's children are exactly the collection's derived children
     forest_ok = all(set(collection.children(Q)) == set(child_map[Q]) for Q in order)
@@ -149,15 +149,20 @@ def _finalize(mode, T, cf, cg, order, subfam, child_map, C, rhs_fn, per_q_fn,
     )
 
 
-def _budget_holds(order, child_map, measure):
-    for Q in order:
-        if measure is None:
-            mQ, mch = Q.length, sum(P.length for P in child_map[Q])
-        else:
-            mQ, mch = measure(Q), sum(measure(P) for P in child_map[Q])
-        if mch > 0.5 * mQ:
-            return False
-    return True
+def _with_retries(mode, run, C, measure=None):
+    """run(C) from the given C, doubling C while the run cannot finish or its
+    children break the 1/2 budget; returns (order, subfam, child_map, C)."""
+    attempt_C = float(C)
+    for _ in range(MAX_DOUBLINGS + 1):
+        try:
+            order, subfam, child_map = run(attempt_C)
+        except _RetryNeeded:
+            attempt_C *= 2.0
+            continue
+        if child_budget_ok(child_map, measure):
+            return order, subfam, child_map, attempt_C
+        attempt_C *= 2.0
+    raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +250,8 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     if f.depth_J != g.depth_J:
         raise ValueError("f and g must share a depth")
     chif, chig = _ChiCache(f, M, T.intervals), _ChiCache(g, M, T.intervals)
-    attempt_C = float(C)
-    for _ in range(MAX_DOUBLINGS + 1):
-        try:
-            order, subfam, child_map = _run_avg(T.intervals, chif, chig, attempt_C)
-        except _RetryNeeded:
-            attempt_C *= 2.0
-            continue
-        if _budget_holds(order, child_map, None):
-            break
-        attempt_C *= 2.0
-    else:
-        raise StoppingFailure(f"no admissible C up to {attempt_C} (avg mode)")
+    order, subfam, child_map, final_C = _with_retries(
+        "avg", lambda c: _run_avg(T.intervals, chif, chig, c), C)
 
     cf, cg = haar_transform(f), haar_transform(g)
     eps = dict(zip(T.intervals, T.coefficients))
@@ -274,11 +269,11 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
             denom = tf * tg * Q.length
             lam = abs(_lambda_value(eps, cf, cg, fam))
             out["localization_ratio"] = lam / denom if denom > 0 else 0.0
-            out["size_control_f"] = tf / (attempt_C * chif.avg(Q)) if chif.avg(Q) > 0 else 0.0
-            out["size_control_g"] = tg / (attempt_C * chig.avg(Q)) if chig.avg(Q) > 0 else 0.0
+            out["size_control_f"] = tf / (final_C * chif.avg(Q)) if chif.avg(Q) > 0 else 0.0
+            out["size_control_g"] = tg / (final_C * chig.avg(Q)) if chig.avg(Q) > 0 else 0.0
         return out
 
-    cert = _finalize("avg", T, cf, cg, order, subfam, child_map, attempt_C,
+    cert = _finalize("avg", T, cf, cg, order, subfam, child_map, final_C,
                      rhs_fn, per_q, params={"M": M, "p": 1.0, "q": 1.0})
     # selected families obey the size control by construction
     cert.checks["size_control_ok"] = all(
@@ -292,7 +287,14 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
 # generic family stopping time (square / weighted / oscillation / atoms)
 # ---------------------------------------------------------------------------
 
-def _run_family(intervals, value_fns, ref_fns, C, on_remove):
+def _run_family(intervals, heaps, value_fns, ref_fns, C):
+    """One attempt at threshold C over the stock of squared coefficients.
+
+    value_fns[k](heap, I) reads a copy of heaps[k], in which every selected
+    interval's node is zeroed.  ref_fns[k](Q) is node Q's reference value;
+    ref_fns=None takes value_fns[k] at Q on the current stock.
+    """
+    heaps = [h.copy() for h in heaps]
     stock = set(intervals)
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
@@ -301,10 +303,13 @@ def _run_family(intervals, value_fns, ref_fns, C, on_remove):
         for Q0 in agenda:
             members = sorted((I for I in stock if Q0.contains(I)),
                              key=lambda I: (I.depth, I.index))
-            refs = [C * rf(Q0) for rf in ref_fns]
+            if ref_fns is None:
+                refs = [C * vf(h, Q0) for vf, h in zip(value_fns, heaps)]
+            else:
+                refs = [C * rf(Q0) for rf in ref_fns]
             selected, rejected = [], []
             for I in members:
-                if all(vf(I) <= r for vf, r in zip(value_fns, refs)):
+                if all(vf(h, I) <= r for vf, h, r in zip(value_fns, heaps, refs)):
                     selected.append(I)
                 else:
                     rejected.append(I)
@@ -313,7 +318,8 @@ def _run_family(intervals, value_fns, ref_fns, C, on_remove):
                 raise _RetryNeeded(f"{Q0} rejected itself at C={C}")
             for I in selected:
                 stock.discard(I)
-                on_remove(I)
+                for h in heaps:
+                    h[I.node] = 0.0
             order.append(Q0)
             subfam[Q0] = tuple(selected)
             children = _maximal_intervals(rejected)
@@ -323,20 +329,14 @@ def _run_family(intervals, value_fns, ref_fns, C, on_remove):
     return order, subfam, child_map
 
 
-def _family_with_retries(mode, intervals, make_attempt, C, measure=None):
-    attempt_C = float(C)
-    for _ in range(MAX_DOUBLINGS + 1):
-        value_fns, ref_fns, on_remove = make_attempt()
-        try:
-            order, subfam, child_map = _run_family(intervals, value_fns,
-                                                   ref_fns, attempt_C, on_remove)
-        except _RetryNeeded:
-            attempt_C *= 2.0
-            continue
-        if _budget_holds(order, child_map, measure):
-            return order, subfam, child_map, attempt_C
-        attempt_C *= 2.0
-    raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
+def _family_stock(T, f, g):
+    """Haar coefficients of f and g and their squares on the family's nodes."""
+    if g.depth_J != f.depth_J:
+        raise ValueError("f and g must share a depth")
+    cf, cg = haar_transform(f), haar_transform(g)
+    fam_mask = np.zeros(1 << f.depth_J)
+    fam_mask[[I.node for I in T.intervals]] = 1.0
+    return cf, cg, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
 
 
 def _profile_lp(vals, J, I, p, dx):
@@ -373,39 +373,21 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("exponents must be > 0")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
-    J = f.depth_J
-    if g.depth_J != J:
-        raise ValueError("f and g must share a depth")
-    cf, cg = haar_transform(f), haar_transform(g)
-    fam_mask = np.zeros(1 << J)
-    fam_mask[[I.node for I in T.intervals]] = 1.0
-    dx = f.cell_width
+    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    J, dx = f.depth_J, f.cell_width
 
-    def make_attempt():
-        vals_f = cf.heap**2 * fam_mask
-        vals_g = cg.heap**2 * fam_mask
+    def nf(vals, I):
+        return _profile_lp(vals, J, I, p, dx)
 
-        def nf(I):
-            return _profile_lp(vals_f, J, I, p, dx)
+    def ng(vals, I):
+        return _profile_lp(vals, J, I, q, dx)
 
-        def ng(I):
-            return _profile_lp(vals_g, J, I, q, dx)
-
-        def on_remove(I):
-            vals_f[I.node] = 0.0
-            vals_g[I.node] = 0.0
-
-        return (nf, ng), (nf, ng), on_remove
-
-    order, subfam, child_map, final_C = _family_with_retries(
-        "square", T.intervals, make_attempt, C)
-
-    full_f = cf.heap**2 * fam_mask
-    full_g = cg.heap**2 * fam_mask
+    order, subfam, child_map, final_C = _with_retries(
+        "square", lambda c: _run_family(T.intervals, (full_f, full_g), (nf, ng), None, c),
+        C)
 
     def rhs_fn(Q):
-        return (_profile_lp(full_f, J, Q, p, dx)
-                * _profile_lp(full_g, J, Q, q, dx) * Q.length)
+        return nf(full_f, Q) * ng(full_g, Q) * Q.length
 
     eps = dict(zip(T.intervals, T.coefficients))
     max_eps = max((abs(e) for e in T.coefficients), default=0.0)
@@ -446,38 +428,23 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError("need 0 < r < p")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
-    J = f.depth_J
     if np.any(weight.values <= 0):
         raise ValueError("weight must be strictly positive")
-    cf, cg = haar_transform(f), haar_transform(g)
-    fam_mask = np.zeros(1 << J)
-    fam_mask[[I.node for I in T.intervals]] = 1.0
-    dx = f.cell_width
+    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    J, dx = f.depth_J, f.cell_width
     wvals = weight.values
 
-    def make_attempt():
-        vals_f = cf.heap**2 * fam_mask
-        vals_g = cg.heap**2 * fam_mask
+    def norm_w(vals, I):
+        return _profile_lp_weighted(vals, J, I, r, wvals, weight.measure(I), dx)
 
-        def nf(I):
-            return _profile_lp_weighted(vals_f, J, I, r, wvals, weight.measure(I), dx)
-
-        def ng(I):
-            return _profile_lp_weighted(vals_g, J, I, r, wvals, weight.measure(I), dx)
-
-        def on_remove(I):
-            vals_f[I.node] = 0.0
-            vals_g[I.node] = 0.0
-
-        return (nf, ng), (nf, ng), on_remove
-
-    order, subfam, child_map, final_C = _family_with_retries(
-        "weighted", T.intervals, make_attempt, C, measure=weight.measure)
+    order, subfam, child_map, final_C = _with_retries(
+        "weighted",
+        lambda c: _run_family(T.intervals, (full_f, full_g), (norm_w, norm_w), None, c),
+        C, measure=weight.measure)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
     rhs_product = hf * cg_norm
-    full_f = cf.heap**2 * fam_mask
 
     def rhs_fn(Q):
         # omega-sparse chain term: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
@@ -512,44 +479,28 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
-    J = f.depth_J
-    if g.depth_J != J:
-        raise ValueError("f and g must share a depth")
-    cf, cg = haar_transform(f), haar_transform(g)
-    fam_mask = np.zeros(1 << J)
-    fam_mask[[I.node for I in T.intervals]] = 1.0
-    dx = f.cell_width
+    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    J, dx = f.depth_J, f.cell_width
 
-    def make_attempt():
-        vals_f = cf.heap**2 * fam_mask
-        vals_g = cg.heap**2 * fam_mask
+    def weak(vals, I):
+        return _profile_weak(vals, J, I, dx)
 
-        def wf(I):
-            return _profile_weak(vals_f, J, I, dx)
+    def osc_f(Q):
+        return oscillation(f, Q)
 
-        def wg(I):
-            return _profile_weak(vals_g, J, I, dx)
+    def osc_g(Q):
+        return oscillation(g, Q)
 
-        def on_remove(I):
-            vals_f[I.node] = 0.0
-            vals_g[I.node] = 0.0
-
-        def osc_f(Q):
-            return oscillation(f, Q)
-
-        def osc_g(Q):
-            return oscillation(g, Q)
-
-        return (wf, wg), (osc_f, osc_g), on_remove
-
-    order, subfam, child_map, final_C = _family_with_retries(
-        "osc", T.intervals, make_attempt, C)
+    order, subfam, child_map, final_C = _with_retries(
+        "osc",
+        lambda c: _run_family(T.intervals, (full_f, full_g), (weak, weak), (osc_f, osc_g), c),
+        C)
 
     def rhs_fn(Q):
-        return oscillation(f, Q) * oscillation(g, Q) * Q.length
+        return osc_f(Q) * osc_g(Q) * Q.length
 
     def per_q(Q, fam):
-        return {"osc_f": oscillation(f, Q), "osc_g": oscillation(g, Q)}
+        return {"osc_f": osc_f(Q), "osc_g": osc_g(Q)}
 
     return _finalize("osc", T, cf, cg, order, subfam, child_map, final_C,
                      rhs_fn, per_q, params={})
@@ -629,8 +580,7 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
         stack.extend(kids)
 
     collection = SparseCollection(selected)
-    budget_ok = all(
-        sum(P.length for P in children_map[Q]) <= 0.5 * Q.length for Q in selected)
+    budget_ok = child_budget_ok(children_map)
 
     lo, hi = Q0.cell_range(J)
     osum = np.zeros(hi - lo)

@@ -32,7 +32,7 @@ def report(n, ok, detail):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the numba kernels outside any timed section
+    # run every construction once, so first-call costs stay outside the timed sections
     f = sd.generate_signal("gaussian_noise", 4, seed=0)
     g = sd.generate_signal("gaussian_noise", 4, seed=1)
     T = sd.generate_multiplier(4, seed=2, n_intervals=8)

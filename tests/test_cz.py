@@ -115,8 +115,10 @@ class TestWeak11Certify:
         assert report["crosscheck_ok"]
 
     def test_zero_signal(self):
-        report = weak11_certify(lambda x: x, Signal(np.zeros(16)))
+        report = weak11_certify(lambda x: x, Signal(np.zeros(16)), K=3.0)
         assert report["weak_quasinorm"] == 0.0
+        assert report["crosscheck_ok"] and report["majority_ok"]
+        assert report["K"] == 3.0
 
     def test_weak_constants_are_level_scan(self):
         f = generate_signal("gaussian_noise", 5, seed=33)

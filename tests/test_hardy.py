@@ -103,7 +103,37 @@ class TestHardyNorm:
             hardy_norm(Signal(np.ones(4)), 1.5)
 
 
+def _cmo_norm_loop(g, p, w):
+    """Per-node reference: sup over I0 of w(I0)^{-1/p} (w(I0) S(I0))^{1/2},
+    S(I0) = sum over I <= I0 of a_I^2 |I| / w(I), summed directly."""
+    coeffs = haar_transform(g)
+    J = coeffs.depth_J
+    best = 0.0
+    for d0 in range(J):
+        for i0 in range(1 << d0):
+            s = sum(coeffs[I(d, i)] ** 2 * I(d, i).length / w.measure(I(d, i))
+                    for d in range(d0, J)
+                    for i in range(i0 << (d - d0), (i0 + 1) << (d - d0)))
+            if s > 0.0:
+                wI = w.measure(I(d0, i0))
+                best = max(best, (wI * s) ** 0.5 / wI ** (1.0 / p))
+    return best
+
+
 class TestCmoNorm:
+    @pytest.mark.parametrize("J", [3, 6, 8])
+    def test_matches_per_node_loop(self, J):
+        weights = [generate_weight("dyadic_doubling", J, seed=J, delta=0.25),
+                   generate_weight("power_like", J, a=0.5),
+                   two_level(J, t=64.0), Weight(np.ones(1 << J))]
+        signals = [generate_signal("gaussian_noise", J, seed=J + 1),
+                   generate_signal("point_masses", J, seed=J + 2, k=3)]
+        for w in weights:
+            for g in signals:
+                for p in (0.5, 1.0):
+                    assert cmo_norm(g, p, w) == pytest.approx(
+                        _cmo_norm_loop(g, p, w), rel=1e-12, abs=0.0)
+
     def test_constant_is_zero(self):
         w = Weight(np.ones(16))
         assert cmo_norm(Signal(np.full(16, 1.5)), 1.0, w) == 0.0

@@ -9,30 +9,6 @@ from sparsedom import kernels
 from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, localization_weight
 
 
-def test_backend_env_flag_selects_numpy():
-    env = dict(os.environ, SPARSEDOM_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from sparsedom import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backends_agree_subtree_profile():
-    if kernels.BACKEND != "numba":
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(0)
-    for J in (3, 5, 7):
-        vals = rng.standard_normal(1 << J) ** 2
-        vals[rng.random(1 << J) < 0.4] = 0.0
-        vals[0] = 0.0
-        for d0 in range(J):
-            for i0 in (0, (1 << d0) - 1):
-                a = kernels._subtree_profile_nb(vals, J, d0, i0)
-                b = kernels._subtree_profile_np(vals, J, d0, i0)
-                assert np.allclose(a, b, rtol=1e-13, atol=0)
-
-
 def _direct_chi_row(absf, J, d, M):
     """Per-interval chi^M integrals straight from the distance formula."""
     n = absf.shape[0]

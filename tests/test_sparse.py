@@ -4,9 +4,11 @@ import pytest
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.exact import exact_carleson_constant
 from sparsedom.generate import generate_sparse_collection
+from sparsedom.hardy import Weight
+from sparsedom.serialize import revalidate_certificate
 from sparsedom.sparse import (SparseCollection, bmo_norm, carleson_constant,
-                              certify_sparse, max_sparse_eta_lp, sparse_form,
-                              sparse_operator, sparse_vs_carleson)
+                              certify_sparse, child_budget_ok, max_sparse_eta_lp,
+                              sparse_form, sparse_operator, sparse_vs_carleson)
 
 
 def I(d, i):
@@ -110,6 +112,30 @@ class TestLpOracle:
         rep = sparse_vs_carleson(S)
         assert rep["greedy_eta"] >= 0.5 - 1e-12
         assert 0.25 <= rep["lp_eta_times_carleson"] <= 4.0
+
+
+class TestChildBudget:
+    def test_length_measure(self):
+        assert child_budget_ok({ROOT: (I(1, 0),), I(1, 0): ()})
+        assert not child_budget_ok({ROOT: (I(1, 0), I(5, 16))})  # one cell more
+
+    def test_weight_measure(self):
+        w = Weight(np.array([2.0, 1.0, 0.5, 0.5]))  # w(ROOT) = 1, w(I(2, 0)) = 1/2
+        assert child_budget_ok({ROOT: (I(2, 0),)}, w.measure)
+        assert not child_budget_ok({ROOT: (I(2, 0), I(2, 3))}, w.measure)
+        # half the length, but three quarters of the weight
+        assert child_budget_ok({ROOT: (I(2, 0), I(2, 1))})
+        assert not child_budget_ok({ROOT: (I(2, 0), I(2, 1))}, w.measure)
+
+    def test_revalidation_rejects_broken_budget(self):
+        def record(children):
+            per_q = [{"Q": [0, 0], "family": [[0, 0]], "children": children}]
+            per_q += [{"Q": P, "family": [P], "children": []} for P in children]
+            return {"mode": "square", "per_Q": per_q, "n_intervals": len(per_q),
+                    "lhs": 1.0, "rhs": 1.0, "realized_constant": 1.0}
+
+        assert revalidate_certificate(record([[1, 0]]))
+        assert not revalidate_certificate(record([[1, 0], [3, 4]]))
 
 
 class TestSparseOperator:
