@@ -46,11 +46,9 @@ class HaarCoefficients:
     def support(self, tol: float = 0.0):
         """Intervals carrying a coefficient of magnitude > tol."""
         out = []
-        for node in np.nonzero(np.abs(self.heap) > tol)[0]:
-            if node == 0:
-                continue
-            d = int(node).bit_length() - 1
-            out.append(DyadicInterval(d, int(node) - (1 << d)))
+        for node in (np.flatnonzero(np.abs(self.heap[1:]) > tol) + 1).tolist():
+            d = node.bit_length() - 1
+            out.append(DyadicInterval(d, node - (1 << d)))
         return out
 
     def l2_norm_squared(self) -> float:

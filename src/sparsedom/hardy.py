@@ -17,7 +17,7 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _profile_lp, _run_family, _with_retries
+from .stopping import _lp_values, _run_family, _with_retries
 
 __all__ = [
     "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
@@ -192,8 +192,8 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
                                    p, r, C, checks={"empty": True})
     dx = f.cell_width
 
-    def n_r(vals, I):
-        return _profile_lp(vals, J, I, r, dx)
+    def n_r(vals, d, index):
+        return _lp_values(vals, J, d, index, r, dx)
 
     # the family is the support, so the squared heap is already the stock
     order, subfam, child_map, final_C = _with_retries(

@@ -3,7 +3,9 @@
 The two inner loops that dominate every stopping-time run are
 
 * accumulating a "square profile" sum(v_I * 1_I(x) / |I|) over the dyadic
-  subtree of a node, and
+  subtree of a node (:func:`subtree_profile` takes a whole array of
+  same-depth nodes in one call, so a stopping generation costs one call per
+  depth), and
 * integrating |f| against the localization weight chi_I^M.
 
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
@@ -33,22 +35,26 @@ __all__ = [
 ]
 
 
-def subtree_profile(vals, J, d0, i0):
-    """sum over I <= (d0, i0) of vals[I] 1_I / |I| on the cells of (d0, i0).
+def subtree_profile(vals, J, d0, index):
+    """sum over I <= (d0, i) of vals[I] 1_I / |I| on the cells of (d0, i).
 
-    ``vals`` is a heap array of length 2**J; the result has 2**(J-d0) entries.
+    ``vals`` is a heap array of length 2**J.  ``index`` is one depth-d0
+    index or an array of them; the result has shape
+    ``np.shape(index) + (2**(J-d0),)``, one row per index.  Depths d0, d0+1,
+    ..., J-1 are added in that order, each row scaled by 2**d and spread
+    over its cells.  A depth is skipped only when it is zero for every
+    index, and adding +0.0 leaves a row unchanged, so each row equals the
+    single-index result bit for bit whatever indices come with it.
     """
+    index = np.asarray(index, dtype=np.intp)
+    rows = index.reshape(-1)
     n = 1 << (J - d0)
-    out = np.zeros(n)
+    out = np.zeros((rows.size, n))
     for d in range(d0, J):
-        base = 1 << d
-        start = i0 << (d - d0)
-        cnt = 1 << (d - d0)
-        seg = 1 << (J - d)
-        row = vals[base + start : base + start + cnt]
-        if np.any(row):
-            out += np.repeat(row * float(1 << d), seg)
-    return out
+        block = vals[1 << d : 2 << d].reshape(1 << d0, -1)[rows]
+        if block.any():
+            out += np.repeat(block * float(1 << d), 1 << (J - d), axis=1)
+    return out.reshape(index.shape + (n,))
 
 
 #: Longest vector handed to BLAS in one dot: OpenBLAS runs longer dots on its

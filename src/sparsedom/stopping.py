@@ -287,45 +287,93 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
 # generic family stopping time (square / weighted / oscillation / atoms)
 # ---------------------------------------------------------------------------
 
-def _run_family(intervals, heaps, value_fns, ref_fns, C):
-    """One attempt at threshold C over the stock of squared coefficients.
+def _mask(intervals, size):
+    """Boolean heap of the given length, set at the nodes of ``intervals``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[[I.node for I in intervals]] = True
+    return mask
 
-    value_fns[k](heap, I) reads a copy of heaps[k], in which every selected
-    interval's node is zeroed.  ref_fns[k](Q) is node Q's reference value;
-    ref_fns=None takes value_fns[k] at Q on the current stock.
+
+def _down(heap):
+    """Each entry replaced by the max over the node and all its ancestors."""
+    out = heap.copy()
+    for d in range(1, out.shape[0].bit_length() - 1):
+        lo = 1 << d
+        np.maximum(out[lo : 2 * lo], np.repeat(out[lo >> 1 : lo], 2), out=out[lo : 2 * lo])
+    return out
+
+
+def _maximal_nodes(mask):
+    """Nodes set in a boolean heap with no set strict ancestor, in node order."""
+    above = np.zeros_like(mask)
+    above[2:] = np.repeat(_down(mask)[1 : mask.shape[0] >> 1], 2)
+    return np.flatnonzero(mask & ~above)
+
+
+def _value_heap(functional, vals, mask):
+    """functional(vals, d, index) on the nodes set in mask, one call per
+    depth; 0.0 elsewhere."""
+    out = np.zeros(mask.shape[0])
+    for d in range(mask.shape[0].bit_length() - 1):
+        index = np.flatnonzero(mask[1 << d : 2 << d])
+        if index.size:
+            out[(1 << d) + index] = functional(vals, d, index)
+    return out
+
+
+def _run_family(intervals, heaps, functionals, refs, C):
+    """One attempt at threshold C, level-synchronous over heap arrays.
+
+    The stock is a boolean heap of the nodes of ``intervals``; each of
+    ``heaps`` (squared coefficients) is copied and zeroed at every selected
+    node.  The nodes of one generation (the agenda) are disjoint and
+    ``functionals[k](heap, d, index)`` reads only the stock inside each
+    interval, so one value heap V_k per generation, built with one call per
+    depth, serves every agenda node at once.
+
+    Tie policy: a stock node I inside agenda node Q0 is selected when
+    V_k[I] <= C * V_k[Q0] for every k (``<=`` selects; with ``refs`` given,
+    C * refs[k](Q0) replaces C * V_k[Q0]).  Q0 and its members read the same
+    value heap, and every value equals the one-interval evaluation bit for
+    bit.  An agenda node that fails its own test means C is too small.  Q0's
+    children are its maximal rejected nodes, in (depth, index) order; each
+    sub-family is in (depth, index) order, and the next agenda lists the
+    children in agenda order.
     """
     heaps = [h.copy() for h in heaps]
-    stock = set(intervals)
+    size = heaps[0].shape[0]
+    by_node = {I.node: I for I in intervals}
+    stock = _mask(intervals, size)
+    agenda = [by_node[n] for n in _maximal_nodes(stock).tolist()]
     order, subfam, child_map = [], {}, {}
-    agenda = _maximal_intervals(stock)
     while agenda:
-        nxt = []
+        nodes = np.array([Q.node for Q in agenda])
+        owner = np.zeros(size, dtype=np.intp)
+        owner[nodes] = nodes
+        owner = _down(owner)
+        selected = stock.copy()
+        for k, (functional, heap) in enumerate(zip(functionals, heaps)):
+            V = ref = _value_heap(functional, heap, stock)
+            if refs is not None:
+                ref = np.zeros(size)
+                ref[nodes] = [refs[k](Q) for Q in agenda]
+            selected &= V <= C * ref[owner]
+        if not selected[nodes].all():
+            raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
+        rejected = stock & ~selected
+        members = {Q.node: [] for Q in agenda}
+        kids = {Q.node: [] for Q in agenda}
+        for found, into in ((np.flatnonzero(selected), members), (_maximal_nodes(rejected), kids)):
+            for n, o in zip(found.tolist(), owner[found].tolist()):
+                into[o].append(by_node[n])
+        for h in heaps:
+            h[selected] = 0.0
+        stock = rejected
+        order.extend(agenda)
         for Q0 in agenda:
-            members = sorted((I for I in stock if Q0.contains(I)),
-                             key=lambda I: (I.depth, I.index))
-            if ref_fns is None:
-                refs = [C * vf(h, Q0) for vf, h in zip(value_fns, heaps)]
-            else:
-                refs = [C * rf(Q0) for rf in ref_fns]
-            selected, rejected = [], []
-            for I in members:
-                if all(vf(h, I) <= r for vf, h, r in zip(value_fns, heaps, refs)):
-                    selected.append(I)
-                else:
-                    rejected.append(I)
-            if Q0 in stock and Q0 not in selected:
-                # the node failed its own stopping condition: C is too small
-                raise _RetryNeeded(f"{Q0} rejected itself at C={C}")
-            for I in selected:
-                stock.discard(I)
-                for h in heaps:
-                    h[I.node] = 0.0
-            order.append(Q0)
-            subfam[Q0] = tuple(selected)
-            children = _maximal_intervals(rejected)
-            child_map[Q0] = tuple(sorted(children))
-            nxt.extend(children)
-        agenda = nxt
+            subfam[Q0] = tuple(members[Q0.node])
+            child_map[Q0] = tuple(kids[Q0.node])
+        agenda = [P for Q0 in agenda for P in child_map[Q0]]
     return order, subfam, child_map
 
 
@@ -334,30 +382,32 @@ def _family_stock(T, f, g):
     if g.depth_J != f.depth_J:
         raise ValueError("f and g must share a depth")
     cf, cg = haar_transform(f), haar_transform(g)
-    fam_mask = np.zeros(1 << f.depth_J)
-    fam_mask[[I.node for I in T.intervals]] = 1.0
+    fam_mask = _mask(T.intervals, 1 << f.depth_J)
     return cf, cg, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
 
 
-def _profile_lp(vals, J, I, p, dx):
-    """|I|**-1/p times the L^p norm of the square root of the subtree profile."""
-    prof = kernels.subtree_profile(vals, J, I.depth, I.index)
-    return float(np.sum(prof ** (p / 2.0)) * dx) ** (1.0 / p) / I.length ** (1.0 / p)
+def _lp_values(vals, J, d, index, p, dx):
+    """|I|**-1/p times the L^p norm of the square root of the subtree
+    profile, for the depth-d intervals I of ``index``."""
+    sums = np.sum(kernels.subtree_profile(vals, J, d, index) ** (p / 2.0), axis=1) * dx
+    scale = (2.0 ** (-d)) ** (1.0 / p)
+    # Python float powers, as the one-interval formula takes them
+    return np.array([s ** (1.0 / p) / scale for s in sums.tolist()])
 
 
-def _profile_lp_weighted(vals, J, I, r, wvals, wmeasure, dx):
-    prof = kernels.subtree_profile(vals, J, I.depth, I.index)
-    lo, hi = I.cell_range(J)
-    s = float(np.sum(prof ** (r / 2.0) * wvals[lo:hi]) * dx)
-    return s ** (1.0 / r) / wmeasure ** (1.0 / r)
+def _lp_w_values(vals, J, d, index, r, wvals, wI, dx):
+    """w(I)**-1/r times the L^r(w) norm of the profile square root; wI is
+    the heap of w-measures."""
+    prof = kernels.subtree_profile(vals, J, d, index) ** (r / 2.0)
+    sums = np.sum(prof * wvals.reshape(1 << d, -1)[index], axis=1) * dx
+    return np.array([s ** (1.0 / r) / m ** (1.0 / r)
+                     for s, m in zip(sums.tolist(), wI[(1 << d) + index].tolist())])
 
 
-def _profile_weak(vals, J, I, dx):
+def _weak_values(vals, J, d, index, dx):
     """|I|**-1 times the weak L^1 quasinorm of the profile square root."""
-    prof = np.sqrt(kernels.subtree_profile(vals, J, I.depth, I.index))
-    prof = np.sort(prof)[::-1]
-    weak = float(np.max(prof * np.arange(1, prof.size + 1))) * dx if prof.size else 0.0
-    return weak / I.length
+    prof = np.sort(np.sqrt(kernels.subtree_profile(vals, J, d, index)), axis=1)[:, ::-1]
+    return np.max(prof * np.arange(1, prof.shape[1] + 1), axis=1) * dx / 2.0 ** (-d)
 
 
 def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
@@ -376,26 +426,31 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
-    def nf(vals, I):
-        return _profile_lp(vals, J, I, p, dx)
+    def nf(vals, d, index):
+        return _lp_values(vals, J, d, index, p, dx)
 
-    def ng(vals, I):
-        return _profile_lp(vals, J, I, q, dx)
+    def ng(vals, d, index):
+        return _lp_values(vals, J, d, index, q, dx)
+
+    def l2(vals, d, index):
+        return _lp_values(vals, J, d, index, 2.0, dx)
 
     order, subfam, child_map, final_C = _with_retries(
         "square", lambda c: _run_family(T.intervals, (full_f, full_g), (nf, ng), None, c),
         C)
+    nodes = _mask(order, 1 << J)
+    Nf, Ng = _value_heap(nf, full_f, nodes), _value_heap(ng, full_g, nodes)
+    Lf, Lg = _value_heap(l2, full_f, nodes), _value_heap(l2, full_g, nodes)
 
     def rhs_fn(Q):
-        return nf(full_f, Q) * ng(full_g, Q) * Q.length
+        return float(Nf[Q.node] * Ng[Q.node] * Q.length)
 
     eps = dict(zip(T.intervals, T.coefficients))
     max_eps = max((abs(e) for e in T.coefficients), default=0.0)
 
     def per_q(Q, fam):
         lam = abs(_lambda_value(eps, cf, cg, fam))
-        a2 = (_profile_lp(full_f, J, Q, 2.0, dx)
-              * _profile_lp(full_g, J, Q, 2.0, dx) * Q.length)
+        a2 = float(Lf[Q.node] * Lg[Q.node] * Q.length)
         return {"lambda_abs": lam, "l2_bound": a2,
                 "cs_ratio": lam / a2 if a2 > 0 else 0.0}
 
@@ -428,14 +483,17 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError("need 0 < r < p")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
+    if weight.depth_J != f.depth_J:
+        raise ValueError(f"weight depth {weight.depth_J} differs from signal depth {f.depth_J}")
     if np.any(weight.values <= 0):
         raise ValueError("weight must be strictly positive")
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
     wvals = weight.values
+    wI = kernels.interval_sums(wvals) * 2.0 ** (-J)   # w(I) as Weight.measure gives it
 
-    def norm_w(vals, I):
-        return _profile_lp_weighted(vals, J, I, r, wvals, weight.measure(I), dx)
+    def norm_w(vals, d, index):
+        return _lp_w_values(vals, J, d, index, r, wvals, wI, dx)
 
     order, subfam, child_map, final_C = _with_retries(
         "weighted",
@@ -448,10 +506,8 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
 
     def rhs_fn(Q):
         # omega-sparse chain term: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
-        sel = np.zeros(1 << J)
-        for I in subfam[Q]:
-            sel[I.node] = full_f[I.node]
-        term = _profile_lp_weighted(sel, J, Q, r, wvals, weight.measure(Q), dx)
+        sel = np.where(_mask(subfam[Q], 1 << J), full_f, 0.0)
+        term = float(norm_w(sel, Q.depth, np.array([Q.index]))[0])
         return term * weight.measure(Q) ** (1.0 / p) * cg_norm
 
     cert = _finalize("weighted", T, cf, cg, order, subfam, child_map, final_C,
@@ -482,8 +538,8 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
-    def weak(vals, I):
-        return _profile_weak(vals, J, I, dx)
+    def weak(vals, d, index):
+        return _weak_values(vals, J, d, index, dx)
 
     def osc_f(Q):
         return oscillation(f, Q)

@@ -175,6 +175,16 @@ class TestCli:
             assert payload["mode"] in (mode,)
             assert payload["checks"]["partition_ok"]
 
+    @pytest.mark.parametrize("cells", [8, 64])
+    def test_dominate_weight_file_of_wrong_depth(self, tmp_path, capsys, cells):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("\n".join(["1.0"] * cells) + "\n")
+        rc = main(["dominate", "--mode", "weighted", "--depth", "5", "--seed", "1",
+                   "--weight-file", str(wfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "weight depth" in err and "Traceback" not in err
+
     def test_atoms_command(self, tmp_path):
         out = tmp_path / "atoms.json"
         rc = main(["atoms", "--depth", "5", "--seed", "2", "--p", "1.0",

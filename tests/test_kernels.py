@@ -126,6 +126,38 @@ def test_heap_subtree_sums():
             assert out[(1 << d) + i] == pytest.approx(expect, abs=1e-12)
 
 
+def _one_interval_profile(vals, J, d0, i0):
+    """The profile of one interval, one depth at a time."""
+    out = np.zeros(1 << (J - d0))
+    for d in range(d0, J):
+        row = vals[(1 << d) + (i0 << (d - d0)) : (1 << d) + ((i0 + 1) << (d - d0))]
+        if np.any(row):
+            out += np.repeat(row * float(1 << d), 1 << (J - d))
+    return out
+
+
+@pytest.mark.parametrize("J", [1, 2, 5, 8])
+def test_subtree_profile_rows_equal_one_interval_profiles(J):
+    rng = np.random.default_rng(J)
+    vals = np.zeros(1 << J)
+    vals[1:] = rng.standard_normal((1 << J) - 1) ** 2 * rng.choice([1e-6, 1.0, 1e6], (1 << J) - 1)
+    vals[rng.random(1 << J) < 0.4] = 0.0       # scattered zeros
+    if J > 1:
+        for d in range(1, J):                   # one all-zero subtree: rows of zeros
+            vals[(1 << d) : (1 << d) + (1 << (d - 1))] = 0.0
+    for d0 in range(J):
+        index = rng.permutation(1 << d0)
+        for picked in (index, index[: max(1, index.size // 3)], index[:0]):
+            rows = kernels.subtree_profile(vals, J, d0, picked)
+            assert rows.shape == (picked.size, 1 << (J - d0))
+            for row, i in zip(rows, picked):
+                assert np.array_equal(row, _one_interval_profile(vals, J, d0, int(i)))
+        for i in (0, (1 << d0) - 1):
+            one = kernels.subtree_profile(vals, J, d0, i)
+            assert one.shape == (1 << (J - d0),)
+            assert np.array_equal(one, _one_interval_profile(vals, J, d0, i))
+
+
 def test_subtree_profile_integral_identity():
     # integral of the profile equals the plain sum of the subtree values
     rng = np.random.default_rng(5)

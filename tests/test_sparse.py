@@ -1,14 +1,19 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.exact import exact_carleson_constant
-from sparsedom.generate import generate_sparse_collection
+from sparsedom.generate import (generate_multiplier, generate_signal,
+                                generate_sparse_collection, generate_weight)
 from sparsedom.hardy import Weight
-from sparsedom.serialize import revalidate_certificate
+from sparsedom.serialize import dump_json, revalidate_certificate
 from sparsedom.sparse import (SparseCollection, bmo_norm, carleson_constant,
                               certify_sparse, child_budget_ok, max_sparse_eta_lp,
                               sparse_form, sparse_operator, sparse_vs_carleson)
+from sparsedom.stopping import dominate_avg, dominate_weighted
 
 
 def I(d, i):
@@ -136,6 +141,30 @@ class TestChildBudget:
 
         assert revalidate_certificate(record([[1, 0]]))
         assert not revalidate_certificate(record([[1, 0], [3, 4]]))
+
+    @pytest.mark.parametrize("mode", ["avg", "weighted"])
+    def test_revalidation_rejects_mutated_certificates(self, mode):
+        J = 6
+        f = generate_signal("point_masses", J, seed=0, k=4)
+        g = generate_signal("point_masses", J, seed=1, k=4)
+        T = generate_multiplier(J, seed=2, n_intervals=40)
+        cert = dominate_avg(T, f, g, C=1.0) if mode == "avg" else \
+            dominate_weighted(T, f, g, generate_weight("dyadic_doubling", J, seed=3), C=1.0)
+        data = json.loads(dump_json(cert.to_dict()))
+        assert revalidate_certificate(data) and data["lhs"] > 0
+        parents = [e for e in data["per_Q"] if e["children"]]
+        assert parents and len(data["per_Q"]) > 1
+
+        dropped = copy.deepcopy(data)
+        next(e for e in dropped["per_Q"] if e["family"])["family"].pop()
+        moved = copy.deepcopy(data)
+        src = next(e for e in moved["per_Q"] if e["children"])
+        dst = next(e for e in moved["per_Q"] if e is not src)
+        dst["children"].append(src["children"].pop())
+        halved = copy.deepcopy(data)
+        halved["rhs"] *= 0.5
+        for broken in (dropped, moved, halved):
+            assert not revalidate_certificate(broken)
 
 
 class TestSparseOperator:

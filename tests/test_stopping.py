@@ -3,15 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom import kernels, stopping
+from sparsedom import hardy, kernels, stopping
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
 from sparsedom.haar import HaarMultiplier, htilde
-from sparsedom.hardy import Weight
+from sparsedom.hardy import Weight, atomic_decompose
 from sparsedom.maximal import MaximalKind, local_mean_oscillation, maximal
 from sparsedom.stopping import (dominate_avg, dominate_oscillation,
                                 dominate_square, dominate_weighted,
@@ -215,6 +215,13 @@ class TestDominateWeighted:
                 kids = cert.children[Q]
                 assert sum(w.measure(P) for P in kids) <= 0.5 * w.measure(Q) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("cells", [8, 64])
+    def test_weight_depth_must_match_signals(self, cells):
+        T = generate_multiplier(5, seed=1, n_intervals=10)
+        f = spiky_signal(5, 2)
+        with pytest.raises(ValueError, match="weight depth"):
+            dominate_weighted(T, f, f, Weight(np.ones(cells)))
+
     def test_parameter_validation(self):
         T = HaarMultiplier.from_dict({ROOT: 1.0})
         f = htilde(ROOT, 4)
@@ -268,6 +275,143 @@ class TestDominateOscillation:
             if pairing > 0:
                 worst = max(worst, pairing / sharp)
         assert worst < 8.0  # recorded polarized Fefferman-Stein constant
+
+
+# One-interval functionals as the per-candidate engine evaluated them.
+def _ref_lp(vals, J, I, p, dx):
+    prof = kernels.subtree_profile(vals, J, I.depth, I.index)
+    return float(np.sum(prof ** (p / 2.0)) * dx) ** (1.0 / p) / I.length ** (1.0 / p)
+
+
+def _ref_lp_w(vals, J, I, r, weight, dx):
+    prof = kernels.subtree_profile(vals, J, I.depth, I.index)
+    lo, hi = I.cell_range(J)
+    s = float(np.sum(prof ** (r / 2.0) * weight.values[lo:hi]) * dx)
+    return s ** (1.0 / r) / weight.measure(I) ** (1.0 / r)
+
+
+def _ref_weak(vals, J, I, dx):
+    prof = np.sort(np.sqrt(kernels.subtree_profile(vals, J, I.depth, I.index)))[::-1]
+    return float(np.max(prof * np.arange(1, prof.size + 1))) * dx / I.length
+
+
+def _reference_run_family(intervals, heaps, functionals, refs, C):
+    """The per-candidate family engine: one functional call per stock member."""
+    def value(k, heap, I):
+        return float(functionals[k](heap, I.depth, np.array([I.index]))[0])
+
+    heaps = [h.copy() for h in heaps]
+    stock = set(intervals)
+    order, subfam, child_map = [], {}, {}
+    agenda = stopping._maximal_intervals(stock)
+    while agenda:
+        nxt = []
+        for Q0 in agenda:
+            members = sorted(I for I in stock if Q0.contains(I))
+            if refs is None:
+                bounds = [C * value(k, h, Q0) for k, h in enumerate(heaps)]
+            else:
+                bounds = [C * rf(Q0) for rf in refs]
+            selected = [I for I in members
+                        if all(value(k, h, I) <= b for k, (h, b) in enumerate(zip(heaps, bounds)))]
+            rejected = [I for I in members if I not in selected]
+            if Q0 in stock and Q0 not in selected:
+                raise stopping._RetryNeeded(f"{Q0} rejected itself at C={C}")
+            for I in selected:
+                stock.discard(I)
+                for h in heaps:
+                    h[I.node] = 0.0
+            order.append(Q0)
+            subfam[Q0] = tuple(selected)
+            child_map[Q0] = tuple(sorted(stopping._maximal_intervals(rejected)))
+            nxt.extend(child_map[Q0])
+        agenda = nxt
+    return order, subfam, child_map
+
+
+def _family_certificates(T, f, g, weights, C):
+    runs = {"square1": lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=C),
+            "square2": lambda: dominate_square(T, f, g, p=2.0, q=2.0, C=C),
+            "osc": lambda: dominate_oscillation(T, f, g, C=C),
+            "atoms": lambda: atomic_decompose(f, p=1.0, C=C)}
+    for k, w in enumerate(weights):
+        runs[f"weighted{k}"] = lambda w=w: dominate_weighted(T, f, g, w, p=1.0, C=C)
+    out = {}
+    for name, run in runs.items():
+        try:
+            cert = run()
+            # sub-families in the engine's node order, which sets the rhs sum order
+            out[name] = [cert.to_dict(), [[Q.depth, Q.index] for Q in cert.subfamilies]]
+        except stopping.StoppingFailure as exc:
+            out[name] = f"StoppingFailure: {exc}"
+    return json.dumps(out, sort_keys=True)
+
+
+class TestFamilyEngineEquivalence:
+    """The level-synchronous engine gives the per-candidate loop's certificates."""
+
+    @pytest.mark.parametrize("J", [2, 5, 7])
+    def test_functionals_equal_one_interval_formulas(self, J):
+        rng = np.random.default_rng(J)
+        vals = np.zeros(1 << J)
+        vals[1:] = rng.standard_normal((1 << J) - 1) ** 2
+        vals[rng.random(1 << J) < 0.3] = 0.0
+        dx = 2.0 ** (-J)
+        w = generate_weight("two_level", J, seed=J, t=64.0)
+        wI = kernels.interval_sums(w.values) * 2.0 ** (-J)
+        for d in range(J):
+            index = rng.permutation(1 << d)
+            got = {"lp": [stopping._lp_values(vals, J, d, index, p, dx) for p in (0.5, 1.0, 2.0)],
+                   "w": [stopping._lp_w_values(vals, J, d, index, r, w.values, wI, dx)
+                         for r in (0.25, 0.5)],
+                   "weak": [stopping._weak_values(vals, J, d, index, dx)]}
+            want = {"lp": [[_ref_lp(vals, J, I(d, i), p, dx) for i in index]
+                           for p in (0.5, 1.0, 2.0)],
+                    "w": [[_ref_lp_w(vals, J, I(d, i), r, w, dx) for i in index]
+                          for r in (0.25, 0.5)],
+                    "weak": [[_ref_weak(vals, J, I(d, i), dx) for i in index]]}
+            for key in got:
+                for a, b in zip(got[key], want[key]):
+                    assert np.array_equal(a, np.array(b)), (key, d)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @settings(max_examples=10, deadline=None)
+    @given(J=st.integers(2, 6), seed=st.integers(0, 10_000), full=st.booleans(),
+           n_intervals=st.integers(1, 40), C=st.sampled_from([1.0, 4.0]))
+    # sparse_haar here gives a generation whose agenda is not in (depth, index) order
+    @example(J=6, seed=1, full=False, n_intervals=30, C=4.0)
+    def test_matches_per_candidate_engine(self, kind, J, seed, full, n_intervals, C):
+        f = _test_signal(kind, J, seed)
+        g = _test_signal(kind, J, seed + 1)
+        T = full_multiplier(J) if full else \
+            generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals)
+        weights = (generate_weight("two_level", J, seed=seed + 3, t=64.0),
+                   generate_weight("dyadic_doubling", J, seed=seed + 3, delta=0.25))
+        fast = _family_certificates(T, f, g, weights, C)
+        with mock.patch.object(stopping, "_run_family", _reference_run_family), \
+                mock.patch.object(hardy, "_run_family", _reference_run_family):
+            reference = _family_certificates(T, f, g, weights, C)
+        assert fast == reference
+
+    def test_self_rejection_retry_matches_reference(self):
+        J = 5
+        f, g = generate_signal("gaussian_noise", J, seed=0), generate_signal("gaussian_noise", J, seed=1)
+        T = full_multiplier(J)
+        engine, retried = stopping._run_family, []
+
+        def spy(*args):
+            try:
+                return engine(*args)
+            except stopping._RetryNeeded:
+                retried.append(args[-1])
+                raise
+
+        with mock.patch.object(stopping, "_run_family", spy):
+            cert = dominate_oscillation(T, f, g, C=1.0)
+        assert retried == [1.0] and cert.stopping_constant == 2.0
+        with mock.patch.object(stopping, "_run_family", _reference_run_family):
+            reference = dominate_oscillation(T, f, g, C=1.0)
+        assert cert.to_dict() == reference.to_dict()
 
 
 class TestLerner:
