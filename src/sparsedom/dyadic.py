@@ -52,6 +52,12 @@ class DyadicInterval:
         """Position in flat heap arrays."""
         return (1 << self.depth) + self.index
 
+    @classmethod
+    def from_node(cls, node: int) -> "DyadicInterval":
+        """The interval at a heap position (inverse of :attr:`node`)."""
+        depth = node.bit_length() - 1
+        return cls(depth, node - (1 << depth))
+
     def parent(self) -> "DyadicInterval":
         if self.depth == 0:
             raise ValueError("root interval has no parent")

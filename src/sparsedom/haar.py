@@ -43,13 +43,13 @@ class HaarCoefficients:
             raise ValueError(f"no Haar coefficient at depth {I.depth} (J={self.depth_J})")
         return float(self.heap[I.node])
 
+    def support_nodes(self, tol: float = 0.0) -> np.ndarray:
+        """Heap nodes carrying a coefficient of magnitude > tol, in node order."""
+        return np.flatnonzero(np.abs(self.heap[1:]) > tol) + 1
+
     def support(self, tol: float = 0.0):
         """Intervals carrying a coefficient of magnitude > tol."""
-        out = []
-        for node in (np.flatnonzero(np.abs(self.heap[1:]) > tol) + 1).tolist():
-            d = node.bit_length() - 1
-            out.append(DyadicInterval(d, node - (1 << d)))
-        return out
+        return [DyadicInterval.from_node(n) for n in self.support_nodes(tol).tolist()]
 
     def l2_norm_squared(self) -> float:
         return float(np.sum(self.heap**2) + self.mean**2)
@@ -130,11 +130,15 @@ class HaarMultiplier:
     def max_depth(self) -> int:
         return max((I.depth for I in self.intervals), default=0)
 
+    def check_depth(self, depth_J: int) -> None:
+        """ValueError unless every interval has a Haar mode at depth_J."""
+        if self.max_depth() >= depth_J:
+            raise ValueError(f"multiplier interval at depth {self.max_depth()} needs depth < {depth_J}")
+
     def eps_heap(self, depth_J: int) -> np.ndarray:
+        self.check_depth(depth_J)
         heap = np.zeros(1 << depth_J)
         for I, e in zip(self.intervals, self.coefficients):
-            if I.depth >= depth_J:
-                raise ValueError(f"multiplier interval at depth {I.depth} needs depth < {depth_J}")
             heap[I.node] = e
         return heap
 

@@ -17,7 +17,7 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _lp_values, _run_family, _with_retries
+from .stopping import _children, _lp_values, _run_family, _split, _with_retries
 
 __all__ = [
     "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
@@ -186,8 +186,8 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     J = f.depth_J
     coeffs = haar_transform(f)
     mean = coeffs.mean
-    family = coeffs.support()
-    if not family:
+    nodes = coeffs.support_nodes()
+    if not nodes.size:
         return AtomicDecomposition(SparseCollection([]), {}, {}, {}, mean, J,
                                    p, r, C, checks={"empty": True})
     dx = f.cell_width
@@ -195,32 +195,30 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     def n_r(vals, d, index):
         return _lp_values(vals, J, d, index, r, dx)
 
-    # the family is the support, so the squared heap is already the stock
-    order, subfam, child_map, final_C = _with_retries(
-        "atoms", lambda c: _run_family(family, (coeffs.heap**2,), (n_r,), None, c), C)
+    run, final_C = _with_retries(
+        "atoms", lambda c: _run_family(nodes, (coeffs.heap**2,), (n_r,), None, c), C)
+    # energies add libm squares (np.float_power), as Python's a ** 2 does
+    subfam, energy, members, bounds = _split(run, coeffs.support(), nodes,
+                                             np.float_power(coeffs.heap, 2.0))
 
     coefficients, atoms = {}, {}
-    for Q in order:
-        fam = subfam[Q]
-        if not fam:
-            continue
-        energy = float(sum(coeffs.heap[I.node] ** 2 for I in fam))
-        c_Q = Q.length ** (1.0 / p - 0.5) * energy**0.5
+    for k, Q in enumerate(subfam):
+        c_Q = Q.length ** (1.0 / p - 0.5) * float(energy[k]) ** 0.5
         if c_Q == 0.0:
             continue
         heap = np.zeros(1 << J)
-        for I in fam:
-            heap[I.node] = coeffs.heap[I.node]
+        own = members[bounds[k] : bounds[k + 1]]
+        heap[own] = coeffs.heap[own]
         atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, J))
         coefficients[Q] = c_Q
         atoms[Q] = Signal(atom.values / c_Q)
 
-    collection = SparseCollection(order)
+    collection = SparseCollection(subfam)
     deco = AtomicDecomposition(collection, coefficients, atoms, subfam, mean,
                                J, p, r, final_C)
 
     recon_err = float(np.max(np.abs(deco.reconstruct().values - f.values)))
-    budget_ok = child_budget_ok(child_map)
+    budget_ok = child_budget_ok(_children(run.order, run.kids, run.parents))
     atom_ok = True
     for Q, atom in atoms.items():
         lo, hi = Q.cell_range(J)

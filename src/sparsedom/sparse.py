@@ -49,22 +49,20 @@ class SparseCollection:
         return I in set(self.intervals)
 
     def _build_forest(self):
-        members = set(self.intervals)
+        # walk up heap nodes (node >> 1 is the parent) to the nearest member;
+        # members come in sorted order, so every child list is sorted
+        members = {I.node: I for I in self.intervals}
         children = {I: [] for I in self.intervals}
         roots = []
         for I in self.intervals:
-            parent = None
-            walk = I
-            while walk.depth > 0:
-                walk = walk.parent()
-                if walk in members:
-                    parent = walk
-                    break
-            if parent is None:
-                roots.append(I)
+            node = I.node >> 1
+            while node and node not in members:
+                node >>= 1
+            if node:
+                children[members[node]].append(I)
             else:
-                children[parent].append(I)
-        self._children = {I: tuple(sorted(ch)) for I, ch in children.items()}
+                roots.append(I)
+        self._children = {I: tuple(ch) for I, ch in children.items()}
         self._roots = tuple(roots)
 
     def children(self, Q: DyadicInterval):

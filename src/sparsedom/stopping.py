@@ -6,6 +6,10 @@ sides of the target inequality, and the realized constant.  Certificates
 never trust the proof: the partition, the 1/2 child budget (in the mode's
 measure) and the domination inequality are all re-verified numerically.
 
+One engine, :func:`_run_family`, runs every stopping time (avg, square,
+weighted, osc, atoms) a generation at a time on heap arrays, with one child
+rule; runs are int node arrays, and intervals are built only for the output.
+
 The stopping threshold C only needs to be "large enough"; runs start from
 the given C and double it on a failed budget check, a bounded number of
 times.
@@ -14,6 +18,7 @@ times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,214 +88,24 @@ class DominationCertificate:
         }
 
 
-def _maximal_intervals(intervals):
-    kept = []
-    for I in sorted(intervals, key=lambda I: (I.depth, I.index)):
-        if not any(K.contains(I) for K in kept):
-            kept.append(I)
-    return kept
-
-
-def _lambda_value(eps, cf, cg, family) -> float:
-    """Form restricted to ``family``; eps maps each interval to its coefficient."""
-    return float(sum(eps[I] * cf.heap[I.node] * cg.heap[I.node] for I in family))
-
-
-def _finalize(mode, T, cf, cg, order, subfam, child_map, C, rhs_fn, per_q_fn,
-              measure=None, params=None):
-    """Assemble the certificate and run the structural checks."""
-    eps = dict(zip(T.intervals, T.coefficients))
-    collection = SparseCollection(order)
-    rhs_terms = {Q: rhs_fn(Q) for Q in order}
-    rhs = float(sum(rhs_terms.values()))
-    lhs = abs(_lambda_value(eps, cf, cg, T.intervals))
-
-    # exact partition of the input family
-    seen = [I for Q in order for I in subfam[Q]]
-    partition_ok = (len(seen) == len(set(seen)) == len(T.intervals)
-                    and set(seen) == set(T.intervals))
-
-    # child budget at eta = 1/2 in the run's measure
-    budget_ok = child_budget_ok(child_map, measure)
-
-    # the recursion's children are exactly the collection's derived children
-    forest_ok = all(set(collection.children(Q)) == set(child_map[Q]) for Q in order)
-
-    # exact reconstruction of the form from the sub-families
-    pieces = sum(_lambda_value(eps, cf, cg, subfam[Q]) for Q in order)
-    whole = _lambda_value(eps, cf, cg, T.intervals)
-    recon_ok = abs(pieces - whole) <= REL_SLACK * (1.0 + abs(whole))
-
-    realized = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
-    domination_ok = lhs == 0.0 or (np.isfinite(realized)
-                                   and lhs <= realized * rhs * (1.0 + REL_SLACK))
-
-    carleson = carleson_constant(collection) if len(collection) else 0.0
-
-    checks = {
-        "partition_ok": partition_ok,
-        "child_budget_ok": budget_ok,
-        "forest_ok": forest_ok,
-        "reconstruction_ok": recon_ok,
-        "domination_ok": domination_ok,
-    }
-    per_interval = []
-    for Q in order:
-        entry = {"Q": Q, "rhs_term": rhs_terms[Q],
-                 "lambda_Q": _lambda_value(eps, cf, cg, subfam[Q])}
-        if per_q_fn is not None:
-            entry.update(per_q_fn(Q, subfam[Q]))
-        per_interval.append(entry)
-    return DominationCertificate(
-        mode=mode, collection=collection, subfamilies=subfam, children=child_map,
-        lhs=lhs, rhs=rhs, realized_constant=float(realized), stopping_constant=C,
-        eta=0.5, carleson=carleson, checks=checks, per_interval=per_interval,
-        params=params or {},
-    )
-
-
-def _with_retries(mode, run, C, measure=None):
-    """run(C) from the given C, doubling C while the run cannot finish or its
-    children break the 1/2 budget; returns (order, subfam, child_map, C)."""
-    attempt_C = float(C)
-    for _ in range(MAX_DOUBLINGS + 1):
-        try:
-            order, subfam, child_map = run(attempt_C)
-        except _RetryNeeded:
-            attempt_C *= 2.0
-            continue
-        if child_budget_ok(child_map, measure):
-            return order, subfam, child_map, attempt_C
-        attempt_C *= 2.0
-    raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
-
-
 # ---------------------------------------------------------------------------
-# chi^M average stopping time (L^1 averages)
+# the stopping engine: heap arrays, one level-synchronous pass per generation
 # ---------------------------------------------------------------------------
 
-class _ChiCache:
-    """Heap of |I|**-1 int |f| chi_I^M over the ancestor closure of a family.
-
-    The average stopping time reads no other interval: its nodes, stock
-    members and candidate children all contain a family member.  Entries
-    outside the closure stay NaN.
-    """
-
-    def __init__(self, f: Signal, M: int, intervals):
-        J = self.J = f.depth_J
-        absf = np.abs(f.values)
-        rows = [set() for _ in range(J + 1)]
-        for I in intervals:
-            rows[I.depth].add(I.index)
-        for d in range(J, 0, -1):
-            rows[d - 1].update(i >> 1 for i in rows[d])
-        self.heap = np.full(2 << J, np.nan)
-        for d, row in enumerate(rows):
-            index = sorted(row)
-            if index:
-                sums = kernels.chi_sums_depth(absf, J, d, M, index)
-                self.heap[(1 << d) + np.array(index)] = sums / 2.0 ** (-d)
-
-    def avg(self, I: DyadicInterval) -> float:
-        return float(self.heap[I.node])
+class _Run(NamedTuple):
+    """One run in heap nodes: the collection generation by generation;
+    members[k] is in owners[k]'s sub-family, kids[k] a child of parents[k]."""
+    order: np.ndarray
+    members: np.ndarray
+    owners: np.ndarray
+    kids: np.ndarray
+    parents: np.ndarray
 
 
-def _run_avg(intervals, chif, chig, C):
-    stock = set(intervals)
-    order, subfam, child_map = [], {}, {}
-    agenda = _maximal_intervals(stock)
-    guard = 0
-    while agenda:
-        nxt = []
-        for Q0 in agenda:
-            rf, rg = C * chif.avg(Q0), C * chig.avg(Q0)
-            members = [I for I in stock if Q0.contains(I)]
-            selected = [I for I in members
-                        if chif.avg(I) <= rf and chig.avg(I) <= rg]
-            chosen_set = set(selected)
-            survivors = [I for I in members if I not in chosen_set]
-            stock.difference_update(selected)
-            order.append(Q0)
-            subfam[Q0] = tuple(sorted(selected))
-
-            # candidate children: ancestors of survivors strictly inside Q0,
-            # shallowest first, keeping the maximal violating ones
-            cands = set()
-            for I in survivors:
-                for d in range(Q0.depth + 1, I.depth + 1):
-                    cands.add(I.ancestor(d))
-            chosen = []
-            for Q in sorted(cands, key=lambda I: (I.depth, I.index)):
-                if any(K.contains(Q) for K in chosen):
-                    continue
-                if chif.avg(Q) > rf or chig.avg(Q) > rg:
-                    chosen.append(Q)
-            child_map[Q0] = tuple(sorted(chosen))
-            nxt.extend(chosen)
-        agenda = nxt
-        guard += 1
-        if guard > 4 * (chif.J + 2):
-            raise _RetryNeeded("average-mode stopping failed to terminate")
-    return order, subfam, child_map
-
-
-def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
-                 M: int = DEFAULT_CHI_M, C: float = 4.0) -> DominationCertificate:
-    """Sparse domination of the bilinear form by chi^M-localized L^1 averages.
-
-    Recursion: generation zero holds the maximal intervals of the family;
-    each node keeps the stock intervals whose chi-averages (for both f and
-    g) stay below C times the node's own, and its children are the maximal
-    dyadic intervals that contain a surviving stock interval and break one
-    of the two average conditions.
-    """
-    if C < 1.0:
-        raise ValueError("stopping constant C must be >= 1 for termination")
-    if f.depth_J != g.depth_J:
-        raise ValueError("f and g must share a depth")
-    chif, chig = _ChiCache(f, M, T.intervals), _ChiCache(g, M, T.intervals)
-    order, subfam, child_map, final_C = _with_retries(
-        "avg", lambda c: _run_avg(T.intervals, chif, chig, c), C)
-
-    cf, cg = haar_transform(f), haar_transform(g)
-    eps = dict(zip(T.intervals, T.coefficients))
-
-    def rhs_fn(Q):
-        return chif.avg(Q) * chig.avg(Q) * Q.length
-
-    def per_q(Q, fam):
-        out = {"f_chi_avg": chif.avg(Q), "g_chi_avg": chig.avg(Q)}
-        if fam:
-            tf = tilde_size(f, fam, M)
-            tg = tilde_size(g, fam, M)
-            out["tilde_size_f"] = tf
-            out["tilde_size_g"] = tg
-            denom = tf * tg * Q.length
-            lam = abs(_lambda_value(eps, cf, cg, fam))
-            out["localization_ratio"] = lam / denom if denom > 0 else 0.0
-            out["size_control_f"] = tf / (final_C * chif.avg(Q)) if chif.avg(Q) > 0 else 0.0
-            out["size_control_g"] = tg / (final_C * chig.avg(Q)) if chig.avg(Q) > 0 else 0.0
-        return out
-
-    cert = _finalize("avg", T, cf, cg, order, subfam, child_map, final_C,
-                     rhs_fn, per_q, params={"M": M, "p": 1.0, "q": 1.0})
-    # selected families obey the size control by construction
-    cert.checks["size_control_ok"] = all(
-        e.get("size_control_f", 0.0) <= 1.0 + REL_SLACK
-        and e.get("size_control_g", 0.0) <= 1.0 + REL_SLACK
-        for e in cert.per_interval)
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# generic family stopping time (square / weighted / oscillation / atoms)
-# ---------------------------------------------------------------------------
-
-def _mask(intervals, size):
-    """Boolean heap of the given length, set at the nodes of ``intervals``."""
+def _mask(nodes, size):
+    """Boolean heap of the given length, set at ``nodes``."""
     mask = np.zeros(size, dtype=bool)
-    mask[[I.node for I in intervals]] = True
+    mask[nodes] = True
     return mask
 
 
@@ -300,6 +115,15 @@ def _down(heap):
     for d in range(1, out.shape[0].bit_length() - 1):
         lo = 1 << d
         np.maximum(out[lo : 2 * lo], np.repeat(out[lo >> 1 : lo], 2), out=out[lo : 2 * lo])
+    return out
+
+
+def _up(mask):
+    """Ancestor closure of a boolean heap: each node or-ed with its subtree."""
+    out = mask.copy()
+    for d in range(out.shape[0].bit_length() - 2, 0, -1):
+        lo = 1 << d
+        out[lo >> 1 : lo] |= out[lo : 2 * lo : 2] | out[lo + 1 : 2 * lo : 2]
     return out
 
 
@@ -321,70 +145,246 @@ def _value_heap(functional, vals, mask):
     return out
 
 
-def _run_family(intervals, heaps, functionals, refs, C):
+def _run_family(nodes, heaps, functionals, refs, C):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
-    The stock is a boolean heap of the nodes of ``intervals``; each of
-    ``heaps`` (squared coefficients) is copied and zeroed at every selected
-    node.  The nodes of one generation (the agenda) are disjoint and
-    ``functionals[k](heap, d, index)`` reads only the stock inside each
-    interval, so one value heap V_k per generation, built with one call per
-    depth, serves every agenda node at once.
+    The stock starts as the boolean heap of ``nodes``.  Each generation
+    builds one value heap V_k per condition: ``heaps[k]`` itself when
+    ``functionals[k]`` is None (avg's fixed chi^M averages), else
+    ``functionals[k]`` on the stock nodes over ``np.where(stock, heaps[k],
+    0)``, one call per depth.  The agenda nodes are disjoint and a
+    functional reads only the stock inside each, so one V_k serves them all.
 
     Tie policy: a stock node I inside agenda node Q0 is selected when
     V_k[I] <= C * V_k[Q0] for every k (``<=`` selects; with ``refs`` given,
-    C * refs[k](Q0) replaces C * V_k[Q0]).  Q0 and its members read the same
-    value heap, and every value equals the one-interval evaluation bit for
-    bit.  An agenda node that fails its own test means C is too small.  Q0's
-    children are its maximal rejected nodes, in (depth, index) order; each
-    sub-family is in (depth, index) order, and the next agenda lists the
-    children in agenda order.
+    C * refs[k](Q0) replaces C * V_k[Q0]), and rejected otherwise.  Every
+    value equals the one-interval evaluation bit for bit.  An agenda node in
+    the stock that rejects itself means C is too small.
+
+    Child rule, the 1/2-sparse stopping rule of Lerner and Nazarov: Q0's
+    children are the maximal nodes strictly inside Q0 that fail the test
+    and contain a rejected node.  A functional's value heap vanishes off the
+    stock, so for square, weighted, osc and atoms these are exactly Q0's
+    maximal rejected nodes; avg's fixed heaps can stop at an ancestor of a
+    rejected node that is not in the family.  Sub-families and children are
+    in node order, and the next agenda lists the children in agenda order.
     """
-    heaps = [h.copy() for h in heaps]
     size = heaps[0].shape[0]
-    by_node = {I.node: I for I in intervals}
-    stock = _mask(intervals, size)
-    agenda = [by_node[n] for n in _maximal_nodes(stock).tolist()]
-    order, subfam, child_map = [], {}, {}
-    while agenda:
-        nodes = np.array([Q.node for Q in agenda])
+    stock = _mask(nodes, size)
+    agenda = _maximal_nodes(stock)
+    parts = [(np.zeros(0, dtype=np.intp),) * 5]
+    while agenda.size:
         owner = np.zeros(size, dtype=np.intp)
-        owner[nodes] = nodes
+        owner[agenda] = agenda
         owner = _down(owner)
-        selected = stock.copy()
-        for k, (functional, heap) in enumerate(zip(functionals, heaps)):
-            V = ref = _value_heap(functional, heap, stock)
+        passes = np.ones(size, dtype=bool)
+        for k, (heap, functional) in enumerate(zip(heaps, functionals)):
+            V = ref = heap if functional is None else \
+                _value_heap(functional, np.where(stock, heap, 0.0), stock)
             if refs is not None:
                 ref = np.zeros(size)
-                ref[nodes] = [refs[k](Q) for Q in agenda]
-            selected &= V <= C * ref[owner]
-        if not selected[nodes].all():
+                ref[agenda] = [refs[k](DyadicInterval.from_node(n)) for n in agenda.tolist()]
+            passes &= V <= C * ref[owner]
+        rejected = stock & ~passes
+        if rejected[agenda].any():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
-        rejected = stock & ~selected
-        members = {Q.node: [] for Q in agenda}
-        kids = {Q.node: [] for Q in agenda}
-        for found, into in ((np.flatnonzero(selected), members), (_maximal_nodes(rejected), kids)):
-            for n, o in zip(found.tolist(), owner[found].tolist()):
-                into[o].append(by_node[n])
-        for h in heaps:
-            h[selected] = 0.0
+        inside = owner > 0
+        inside[agenda] = False
+        members = np.flatnonzero(stock & passes)
+        kids = _maximal_nodes(~passes & inside & _up(rejected))
+        parts.append((agenda, members, owner[members], kids, owner[kids]))
+        rank = np.zeros(size, dtype=np.intp)
+        rank[agenda] = np.arange(agenda.size)
+        agenda = kids[np.argsort(rank[owner[kids]], kind="stable")]
         stock = rejected
-        order.extend(agenda)
-        for Q0 in agenda:
-            subfam[Q0] = tuple(members[Q0.node])
-            child_map[Q0] = tuple(kids[Q0.node])
-        agenda = [P for Q0 in agenda for P in child_map[Q0]]
-    return order, subfam, child_map
+    return _Run(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _children(order, kids, parents):
+    """Q -> tuple of its children, as intervals, for every node of ``order``."""
+    out = {Q: [] for Q in order.tolist()}
+    for P, Q in zip(kids.tolist(), parents.tolist()):
+        out[Q].append(DyadicInterval.from_node(P))
+    return {DyadicInterval.from_node(Q): tuple(v) for Q, v in out.items()}
+
+
+def _with_retries(mode, run, C, measure=None):
+    """run(C) from the given C, doubling C while the run cannot finish or its
+    children break the 1/2 budget; returns the run and its C."""
+    attempt_C = float(C)
+    for _ in range(MAX_DOUBLINGS + 1):
+        try:
+            result = run(attempt_C)
+        except _RetryNeeded:
+            attempt_C *= 2.0
+            continue
+        if child_budget_ok(_children(result.order, result.kids, result.parents), measure):
+            return result, attempt_C
+        attempt_C *= 2.0
+    raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
+
+
+def _split(run, intervals, nodes, values):
+    """(subfam, sums, members, bounds): each run node's sub-family, in run
+    order, as ``intervals`` (the family at ``nodes``) and as
+    members[bounds[k] : bounds[k + 1]], and its sum of the heap ``values``,
+    added in node order one term at a time as Python's sum adds them
+    (``np.sum`` adds pairwise)."""
+    size = values.shape[0]
+    rank = np.full(size, -1, dtype=np.intp)
+    rank[run.order] = np.arange(run.order.size)
+    r = rank[run.owners]
+    sums = np.bincount(r, weights=values[run.members], minlength=run.order.size)
+    members = run.members[np.argsort(r, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=run.order.size))))
+    lookup = np.empty(size, dtype=object)
+    lookup[nodes] = intervals
+    for n in np.setdiff1d(members, nodes).tolist():   # a member outside the family
+        lookup[n] = DyadicInterval.from_node(n)
+    ivs = lookup[members].tolist()
+    subfam = {DyadicInterval.from_node(Q): tuple(ivs[lo:hi])
+              for Q, lo, hi in zip(run.order.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())}
+    return subfam, sums, members, bounds
+
+
+def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, params=None):
+    """Assemble the certificate and run the structural checks.
+
+    ``nodes`` are T's heap nodes in T's order.  per_q_fn(Q, family,
+    lambda_Q) gives the mode's per-node extras.
+    """
+    terms = np.array(T.coefficients, dtype=float) * cf.heap[nodes] * cg.heap[nodes]
+    by_node = np.zeros(cf.heap.shape[0])
+    by_node[nodes] = terms
+    subfam, lam, members, _ = _split(run, T.intervals, nodes, by_node)
+    lam = lam.tolist()
+    order = list(subfam)
+    child_map = _children(run.order, run.kids, run.parents)
+    collection = SparseCollection(order)
+    rhs_terms = [rhs_fn(Q) for Q in order]
+    rhs = float(sum(rhs_terms))
+    # the form in T's order, added one term at a time as Python's sum adds
+    whole = float(np.cumsum(np.append(0.0, terms))[-1])
+    lhs = abs(whole)
+
+    # exact partition of the input family
+    partition_ok = (members.size == nodes.size
+                    and np.array_equal(np.sort(members), np.sort(nodes)))
+
+    # child budget at eta = 1/2 in the run's measure
+    budget_ok = child_budget_ok(child_map, measure)
+
+    # the recursion's children are exactly the collection's derived children
+    forest_ok = all(set(collection.children(Q)) == set(child_map[Q]) for Q in order)
+
+    # exact reconstruction of the form from the sub-families
+    pieces = sum(lam)
+    recon_ok = abs(pieces - whole) <= REL_SLACK * (1.0 + abs(whole))
+
+    realized = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
+    domination_ok = lhs == 0.0 or (np.isfinite(realized)
+                                   and lhs <= realized * rhs * (1.0 + REL_SLACK))
+
+    carleson = carleson_constant(collection) if len(collection) else 0.0
+
+    checks = {
+        "partition_ok": partition_ok,
+        "child_budget_ok": budget_ok,
+        "forest_ok": forest_ok,
+        "reconstruction_ok": recon_ok,
+        "domination_ok": domination_ok,
+    }
+    per_interval = []
+    for Q, rhs_term, lam_Q in zip(order, rhs_terms, lam):
+        entry = {"Q": Q, "rhs_term": rhs_term, "lambda_Q": lam_Q}
+        if per_q_fn is not None:
+            entry.update(per_q_fn(Q, subfam[Q], lam_Q))
+        per_interval.append(entry)
+    return DominationCertificate(
+        mode=mode, collection=collection, subfamilies=subfam, children=child_map,
+        lhs=lhs, rhs=rhs, realized_constant=float(realized), stopping_constant=C,
+        eta=0.5, carleson=carleson, checks=checks, per_interval=per_interval,
+        params=params or {},
+    )
 
 
 def _family_stock(T, f, g):
-    """Haar coefficients of f and g and their squares on the family's nodes."""
+    """Haar coefficients of f and g, T's heap nodes in T's order and the
+    squared coefficients on them: the shared entry of the multiplier modes."""
     if g.depth_J != f.depth_J:
         raise ValueError("f and g must share a depth")
+    T.check_depth(f.depth_J)
     cf, cg = haar_transform(f), haar_transform(g)
-    fam_mask = _mask(T.intervals, 1 << f.depth_J)
-    return cf, cg, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
+    nodes = np.array([I.node for I in T.intervals], dtype=np.intp)
+    fam_mask = _mask(nodes, 1 << f.depth_J)
+    return cf, cg, nodes, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
 
+
+# ---------------------------------------------------------------------------
+# chi^M average stopping time (L^1 averages)
+# ---------------------------------------------------------------------------
+
+def _chi_heap(f: Signal, M: int, nodes):
+    """Heap of |I|**-1 int |f| chi_I^M over the ancestor closure of ``nodes``,
+    NaN elsewhere: avg's agenda nodes, members and children all contain a
+    family member, so it reads no other node."""
+    J = f.depth_J
+    absf = np.abs(f.values)
+    closure = _up(_mask(nodes, 1 << J))
+    heap = np.full(1 << J, np.nan)
+    for d in range(J):
+        index = np.flatnonzero(closure[1 << d : 2 << d])
+        if index.size:
+            heap[(1 << d) + index] = kernels.chi_sums_depth(absf, J, d, M, index) / 2.0 ** (-d)
+    return heap
+
+
+def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
+                 M: int = DEFAULT_CHI_M, C: float = 4.0) -> DominationCertificate:
+    """Sparse domination of the bilinear form by chi^M-localized L^1 averages.
+
+    The stopping engine on fixed heaps of chi-averages: each node keeps the
+    stock intervals whose chi-averages of f and g are <= C times its own; its
+    children are the maximal dyadic intervals strictly inside it that
+    contain a surviving stock interval and break one of the two conditions.
+    """
+    if C < 1.0:
+        raise ValueError("stopping constant C must be >= 1 for termination")
+    cf, cg, nodes, _, _ = _family_stock(T, f, g)
+    chif, chig = _chi_heap(f, M, nodes), _chi_heap(g, M, nodes)
+    run, final_C = _with_retries(
+        "avg", lambda c: _run_family(nodes, (chif, chig), (None, None), None, c), C)
+
+    def rhs_fn(Q):
+        return float(chif[Q.node]) * float(chig[Q.node]) * Q.length
+
+    def per_q(Q, fam, lam):
+        fa, ga = float(chif[Q.node]), float(chig[Q.node])
+        out = {"f_chi_avg": fa, "g_chi_avg": ga}
+        if fam:
+            tf = tilde_size(f, fam, M)
+            tg = tilde_size(g, fam, M)
+            out["tilde_size_f"] = tf
+            out["tilde_size_g"] = tg
+            denom = tf * tg * Q.length
+            out["localization_ratio"] = abs(lam) / denom if denom > 0 else 0.0
+            out["size_control_f"] = tf / (final_C * fa) if fa > 0 else 0.0
+            out["size_control_g"] = tg / (final_C * ga) if ga > 0 else 0.0
+        return out
+
+    cert = _finalize("avg", T, cf, cg, nodes, run, final_C,
+                     rhs_fn, per_q, params={"M": M, "p": 1.0, "q": 1.0})
+    # selected families obey the size control by construction
+    cert.checks["size_control_ok"] = all(
+        e.get("size_control_f", 0.0) <= 1.0 + REL_SLACK
+        and e.get("size_control_g", 0.0) <= 1.0 + REL_SLACK
+        for e in cert.per_interval)
+    return cert
+
+
+# ---------------------------------------------------------------------------
+# square-function stopping times (square / weighted / oscillation / atoms)
+# ---------------------------------------------------------------------------
 
 def _lp_values(vals, J, d, index, p, dx):
     """|I|**-1/p times the L^p norm of the square root of the subtree
@@ -423,7 +423,7 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("exponents must be > 0")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
-    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
     def nf(vals, d, index):
@@ -435,26 +435,24 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     def l2(vals, d, index):
         return _lp_values(vals, J, d, index, 2.0, dx)
 
-    order, subfam, child_map, final_C = _with_retries(
-        "square", lambda c: _run_family(T.intervals, (full_f, full_g), (nf, ng), None, c),
-        C)
-    nodes = _mask(order, 1 << J)
-    Nf, Ng = _value_heap(nf, full_f, nodes), _value_heap(ng, full_g, nodes)
-    Lf, Lg = _value_heap(l2, full_f, nodes), _value_heap(l2, full_g, nodes)
+    run, final_C = _with_retries(
+        "square", lambda c: _run_family(nodes, (full_f, full_g), (nf, ng), None, c), C)
+    at = _mask(run.order, 1 << J)
+    Nf, Ng = _value_heap(nf, full_f, at), _value_heap(ng, full_g, at)
+    Lf, Lg = _value_heap(l2, full_f, at), _value_heap(l2, full_g, at)
 
     def rhs_fn(Q):
         return float(Nf[Q.node] * Ng[Q.node] * Q.length)
 
-    eps = dict(zip(T.intervals, T.coefficients))
     max_eps = max((abs(e) for e in T.coefficients), default=0.0)
 
-    def per_q(Q, fam):
-        lam = abs(_lambda_value(eps, cf, cg, fam))
+    def per_q(Q, fam, lam):
+        lam = abs(lam)
         a2 = float(Lf[Q.node] * Lg[Q.node] * Q.length)
         return {"lambda_abs": lam, "l2_bound": a2,
                 "cs_ratio": lam / a2 if a2 > 0 else 0.0}
 
-    cert = _finalize("square", T, cf, cg, order, subfam, child_map, final_C,
+    cert = _finalize("square", T, cf, cg, nodes, run, final_C,
                      rhs_fn, per_q, params={"p": p, "q": q})
     cert.checks["cs_ratio_max"] = max((e["cs_ratio"] for e in cert.per_interval),
                                       default=0.0)
@@ -487,7 +485,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError(f"weight depth {weight.depth_J} differs from signal depth {f.depth_J}")
     if np.any(weight.values <= 0):
         raise ValueError("weight must be strictly positive")
-    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
     wvals = weight.values
     wI = kernels.interval_sums(wvals) * 2.0 ** (-J)   # w(I) as Weight.measure gives it
@@ -495,22 +493,29 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     def norm_w(vals, d, index):
         return _lp_w_values(vals, J, d, index, r, wvals, wI, dx)
 
-    order, subfam, child_map, final_C = _with_retries(
-        "weighted",
-        lambda c: _run_family(T.intervals, (full_f, full_g), (norm_w, norm_w), None, c),
+    run, final_C = _with_retries(
+        "weighted", lambda c: _run_family(nodes, (full_f, full_g), (norm_w, norm_w), None, c),
         C, measure=weight.measure)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
     rhs_product = hf * cg_norm
 
+    # ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r} on Q's own sub-family, one call per
+    # depth: nodes of one depth are disjoint, so each reads only its members
+    owned = np.zeros(1 << J, dtype=np.intp)
+    owned[run.members] = run.owners
+    norms = np.zeros(1 << J)
+    for d in range(J):
+        at = run.order[(run.order >> d) == 1]
+        if at.size:
+            norms[at] = norm_w(np.where((owned >> d) == 1, full_f, 0.0), d, at - (1 << d))
+
     def rhs_fn(Q):
         # omega-sparse chain term: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
-        sel = np.where(_mask(subfam[Q], 1 << J), full_f, 0.0)
-        term = float(norm_w(sel, Q.depth, np.array([Q.index]))[0])
-        return term * weight.measure(Q) ** (1.0 / p) * cg_norm
+        return float(norms[Q.node]) * weight.measure(Q) ** (1.0 / p) * cg_norm
 
-    cert = _finalize("weighted", T, cf, cg, order, subfam, child_map, final_C,
+    cert = _finalize("weighted", T, cf, cg, nodes, run, final_C,
                      rhs_fn, None, measure=weight.measure,
                      params={"p": p, "r": r})
     # the certified inequality is the pairing bound, not the chain sum
@@ -535,7 +540,7 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
-    cf, cg, full_f, full_g = _family_stock(T, f, g)
+    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
     def weak(vals, d, index):
@@ -547,18 +552,17 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     def osc_g(Q):
         return oscillation(g, Q)
 
-    order, subfam, child_map, final_C = _with_retries(
-        "osc",
-        lambda c: _run_family(T.intervals, (full_f, full_g), (weak, weak), (osc_f, osc_g), c),
+    run, final_C = _with_retries(
+        "osc", lambda c: _run_family(nodes, (full_f, full_g), (weak, weak), (osc_f, osc_g), c),
         C)
 
     def rhs_fn(Q):
         return osc_f(Q) * osc_g(Q) * Q.length
 
-    def per_q(Q, fam):
+    def per_q(Q, fam, lam):
         return {"osc_f": osc_f(Q), "osc_g": osc_g(Q)}
 
-    return _finalize("osc", T, cf, cg, order, subfam, child_map, final_C,
+    return _finalize("osc", T, cf, cg, nodes, run, final_C,
                      rhs_fn, per_q, params={})
 
 
@@ -589,61 +593,49 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
     J = phi.depth_J
     phi._check(Q0)
 
-    # per-depth sorted blocks give medians and window oscillations in bulk
-    medians, omegas = {}, {}
+    # medians and window oscillations of every node below Q0, as heaps
+    size = 2 << J
+    med, om = np.zeros(size), np.zeros(size)
+    lo, hi = Q0.cell_range(J)
+    firsts = {}
     for d in range(Q0.depth, J + 1):
         B = 1 << (J - d)
-        lo, hi = Q0.cell_range(J)
         blocks = np.sort(phi.values[lo:hi].reshape(-1, B), axis=1)
-        off = Q0.index << (d - Q0.depth)
-        med = blocks[:, (B - 1) // 2]
-        k = int(np.floor(lam * B))
-        keep = B - k
-        if keep <= 1:
-            om = np.zeros(blocks.shape[0])
-        else:
-            om = np.min(blocks[:, keep - 1:] - blocks[:, : B - keep + 1], axis=1) / 2.0
-        medians[d] = (off, med)
-        omegas[d] = (off, om)
+        first = firsts[d] = (1 << d) + (Q0.index << (d - Q0.depth))
+        row = slice(first, first + blocks.shape[0])
+        med[row] = blocks[:, (B - 1) // 2]
+        keep = B - int(np.floor(lam * B))
+        if keep > 1:
+            om[row] = np.min(blocks[:, keep - 1:] - blocks[:, : B - keep + 1], axis=1) / 2.0
 
-    def median(I):
-        off, arr = medians[I.depth]
-        return float(arr[I.index - off])
+    # one generation at a time: the raw stopping nodes are the maximal P
+    # strictly inside an agenda node Q whose median jumps, each promoted to
+    # its parent unless that is Q, and the children the maximal promotions
+    generations = []
+    agenda = np.array([Q0.node])
+    while agenda.size:
+        generations.append(agenda)
+        owner = np.zeros(size, dtype=np.intp)
+        owner[agenda] = agenda
+        owner = _down(owner)
+        inside = owner > 0
+        inside[agenda] = False
+        raw = _maximal_nodes(inside & (np.abs(med - med[owner]) > 2.0 * om[owner]))
+        promoted = np.where(raw >> 1 == owner[raw], raw, raw >> 1)
+        agenda = _maximal_nodes(_mask(promoted, size))
+    selected = np.concatenate(generations)
+    collection = SparseCollection([DyadicInterval.from_node(n) for n in selected.tolist()])
+    # each node's children are the maximal selected nodes strictly inside it
+    budget_ok = child_budget_ok({Q: collection.children(Q) for Q in collection})
 
-    def omega(I):
-        off, arr = omegas[I.depth]
-        return float(arr[I.index - off])
-
-    selected = []
-    children_map = {}
-    stack = [Q0]
-    while stack:
-        Q = stack.pop()
-        selected.append(Q)
-        mQ, oQ = median(Q), omega(Q)
-        raw = []
-        if Q.depth < J:
-            walk = [Q.left(), Q.right()]
-            while walk:
-                P = walk.pop()
-                if abs(median(P) - mQ) > 2.0 * oQ:
-                    raw.append(P)
-                elif P.depth < J:
-                    walk.extend((P.left(), P.right()))
-        promoted = {P.parent() if P.depth > Q.depth + 1 else P for P in raw}
-        kids = _maximal_intervals(promoted)
-        children_map[Q] = tuple(sorted(kids))
-        stack.extend(kids)
-
-    collection = SparseCollection(selected)
-    budget_ok = child_budget_ok(children_map)
-
-    lo, hi = Q0.cell_range(J)
+    # sum of omega over the selected Q containing each cell, added depth by
+    # depth, shallow first: the order a depth-first walk adds them in
+    chosen = _mask(selected, size)
     osum = np.zeros(hi - lo)
-    for Q in selected:
-        qlo, qhi = Q.cell_range(J)
-        osum[qlo - lo : qhi - lo] += omega(Q)
-    dev = np.abs(phi.values[lo:hi] - median(Q0))
+    for d, first in firsts.items():
+        row = slice(first, first + (1 << (d - Q0.depth)))
+        osum += np.repeat(np.where(chosen[row], om[row], 0.0), 1 << (J - d))
+    dev = np.abs(phi.values[lo:hi] - med[Q0.node])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dev > 0, dev / osum, 0.0)
     realized_K = float(np.max(ratio)) if ratio.size else 0.0
@@ -655,7 +647,7 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
         "n_intervals": len(collection),
         "child_budget_ok": budget_ok,
         "pointwise_ok": pointwise_ok,
-        "median_Q0": median(Q0),
-        "omega_Q0": omega(Q0),
+        "median_Q0": float(med[Q0.node]),
+        "omega_Q0": float(om[Q0.node]),
     }
     return collection, report

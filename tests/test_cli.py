@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from sparsedom.serialize import (dump_json, read_collection, read_multiplier,
                                  write_collection, write_multiplier,
                                  write_signal)
 from sparsedom.stopping import dominate_avg, dominate_square
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def I(d, i):
@@ -92,6 +96,18 @@ class TestCampaign:
             outs.append((tmp_path / f"r{run}.jsonl").read_bytes()
                         + (tmp_path / f"r{run}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_pinned_campaign_bytes(self, tmp_path):
+        # every mode at J=8; re-pin tests/data only for an intended numeric
+        # change, and say so in CHANGES.md
+        cfg = CampaignConfig(depth_J=8, trials=3, seed=7,
+                             out_jsonl=str(tmp_path / "out.jsonl"),
+                             out_csv=str(tmp_path / "out.csv"))
+        _, _, ok = run_campaign(cfg)
+        assert ok
+        for suffix in ("jsonl", "csv"):
+            pinned = DATA / f"campaign_J8_seed7.{suffix}"
+            assert (tmp_path / f"out.{suffix}").read_bytes() == pinned.read_bytes(), suffix
 
     def test_all_modes_smoke(self, tmp_path):
         cfg = CampaignConfig(depth_J=5, trials=2, seed=3, n_intervals=20,
@@ -184,6 +200,17 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "weight depth" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+    @pytest.mark.parametrize("row", ["3,1,1.0", "5,1,1.0"])
+    def test_dominate_multiplier_file_too_deep(self, tmp_path, capsys, mode, row):
+        mfile = tmp_path / "m.csv"
+        mfile.write_text(row + "\n")
+        rc = main(["dominate", "--mode", mode, "--depth", "3", "--seed", "1",
+                   "--multiplier-file", str(mfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "needs depth < 3" in err and "Traceback" not in err
 
     def test_atoms_command(self, tmp_path):
         out = tmp_path / "atoms.json"

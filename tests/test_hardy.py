@@ -197,6 +197,26 @@ class TestAtomicDecomposition:
                 err = np.max(np.abs(deco.reconstruct().values - f.values))
                 assert err < 1e-12
 
+    # the pinned seeds give a sub-family whose c_Q moves by an ulp if the
+    # squares are taken as x * x instead of a float power
+    @pytest.mark.parametrize("kind, J, seed", [("gaussian_noise", 10, 580),
+                                               ("point_masses", 8, 1094),
+                                               ("sparse_haar", 9, 60)])
+    def test_coefficients_match_per_interval_sums(self, kind, J, seed):
+        # c_Q from the sub-family's squares, each a float power, added one at
+        # a time in node order, as a per-interval Python loop computes it
+        f = generate_signal(kind, J, seed=seed, k=12)
+        coeffs = haar_transform(f)
+        for p in (0.5, 1.0):
+            for C in (1.0, 4.0):
+                deco = atomic_decompose(f, p=p, C=C)
+                assert deco.coefficients
+                for Q, c in deco.coefficients.items():
+                    fam = deco.subfamilies[Q]
+                    assert list(fam) == sorted(fam)
+                    energy = float(sum(coeffs.heap[P.node] ** 2 for P in fam))
+                    assert c == Q.length ** (1.0 / p - 0.5) * energy**0.5
+
     def test_atom_norm_equality(self):
         # the construction meets the L2 normalization with equality
         f = generate_signal("sparse_haar", 6, seed=40, k=10)

@@ -10,7 +10,7 @@ from sparsedom import hardy, kernels, stopping
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
-from sparsedom.haar import HaarMultiplier, htilde
+from sparsedom.haar import HaarMultiplier, haar_transform, htilde
 from sparsedom.hardy import Weight, atomic_decompose
 from sparsedom.maximal import MaximalKind, local_mean_oscillation, maximal
 from sparsedom.stopping import (dominate_avg, dominate_oscillation,
@@ -95,16 +95,14 @@ class TestDominateAvg:
             dominate_avg(T, Signal(np.ones(8)), Signal(np.ones(16)))
 
 
-class _RowCache:
-    """Reference chi cache: whole chi_sums_depth rows for every depth."""
-
-    def __init__(self, f, M, intervals):
-        self.J = f.depth_J
-        absf = np.abs(f.values)
-        self.rows = [kernels.chi_sums_depth(absf, self.J, d, M) for d in range(self.J + 1)]
-
-    def avg(self, I):
-        return float(self.rows[I.depth][I.index]) / I.length
+def _row_heap(f, M, nodes):
+    """Reference chi heap: whole chi_sums_depth rows for every depth."""
+    J = f.depth_J
+    absf = np.abs(f.values)
+    heap = np.full(1 << J, np.nan)
+    for d in range(J):
+        heap[1 << d : 2 << d] = kernels.chi_sums_depth(absf, J, d, M) / 2.0 ** (-d)
+    return heap
 
 
 def _test_signal(kind, J, seed):
@@ -123,7 +121,7 @@ def _avg_certificate_json(T, f, g, M, C):
 
 
 class TestAvgChiCacheEquivalence:
-    """The ancestor-closure chi cache gives the certificate of whole rows."""
+    """The ancestor-closure chi heap gives the certificate of whole rows."""
 
     @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
     @settings(max_examples=12, deadline=None)
@@ -136,7 +134,7 @@ class TestAvgChiCacheEquivalence:
         T = generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals,
                                 signs_only=signs_only)
         fast = _avg_certificate_json(T, f, g, M, C)
-        with mock.patch.object(stopping, "_ChiCache", _RowCache):
+        with mock.patch.object(stopping, "_chi_heap", _row_heap):
             reference = _avg_certificate_json(T, f, g, M, C)
         assert fast == reference
 
@@ -295,15 +293,88 @@ def _ref_weak(vals, J, I, dx):
     return float(np.max(prof * np.arange(1, prof.size + 1))) * dx / I.length
 
 
-def _reference_run_family(intervals, heaps, functionals, refs, C):
-    """The per-candidate family engine: one functional call per stock member."""
+def _maximal_intervals(intervals):
+    kept = []
+    for I in sorted(intervals, key=lambda I: (I.depth, I.index)):
+        if not any(K.contains(I) for K in kept):
+            kept.append(I)
+    return kept
+
+
+def _as_run(order, subfam, child_map):
+    """The engine's node arrays for a run given as interval maps."""
+    def columns(pairs):
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+    members, owners = columns([(I.node, Q.node) for Q in order for I in subfam[Q]])
+    kids, parents = columns([(P.node, Q.node) for Q in order for P in child_map[Q]])
+    return stopping._Run(np.array([Q.node for Q in order], dtype=np.intp),
+                         members, owners, kids, parents)
+
+
+class _HeapAverages:
+    """The chi-average lookups the old average recursion made, on a heap."""
+
+    def __init__(self, heap):
+        self.heap, self.J = heap, heap.shape[0].bit_length() - 1
+
+    def avg(self, I):
+        return float(self.heap[I.node])
+
+
+def _reference_run_avg(intervals, chif, chig, C):
+    stock = set(intervals)
+    order, subfam, child_map = [], {}, {}
+    agenda = _maximal_intervals(stock)
+    guard = 0
+    while agenda:
+        nxt = []
+        for Q0 in agenda:
+            rf, rg = C * chif.avg(Q0), C * chig.avg(Q0)
+            members = [I for I in stock if Q0.contains(I)]
+            selected = [I for I in members
+                        if chif.avg(I) <= rf and chig.avg(I) <= rg]
+            chosen_set = set(selected)
+            survivors = [I for I in members if I not in chosen_set]
+            stock.difference_update(selected)
+            order.append(Q0)
+            subfam[Q0] = tuple(sorted(selected))
+
+            # candidate children: ancestors of survivors strictly inside Q0,
+            # shallowest first, keeping the maximal violating ones
+            cands = set()
+            for I in survivors:
+                for d in range(Q0.depth + 1, I.depth + 1):
+                    cands.add(I.ancestor(d))
+            chosen = []
+            for Q in sorted(cands, key=lambda I: (I.depth, I.index)):
+                if any(K.contains(Q) for K in chosen):
+                    continue
+                if chif.avg(Q) > rf or chig.avg(Q) > rg:
+                    chosen.append(Q)
+            child_map[Q0] = tuple(sorted(chosen))
+            nxt.extend(chosen)
+        agenda = nxt
+        guard += 1
+        if guard > 4 * (chif.J + 2):
+            raise stopping._RetryNeeded("average-mode stopping failed to terminate")
+    return order, subfam, child_map
+
+
+def _reference_run_family(nodes, heaps, functionals, refs, C):
+    """The per-interval engines: the old average recursion on fixed heaps,
+    and one functional call per stock member for the other modes."""
+    intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
+    if all(functional is None for functional in functionals):
+        return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C))
+
     def value(k, heap, I):
         return float(functionals[k](heap, I.depth, np.array([I.index]))[0])
 
     heaps = [h.copy() for h in heaps]
     stock = set(intervals)
     order, subfam, child_map = [], {}, {}
-    agenda = stopping._maximal_intervals(stock)
+    agenda = _maximal_intervals(stock)
     while agenda:
         nxt = []
         for Q0 in agenda:
@@ -323,10 +394,10 @@ def _reference_run_family(intervals, heaps, functionals, refs, C):
                     h[I.node] = 0.0
             order.append(Q0)
             subfam[Q0] = tuple(selected)
-            child_map[Q0] = tuple(sorted(stopping._maximal_intervals(rejected)))
+            child_map[Q0] = tuple(sorted(_maximal_intervals(rejected)))
             nxt.extend(child_map[Q0])
         agenda = nxt
-    return order, subfam, child_map
+    return _as_run(order, subfam, child_map)
 
 
 def _family_certificates(T, f, g, weights, C):
@@ -414,7 +485,233 @@ class TestFamilyEngineEquivalence:
         assert cert.to_dict() == reference.to_dict()
 
 
+def _certificate_json(run):
+    """to_dict() JSON plus the sub-family order, or the stopping failure."""
+    try:
+        cert = run()
+    except stopping.StoppingFailure as exc:
+        return f"StoppingFailure: {exc}"
+    return json.dumps([cert.to_dict(), [[Q.depth, Q.index] for Q in cert.subfamilies]],
+                      sort_keys=True)
+
+
+class TestAvgEngineEquivalence:
+    """Avg on the one engine gives the old average recursion's certificates."""
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @settings(max_examples=10, deadline=None)
+    @given(J=st.integers(2, 6), seed=st.integers(0, 10_000), full=st.booleans(),
+           n_intervals=st.integers(1, 40), C=st.sampled_from([1.0, 4.0]),
+           M=st.sampled_from([1, 8]))
+    def test_matches_reference_recursion(self, kind, J, seed, full, n_intervals, C, M):
+        f = _test_signal(kind, J, seed)
+        g = _test_signal(kind, J, seed + 1)
+        T = full_multiplier(J) if full else \
+            generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals)
+        fast = _certificate_json(lambda: dominate_avg(T, f, g, M=M, C=C))
+        with mock.patch.object(stopping, "_run_family", _reference_run_family):
+            reference = _certificate_json(lambda: dominate_avg(T, f, g, M=M, C=C))
+        assert fast == reference
+
+    def test_children_need_not_be_family_members(self):
+        # one deep mode under a large spike: the child is the maximal
+        # violating ancestor of the survivor, outside the family
+        J = 6
+        vals = np.ones(1 << J)
+        vals[:2] = 1e4
+        T = HaarMultiplier.from_dict({ROOT: 1.0, I(5, 0): 1.0})
+        cert = dominate_avg(T, Signal(vals), Signal(vals))
+        kids = cert.children[ROOT]
+        assert kids and not set(kids) & set(T.intervals)
+        assert structural_ok(cert)
+        with mock.patch.object(stopping, "_run_family", _reference_run_family):
+            reference = dominate_avg(T, Signal(vals), Signal(vals))
+        assert cert.to_dict() == reference.to_dict()
+
+
+def _shuffled_multiplier(J, seed):
+    """Every interval of depth < J with random coefficients, not in node order."""
+    rng = np.random.default_rng(seed)
+    base = full_multiplier(J).intervals
+    perm = rng.permutation(len(base))
+    return HaarMultiplier(tuple(base[k] for k in perm),
+                          tuple(float(e) for e in rng.uniform(-1.0, 1.0, len(base))))
+
+
+class TestFormSums:
+    """lhs and every lambda_Q add their terms as per-interval Python sums do."""
+
+    @pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+    def test_shuffled_family_matches_python_sums(self, mode):
+        J = 7
+        T = _shuffled_multiplier(J, seed=4)
+        assert [I.node for I in T.intervals] != sorted(I.node for I in T.intervals)
+        f, g = spiky_signal(J, 41), spiky_signal(J, 42)
+        w = generate_weight("two_level", J, seed=43, t=64.0)
+        cert = {"avg": lambda: dominate_avg(T, f, g, C=1.0),
+                "square": lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=1.0),
+                "weighted": lambda: dominate_weighted(T, f, g, w, C=1.0),
+                "osc": lambda: dominate_oscillation(T, f, g, C=1.0)}[mode]()
+        cf, cg = haar_transform(f), haar_transform(g)
+        eps = dict(zip(T.intervals, T.coefficients))
+
+        def form(family):
+            return float(sum(eps[I] * cf.heap[I.node] * cg.heap[I.node] for I in family))
+
+        assert cert.lhs == abs(form(T.intervals))
+        assert len(cert.per_interval) == len(cert.collection) > 1
+        for entry in cert.per_interval:
+            assert entry["lambda_Q"] == form(cert.subfamilies[entry["Q"]])
+        assert structural_ok(cert)
+
+
+class TestStructuralChecksFail:
+    """partition_ok and forest_ok reject a tampered run."""
+
+    def _certificate(self, mode, tamper):
+        J = 6
+        f, g = spiky_signal(J, 51), spiky_signal(J, 52)
+        T = generate_multiplier(J, seed=53, n_intervals=40)
+        real = stopping._with_retries
+
+        def tampered(*args, **kwargs):
+            run, C = real(*args, **kwargs)
+            return tamper(run, T), C
+
+        with mock.patch.object(stopping, "_with_retries", tampered):
+            if mode == "avg":
+                return dominate_avg(T, f, g)
+            return dominate_square(T, f, g, p=1.0, q=1.0)
+
+    @pytest.mark.parametrize("mode", ["avg", "square"])
+    def test_untouched_run_passes(self, mode):
+        cert = self._certificate(mode, lambda run, T: run)
+        assert structural_ok(cert)
+
+    @pytest.mark.parametrize("mode", ["avg", "square"])
+    def test_duplicated_member(self, mode):
+        def duplicate(run, T):
+            return run._replace(members=np.append(run.members, run.members[0]),
+                                owners=np.append(run.owners, run.owners[0]))
+
+        cert = self._certificate(mode, duplicate)
+        assert not cert.checks["partition_ok"]
+        assert cert.checks["forest_ok"]
+
+    @pytest.mark.parametrize("mode", ["avg", "square"])
+    def test_foreign_member(self, mode):
+        def foreign(run, T):
+            family = {I.node for I in T.intervals}
+            outsider = next(n for n in range(1, 1 << 6) if n not in family)
+            members = run.members.copy()
+            members[0] = outsider
+            return run._replace(members=members)
+
+        cert = self._certificate(mode, foreign)
+        assert not cert.checks["partition_ok"]
+
+    @pytest.mark.parametrize("mode", ["avg", "square"])
+    def test_moved_child(self, mode):
+        def move(run, T):
+            assert run.kids.size and run.order.size > 2
+            others = [Q for Q in run.order.tolist()
+                      if Q not in (run.parents[0], run.kids[0])]
+            parents = run.parents.copy()
+            parents[0] = others[0]
+            return run._replace(parents=parents)
+
+        cert = self._certificate(mode, move)
+        assert not cert.checks["forest_ok"]
+        assert cert.checks["partition_ok"]
+
+
+@pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+@pytest.mark.parametrize("depth", [3, 5])
+def test_multiplier_deeper_than_signal(mode, depth):
+    J = 3
+    T = HaarMultiplier.from_dict({ROOT: 1.0, I(depth, 1): 0.5})
+    f = spiky_signal(J, 61)
+    run = {"avg": lambda: dominate_avg(T, f, f),
+           "square": lambda: dominate_square(T, f, f),
+           "weighted": lambda: dominate_weighted(T, f, f, Weight(np.ones(1 << J))),
+           "osc": lambda: dominate_oscillation(T, f, f)}[mode]
+    with pytest.raises(ValueError, match=f"multiplier interval at depth {depth} needs depth < 3"):
+        run()
+
+
+def _reference_lerner(phi, Q0, lam):
+    """The depth-first walk over interval objects that lerner_decompose replaced."""
+    J = phi.depth_J
+    medians, omegas = {}, {}
+    for d in range(Q0.depth, J + 1):
+        B = 1 << (J - d)
+        lo, hi = Q0.cell_range(J)
+        blocks = np.sort(phi.values[lo:hi].reshape(-1, B), axis=1)
+        off = Q0.index << (d - Q0.depth)
+        k = int(np.floor(lam * B))
+        keep = B - k
+        om = np.zeros(blocks.shape[0]) if keep <= 1 else \
+            np.min(blocks[:, keep - 1:] - blocks[:, : B - keep + 1], axis=1) / 2.0
+        medians[d] = (off, blocks[:, (B - 1) // 2])
+        omegas[d] = (off, om)
+
+    def median(I):
+        off, arr = medians[I.depth]
+        return float(arr[I.index - off])
+
+    def omega(I):
+        off, arr = omegas[I.depth]
+        return float(arr[I.index - off])
+
+    selected, children_map, stack = [], {}, [Q0]
+    while stack:
+        Q = stack.pop()
+        selected.append(Q)
+        mQ, oQ = median(Q), omega(Q)
+        raw = []
+        if Q.depth < J:
+            walk = [Q.left(), Q.right()]
+            while walk:
+                P = walk.pop()
+                if abs(median(P) - mQ) > 2.0 * oQ:
+                    raw.append(P)
+                elif P.depth < J:
+                    walk.extend((P.left(), P.right()))
+        promoted = {P.parent() if P.depth > Q.depth + 1 else P for P in raw}
+        kids = _maximal_intervals(promoted)
+        children_map[Q] = tuple(sorted(kids))
+        stack.extend(kids)
+    lo, hi = Q0.cell_range(J)
+    osum = np.zeros(hi - lo)
+    for Q in selected:
+        qlo, qhi = Q.cell_range(J)
+        osum[qlo - lo : qhi - lo] += omega(Q)
+    dev = np.abs(phi.values[lo:hi] - median(Q0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dev > 0, dev / osum, 0.0)
+    return sorted(selected), children_map, float(np.max(ratio))
+
+
 class TestLerner:
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @settings(max_examples=10, deadline=None)
+    @given(J=st.integers(1, 8), seed=st.integers(0, 10_000), depth=st.integers(0, 8),
+           lam=st.sampled_from([0.05, 0.125, 0.3, 0.45]))
+    # sparse_haar and gaussian_noise cells whose omega sum rounds differently
+    # when the chain is added deep first
+    @example(J=5, seed=661, depth=0, lam=0.3)
+    @example(J=4, seed=935, depth=0, lam=0.45)
+    def test_matches_depth_first_walk(self, kind, J, seed, depth, lam):
+        phi = _test_signal(kind, J, seed)
+        d = min(depth, J)
+        Q0 = I(d, seed % (1 << d))
+        S, rep = lerner_decompose(phi, Q0, lam=lam)
+        selected, children_map, K = _reference_lerner(phi, Q0, lam)
+        assert list(S) == selected
+        assert rep["K"] == K
+        assert rep["child_budget_ok"] == stopping.child_budget_ok(children_map)
+        assert all(set(S.children(Q)) == set(children_map[Q]) for Q in S)
+
     def test_constant_signal(self):
         S, rep = lerner_decompose(Signal(np.full(64, 3.0)), ROOT)
         assert rep["K"] == 0.0
