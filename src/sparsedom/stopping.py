@@ -17,6 +17,7 @@ times.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -546,11 +547,9 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     def weak(vals, d, index):
         return _weak_values(vals, J, d, index, dx)
 
-    def osc_f(Q):
-        return oscillation(f, Q)
-
-    def osc_g(Q):
-        return oscillation(g, Q)
+    # one evaluation per node and function, shared by the attempts and _finalize
+    osc_f = functools.cache(functools.partial(oscillation, f))
+    osc_g = functools.cache(functools.partial(oscillation, g))
 
     run, final_C = _with_retries(
         "osc", lambda c: _run_family(nodes, (full_f, full_g), (weak, weak), (osc_f, osc_g), c),

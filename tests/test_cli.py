@@ -241,6 +241,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["crosscheck_ok"] and payload["weak_quasinorm"] == 0.0
 
+    @pytest.mark.parametrize("command", [["cz", "--alpha", "1"], ["weak11"]])
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_signal_file(self, tmp_path, capsys, command, cell):
+        sig = tmp_path / "f.txt"
+        sig.write_text("1.0\n" + cell + "\n2.0\n0.5\n")
+        rc = main(command + ["--in", str(sig)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_campaign_command(self, tmp_path, capsys):
         cfg = {"depth_J": 5, "trials": 2, "seed": 1, "modes": ["avg", "cz"],
                "n_intervals": 15}
