@@ -135,15 +135,12 @@ def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
                               and lrep["child_budget_ok"])
     elif mode == "atoms":
         deco = atomic_decompose(f, p=cfg.hardy_p, r=cfg.r, C=cfg.stop_C)
-        checks = deco.checks
+        ratio = deco.checks.get("lp_budget_ratio", 0.0)
         rec = {
             "mode": "atoms", "p": deco.p, "r": deco.r, "C": deco.stopping_constant,
             "n_atoms": len(deco.coefficients),
-            "lp_budget_ratio": checks.get("lp_budget_ratio", 0.0),
-            "realized_constant": checks.get("lp_budget_ratio", 0.0),
-            "hard_ok": bool(checks.get("reconstruction_ok", True)
-                            and checks.get("child_budget_ok", True)
-                            and checks.get("atoms_ok", True)),
+            "lp_budget_ratio": ratio, "realized_constant": ratio,
+            "hard_ok": deco.ok(),
         }
     elif mode == "cz":
         rng = np.random.default_rng(s + 4)

@@ -149,7 +149,7 @@ def _cmd_sparse_check(args):
     J = max((I.depth for I in S), default=1)
     J = max(J, args.depth)
     ok, _ = certify_sparse(S, args.eta, J)
-    report = sparse_vs_carleson(S, use_lp=len(S) <= 200)
+    report = sparse_vs_carleson(S)
     payload = {"eta": args.eta, "certified": bool(ok),
                "carleson": report["carleson"], "method": "child-complement",
                **{k: v for k, v in report.items() if k != "carleson"}}
@@ -187,10 +187,7 @@ def _cmd_atoms(args):
     f = _load_signal(args, "f", 0)
     deco = atomic_decompose(f, p=args.p, r=args.r, C=args.stop_C)
     _emit(args, deco.to_dict())
-    hard = deco.checks.get("reconstruction_ok", True) \
-        and deco.checks.get("child_budget_ok", True) \
-        and deco.checks.get("atoms_ok", True)
-    return 0 if hard else 1
+    return 0 if deco.ok() else 1
 
 
 def _cmd_cz(args):

@@ -89,12 +89,10 @@ def generate_weight(kind: str, J: int, seed: int = 0, t: float = 4.0,
 
 
 def generate_multiplier(J: int, seed: int = 0, n_intervals: int = 128,
-                        signs_only: bool = False,
-                        max_depth: int | None = None) -> HaarMultiplier:
+                        signs_only: bool = False) -> HaarMultiplier:
     """Random finite interval family with coefficients in [-1, 1]."""
     rng = np.random.default_rng(seed)
-    top = (J if max_depth is None else max_depth + 1)
-    pool = np.arange(1, 1 << top)
+    pool = np.arange(1, 1 << J)
     take = min(n_intervals, pool.shape[0])
     nodes = rng.choice(pool, size=take, replace=False)
     eps = {}
@@ -124,21 +122,19 @@ def generate_sparse_collection(J: int, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     members = []
-    stack = [root]
+    stack = [root.node]
     while stack:
         Q = stack.pop()
         members.append(Q)
-        if Q.depth >= J:
+        depth = Q.bit_length() - 1
+        if depth >= J:
             continue
         roll = rng.random()
         if roll < 0.35:
             continue
-        if roll < 0.6 or Q.depth + 2 > J:
-            side = Q.left() if rng.random() < 0.5 else Q.right()
-            stack.append(side)
-        else:
-            grand = [Q.left().left(), Q.left().right(),
-                     Q.right().left(), Q.right().right()]
+        if roll < 0.6 or depth + 2 > J:
+            stack.append(2 * Q + int(rng.random() >= 0.5))     # left or right half
+        else:   # one or two of the four grandchildren 4Q .. 4Q + 3
             picks = rng.choice(4, size=rng.integers(1, 3), replace=False)
-            stack.extend(grand[int(i)] for i in picks)
-    return SparseCollection(members)
+            stack.extend(4 * Q + int(i) for i in picks)
+    return SparseCollection.from_nodes(members)

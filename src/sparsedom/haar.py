@@ -43,13 +43,13 @@ class HaarCoefficients:
             raise ValueError(f"no Haar coefficient at depth {I.depth} (J={self.depth_J})")
         return float(self.heap[I.node])
 
-    def support_nodes(self, tol: float = 0.0) -> np.ndarray:
-        """Heap nodes carrying a coefficient of magnitude > tol, in node order."""
-        return np.flatnonzero(np.abs(self.heap[1:]) > tol) + 1
+    def support_nodes(self) -> np.ndarray:
+        """Heap nodes carrying a nonzero coefficient, in node order."""
+        return np.flatnonzero(np.abs(self.heap[1:]) > 0.0) + 1
 
-    def support(self, tol: float = 0.0):
-        """Intervals carrying a coefficient of magnitude > tol."""
-        return [DyadicInterval.from_node(n) for n in self.support_nodes(tol).tolist()]
+    def support(self):
+        """Intervals carrying a nonzero coefficient, in node order."""
+        return [DyadicInterval.from_node(n) for n in self.support_nodes().tolist()]
 
     def l2_norm_squared(self) -> float:
         return float(np.sum(self.heap**2) + self.mean**2)

@@ -17,7 +17,7 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _children, _lp_values, _run_family, _split, _with_retries
+from .stopping import _lp_values, _run_family, _split, _with_retries
 
 __all__ = [
     "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
@@ -28,7 +28,7 @@ __all__ = [
 class Weight:
     """Strictly positive density on the depth-J cells, with cached masses."""
 
-    __slots__ = ("values", "depth_J", "_sums")
+    __slots__ = ("values", "depth_J", "_heap")
 
     def __init__(self, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -41,15 +41,20 @@ class Weight:
             raise ValueError("weight must be strictly positive and finite")
         self.values = values
         self.depth_J = n.bit_length() - 1
-        self._sums = None
+        self._heap = None
+
+    @property
+    def heap(self) -> np.ndarray:
+        """w(I) for every dyadic I of depth <= J, at heap position I.node."""
+        if self._heap is None:
+            self._heap = kernels.interval_sums(self.values) * 2.0 ** (-self.depth_J)
+        return self._heap
 
     def measure(self, I: DyadicInterval) -> float:
         """w(I) = integral of the density over I, exact."""
-        if self._sums is None:
-            self._sums = kernels.interval_sums(self.values)
         if I.depth > self.depth_J:
             raise ValueError("interval finer than the weight resolution")
-        return float(self._sums[I.node]) * 2.0 ** (-self.depth_J)
+        return float(self.heap[I.node])
 
     def signal(self) -> Signal:
         return Signal(self.values)
@@ -115,7 +120,7 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
     if weight.depth_J < J - 1:
         raise ValueError("weight is coarser than the finest Haar mode")
     # heap entries 1 .. 2**J - 1: w(I), |I| and a_I of every mode
-    wI = kernels.interval_sums(weight.values)[1 : 1 << J] * 2.0 ** (-weight.depth_J)
+    wI = weight.heap[1 : 1 << J]
     length = np.ldexp(1.0, -np.repeat(np.arange(J), 1 << np.arange(J)))
     a = coeffs.heap[1:]
     vals = np.zeros(1 << J)
@@ -129,6 +134,9 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
 
 @dataclass
 class AtomicDecomposition:
+    """``subfamilies[Q]`` is Q's sub-family as a sorted array of heap nodes;
+    ``coefficients`` and ``atoms`` skip the nodes with c_Q = 0."""
+
     collection: SparseCollection
     coefficients: dict
     atoms: dict
@@ -139,6 +147,9 @@ class AtomicDecomposition:
     r: float
     stopping_constant: float
     checks: dict = field(default_factory=dict)
+
+    def ok(self) -> bool:
+        return all(bool(v) for k, v in self.checks.items() if k.endswith("_ok"))
 
     def reconstruct(self) -> Signal:
         out = np.full(1 << self.depth_J, self.mean)
@@ -198,27 +209,26 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     run, final_C = _with_retries(
         "atoms", lambda c: _run_family(nodes, (coeffs.heap**2,), (n_r,), None, c), C)
     # energies add libm squares (np.float_power), as Python's a ** 2 does
-    subfam, energy, members, bounds = _split(run, coeffs.support(), nodes,
-                                             np.float_power(coeffs.heap, 2.0))
+    families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
+    subfam = dict(zip(map(DyadicInterval.from_node, run.order.tolist()), families))
 
     coefficients, atoms = {}, {}
-    for k, Q in enumerate(subfam):
-        c_Q = Q.length ** (1.0 / p - 0.5) * float(energy[k]) ** 0.5
+    for (Q, own), e in zip(subfam.items(), energy.tolist()):
+        c_Q = Q.length ** (1.0 / p - 0.5) * e ** 0.5
         if c_Q == 0.0:
             continue
         heap = np.zeros(1 << J)
-        own = members[bounds[k] : bounds[k + 1]]
         heap[own] = coeffs.heap[own]
         atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, J))
         coefficients[Q] = c_Q
         atoms[Q] = Signal(atom.values / c_Q)
 
-    collection = SparseCollection(subfam)
+    collection = SparseCollection.from_nodes(run.order)
     deco = AtomicDecomposition(collection, coefficients, atoms, subfam, mean,
                                J, p, r, final_C)
 
     recon_err = float(np.max(np.abs(deco.reconstruct().values - f.values)))
-    budget_ok = child_budget_ok(_children(run.order, run.kids, run.parents))
+    budget_ok = child_budget_ok(run.kids, run.parents)
     atom_ok = True
     for Q, atom in atoms.items():
         lo, hi = Q.cell_range(J)

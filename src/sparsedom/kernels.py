@@ -16,7 +16,12 @@ Time the layers with ``python3 perfbench/run.py``.
 
 Interval-indexed data lives in flat "heap" arrays: the node at (depth d,
 index i) sits at position ``(1 << d) + i``, so an array of length 2**J
-covers depths 0 .. J-1 (entry 0 unused).
+covers depths 0 .. J-1 (entry 0 unused).  The stopping engine, sparse
+collections and the atomic decomposition share the heap helpers
+:func:`node_mask`, :func:`ancestor_max` (one pass down: on a heap holding
+each member's own node, every node's nearest member at or above it),
+:func:`heap_subtree_sums` (one pass up: on a boolean heap, the ancestor
+closure) and :func:`maximal_nodes`.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ __all__ = [
     "chi_sums_depth",
     "interval_sums",
     "heap_subtree_sums",
+    "node_mask",
+    "ancestor_max",
+    "maximal_nodes",
 ]
 
 
@@ -125,7 +133,9 @@ def interval_sums(values):
 def heap_subtree_sums(vals, J):
     """Accumulate vals over dyadic subtrees: out[node] = sum over I <= node.
 
-    ``vals`` is a heap array of length 2**J (depths 0..J-1, entry 0 unused).
+    ``vals`` is a heap array of length 2**J (depths 0..J-1, entry 0 unused);
+    a boolean heap gives its ancestor closure (each node or-ed with its
+    subtree).
     """
     out = vals.copy()
     for d in range(J - 2, -1, -1):
@@ -133,3 +143,26 @@ def heap_subtree_sums(vals, J):
         below = out[2 * lo : 4 * lo]
         out[lo : 2 * lo] += below[0::2] + below[1::2]
     return out
+
+
+def node_mask(nodes, size):
+    """Boolean heap of the given length, set at ``nodes``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+def ancestor_max(heap):
+    """Each entry replaced by the max over the node and all its ancestors."""
+    out = heap.copy()
+    for d in range(1, out.shape[0].bit_length() - 1):
+        lo = 1 << d
+        np.maximum(out[lo : 2 * lo], np.repeat(out[lo >> 1 : lo], 2), out=out[lo : 2 * lo])
+    return out
+
+
+def maximal_nodes(mask):
+    """Nodes set in a boolean heap with no set strict ancestor, in node order."""
+    above = np.zeros_like(mask)
+    above[2:] = np.repeat(ancestor_max(mask)[1 : mask.shape[0] >> 1], 2)
+    return np.flatnonzero(mask & ~above)

@@ -105,18 +105,23 @@ def revalidate_certificate(data: dict) -> bool:
     re-checks the partition cardinality and the arithmetic of the recorded
     inequality.  Signal-dependent quantities are trusted as recorded.
     """
-    members = [DyadicInterval(d, i) for d, i in (e["Q"] for e in data["per_Q"])]
-    S = SparseCollection(members)
-    fams = [tuple((d, i) for d, i in e["family"]) for e in data["per_Q"]]
-    flat = [I for fam in fams for I in fam]
+    def node_array(pairs):
+        return np.array([DyadicInterval(d, i).node for d, i in pairs], dtype=np.intp)
+
+    per_q = data["per_Q"]
+    members = node_array(e["Q"] for e in per_q)
+    if np.unique(members).size != members.size:
+        return False
+    S = SparseCollection.from_nodes(members)
+    flat = [tuple(I) for e in per_q for I in e["family"]]
     if len(flat) != len(set(flat)) or len(flat) != data["n_intervals"]:
         return False
-    children = {DyadicInterval(*e["Q"]): [DyadicInterval(d, i) for d, i in e["children"]]
-                for e in data["per_Q"]}
-    if any(set(S.children(Q)) != set(children[Q]) for Q in S):
+    kids = node_array(P for e in per_q for P in e["children"])
+    parents = np.repeat(members, [len(e["children"]) for e in per_q])
+    if not S.has_forest(kids, parents):
         return False
     # the weighted budget is in w-measure, which the record does not hold
-    if data["mode"] != "weighted" and not child_budget_ok(children):
+    if data["mode"] != "weighted" and not child_budget_ok(kids, parents):
         return False
     lhs, rhs, realized = data["lhs"], data["rhs"], data["realized_constant"]
     if lhs > 0 and rhs > 0 and not lhs <= realized * rhs * (1 + 1e-9):

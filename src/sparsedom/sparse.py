@@ -1,5 +1,9 @@
 """Sparse / Carleson collections: certification, operators, bilinear forms.
 
+A collection is a node-array forest: its members' heap nodes and, for each,
+its nearest member strictly above it.  Every budget, packing and sparsity
+check reads those two arrays; intervals are built only when asked for.
+
 Two sparsity certificates coexist.  The cheap one takes E_Q = Q minus the
 union of the direct children (enough for every stopping-time output, which
 obeys the 1/2 child budget).  The exact one solves the fractional
@@ -10,6 +14,8 @@ constant, which is the sharp content of the sparse/Carleson equivalence.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import kernels
@@ -18,143 +24,147 @@ from .dyadic import DyadicInterval, Signal, average, chi_weights
 __all__ = [
     "SparseCollection", "child_budget_ok", "carleson_constant", "certify_sparse",
     "sparse_vs_carleson", "max_sparse_eta_lp", "sparse_operator",
-    "sparse_form", "bmo_norm",
+    "sparse_form", "bmo_norm", "LP_MAX_INTERVALS",
 ]
+
+#: largest collection :func:`sparse_vs_carleson` hands to the exact LP
+LP_MAX_INTERVALS = 300
+
+
+def _depths(nodes):
+    return np.frexp(nodes)[1] - 1
+
+
+def _lengths(nodes):
+    """|I| = 2**-depth of each heap node, exact."""
+    return np.ldexp(1.0, -_depths(nodes))
+
+
+def _forest(nodes):
+    """Each node's nearest strict ancestor among the sorted ``nodes``, or 0:
+    one ancestor_max pass over the heap holding each member's own node."""
+    if not nodes.size:
+        return nodes.copy()
+    owner = np.zeros(1 << int(nodes[-1]).bit_length(), dtype=np.intp)
+    owner[nodes] = nodes
+    return kernels.ancestor_max(owner)[nodes >> 1]
 
 
 class SparseCollection:
-    """A finite family of dyadic intervals with its child structure.
+    """A finite family of dyadic intervals as a node-array forest.
 
-    children(Q) are the maximal members strictly inside Q.  Optional
-    certification data (major subsets, eta, Carleson constant) is attached
-    by :func:`certify_sparse` / :func:`carleson_constant`; after that the
-    object is treated as immutable.
+    ``nodes`` holds the members' heap nodes in node order, which is
+    (depth, index) order; ``parents[k]`` is the nearest member strictly
+    containing ``nodes[k]``, or 0 for a root.  children(Q) are the maximal
+    members strictly inside Q, the members whose parent is Q.
     """
 
     def __init__(self, intervals):
-        self.intervals = tuple(sorted(set(intervals)))
-        self._children = None
-        self._roots = None
-        self.major_subsets = None
-        self.eta = None
-        self.carleson = None
+        self._set_nodes(np.array([I.node for I in intervals], dtype=np.intp))
+
+    @classmethod
+    def from_nodes(cls, nodes) -> "SparseCollection":
+        S = cls.__new__(cls)
+        S._set_nodes(np.asarray(nodes, dtype=np.intp))
+        return S
+
+    def _set_nodes(self, nodes):
+        self.nodes = np.unique(nodes)
+        self.parents = _forest(self.nodes)
+
+    @functools.cached_property
+    def intervals(self):
+        return tuple(DyadicInterval.from_node(n) for n in self.nodes.tolist())
 
     def __len__(self):
-        return len(self.intervals)
+        return self.nodes.size
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __contains__(self, I):
-        return I in set(self.intervals)
-
-    def _build_forest(self):
-        # walk up heap nodes (node >> 1 is the parent) to the nearest member;
-        # members come in sorted order, so every child list is sorted
-        members = {I.node: I for I in self.intervals}
-        children = {I: [] for I in self.intervals}
-        roots = []
-        for I in self.intervals:
-            node = I.node >> 1
-            while node and node not in members:
-                node >>= 1
-            if node:
-                children[members[node]].append(I)
-            else:
-                roots.append(I)
-        self._children = {I: tuple(ch) for I, ch in children.items()}
-        self._roots = tuple(roots)
+        return bool(np.any(self.nodes == I.node))
 
     def children(self, Q: DyadicInterval):
-        if self._children is None:
-            self._build_forest()
-        return self._children[Q]
+        return tuple(map(DyadicInterval.from_node, self.nodes[self.parents == Q.node].tolist()))
 
-    def roots(self):
-        if self._roots is None:
-            self._build_forest()
-        return self._roots
-
-    def subtree_measure(self):
-        """measure(Q) -> sum of |P| over members P <= Q, via the forest."""
-        order = sorted(self.intervals, key=lambda I: -I.depth)
-        total = {}
-        for Q in order:
-            total[Q] = Q.length + sum(total[P] for P in self.children(Q))
-        return total
+    def has_forest(self, kids, parents) -> bool:
+        """Whether the node-array pairs (parents[k], kids[k]) are exactly the
+        collection's (parent, child) pairs."""
+        inner, o = self.parents > 0, np.argsort(kids, kind="stable")
+        return (np.array_equal(kids[o], self.nodes[inner])
+                and np.array_equal(parents[o], self.parents[inner]))
 
 
-def child_budget_ok(children, measure=None) -> bool:
-    """The 1/2 child budget: sum of measure(P) over children P <= measure(Q) / 2.
+def _measure(nodes, measure=None):
+    return _lengths(nodes) if measure is None else measure[nodes]
 
-    ``children`` maps each node Q to its children; ``measure`` defaults to
-    the length, and ``Weight.measure`` gives the weighted budget.
+
+def _child_sums(kids, parents, at, measure=None):
+    """The child-complement rule: for each node of ``at``, the sum of measure
+    over the kids whose parent it is, added in listed order from 0.0 as
+    Python's sum adds them.  ``measure`` is a heap (default: lengths)."""
+    sums = np.bincount(parents, weights=_measure(kids, measure),
+                       minlength=int(at.max(initial=0)) + 1)
+    return sums[at]
+
+
+def child_budget_ok(kids, parents, measure=None) -> bool:
+    """The 1/2 child budget: sum of measure(P) over the children P of each
+    parent Q is <= measure(Q) / 2.
+
+    ``kids[k]`` is a child of ``parents[k]`` (heap nodes; a 0 parent marks a
+    root and is skipped).  ``measure`` is a heap of w(I), such as
+    ``Weight.heap``; it defaults to the lengths.
     """
-    if measure is None:
-        def measure(I):
-            return I.length
-    return all(sum(measure(P) for P in kids) <= 0.5 * measure(Q)
-               for Q, kids in children.items())
+    kids, parents = np.asarray(kids, dtype=np.intp), np.asarray(parents, dtype=np.intp)
+    q = parents[parents > 0]
+    return bool(np.all(_child_sums(kids, parents, q, measure) <= 0.5 * _measure(q, measure)))
+
+
+def _free_lengths(S: SparseCollection):
+    """|Q| minus the lengths of its children, for every member (exact)."""
+    return _lengths(S.nodes) - _child_sums(S.nodes, S.parents, S.nodes)
 
 
 def carleson_constant(S: SparseCollection) -> float:
     """max over Q in S of the packing ratio |Q|**-1 sum over P <= Q of |P|.
 
     Self-inclusive, so any nonempty collection gives at least 1; the empty
-    collection returns 0.
+    collection returns 0.  Lengths are dyadic, so the subtree sums are exact.
     """
     if len(S) == 0:
         return 0.0
-    total = S.subtree_measure()
-    lam = max(total[Q] / Q.length for Q in S)
-    S.carleson = lam
-    return lam
+    size, J = _lengths(S.nodes), int(S.nodes[-1]).bit_length()
+    heap = np.zeros(1 << J)
+    heap[S.nodes] = size
+    return float(np.max(kernels.heap_subtree_sums(heap, J)[S.nodes] / size))
 
 
-def certify_sparse(S: SparseCollection, eta: float, depth_J: int,
-                   weight=None):
+def certify_sparse(S: SparseCollection, eta: float, depth_J: int):
     """Greedy child-complement certificate: E_Q = Q minus its children.
 
     Returns (ok, major_subsets) where major_subsets maps Q to a boolean
-    cell mask at resolution 2**-depth_J.  The E_Q are pairwise disjoint by
-    construction; success means measure(E_Q) >= eta * measure(Q) for every
-    Q (Lebesgue measure, or the weight's measure when one is passed).
+    cell mask at resolution 2**-depth_J: the cells whose deepest member is
+    Q.  The E_Q are pairwise disjoint by construction; success means
+    |E_Q| >= eta * |Q| for every Q.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     n = 1 << depth_J
-    major = {}
-    ok = True
-    for Q in S:
-        lo, hi = Q.cell_range(depth_J)
-        mask = np.zeros(n, dtype=bool)
-        mask[lo:hi] = True
-        for P in S.children(Q):
-            plo, phi = P.cell_range(depth_J)
-            mask[plo:phi] = False
-        major[Q] = mask
-        if weight is None:
-            got, need = mask.sum() / n, eta * Q.length
-        else:
-            got = float(np.sum(weight.values[mask])) / n
-            need = eta * weight.measure(Q)
-        if got < need * (1.0 - 1e-12):
-            ok = False
-    if ok:
-        S.major_subsets = major
-        S.eta = eta
-    return ok, major
+    if len(S) and S.nodes[-1] >= 2 * n:
+        raise ValueError(f"interval depth {S.intervals[-1].depth} exceeds signal depth {depth_J}")
+    owner = np.zeros(2 * n, dtype=np.intp)
+    owner[S.nodes] = S.nodes
+    cells = kernels.ancestor_max(owner)[n:]
+    major = {Q: cells == node for Q, node in zip(S, S.nodes.tolist())}
+    got = np.bincount(cells, minlength=2 * n)[S.nodes] / n
+    return not np.any(got < eta * _lengths(S.nodes) * (1.0 - 1e-12)), major
 
 
 def greedy_max_eta(S: SparseCollection) -> float:
     """Largest eta the child-complement construction certifies."""
-    if len(S) == 0:
-        return 1.0
-    best = 1.0
-    for Q in S:
-        free = Q.length - sum(P.length for P in S.children(Q))
-        best = min(best, free / Q.length)
-    return best
+    return float(np.min(_free_lengths(S) / _lengths(S.nodes), initial=1.0))
 
 
 def max_sparse_eta_lp(S: SparseCollection) -> float:
@@ -169,53 +179,37 @@ def max_sparse_eta_lp(S: SparseCollection) -> float:
     m = len(S)
     if m == 0:
         return 1.0
-    members = list(S.intervals)
-    idx = {Q: k for k, Q in enumerate(members)}
-    region = {}
-    for Q in members:
-        free = Q.length - sum(P.length for P in S.children(Q))
-        region[Q] = free
-
-    pairs = [(qi, idx[P]) for qi, Q in enumerate(members)
-             for P in members if Q.contains(P)]
-    nvar = len(pairs) + 1          # assignments y + eta
-    eta_col = len(pairs)
-    c = np.zeros(nvar)
+    nodes, depth = S.nodes, _depths(S.nodes)
+    # (receiver Q, owner P) for every Q containing P, row by row
+    shift = depth[None, :] - depth[:, None]
+    qi, pi = np.nonzero((shift >= 0)
+                        & (nodes[None, :] >> np.maximum(shift, 0) == nodes[:, None]))
+    cols = np.arange(qi.size)
+    eta_col = qi.size              # assignments y + eta
+    c = np.zeros(qi.size + 1)
     c[eta_col] = -1.0              # maximize eta
-
+    a = np.zeros((2 * m, qi.size + 1))
     # demand rows: eta |Q| - sum_P y_{Q,P} <= 0
-    a_rows, b_vals = [], []
-    for qi, Q in enumerate(members):
-        row = np.zeros(nvar)
-        row[eta_col] = Q.length
-        for col, (q2, p2) in enumerate(pairs):
-            if q2 == qi:
-                row[col] = -1.0
-        a_rows.append(row)
-        b_vals.append(0.0)
+    a[:m, eta_col] = _lengths(nodes)
+    a[qi, cols] = -1.0
     # capacity rows: sum_Q y_{Q,P} <= |region(P)|
-    for pi, P in enumerate(members):
-        row = np.zeros(nvar)
-        for col, (q2, p2) in enumerate(pairs):
-            if p2 == pi:
-                row[col] = 1.0
-        a_rows.append(row)
-        b_vals.append(region[P])
+    a[m + pi, cols] = 1.0
+    b = np.concatenate((np.zeros(m), _free_lengths(S)))
 
-    bounds = [(0, None)] * len(pairs) + [(0, 1)]
-    res = linprog(c, A_ub=np.array(a_rows), b_ub=np.array(b_vals),
-                  bounds=bounds, method="highs")
+    bounds = [(0, None)] * qi.size + [(0, 1)]
+    res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"major-subset LP failed: {res.message}")
     return float(res.x[eta_col])
 
 
-def sparse_vs_carleson(S: SparseCollection, use_lp: bool | None = None) -> dict:
+def sparse_vs_carleson(S: SparseCollection) -> dict:
     """Report on the sparse/Carleson equivalence for one collection.
 
     Computes the Carleson constant, the greedy child-complement eta, and
-    (for small instances) the exact LP eta; records the products eta *
-    Lambda realised on each side and flags the greedy-vs-fractional gap.
+    (up to LP_MAX_INTERVALS members) the exact LP eta; records the products
+    eta * Lambda realised on each side and flags the greedy-vs-fractional
+    gap.
     """
     lam = carleson_constant(S)
     greedy = greedy_max_eta(S)
@@ -225,9 +219,7 @@ def sparse_vs_carleson(S: SparseCollection, use_lp: bool | None = None) -> dict:
         "greedy_eta": greedy,
         "greedy_eta_times_carleson": greedy * lam,
     }
-    if use_lp is None:
-        use_lp = len(S) <= 300
-    if use_lp and len(S) > 0:
+    if 0 < len(S) <= LP_MAX_INTERVALS:
         eta = max_sparse_eta_lp(S)
         report["lp_eta"] = eta
         report["lp_eta_times_carleson"] = eta * lam

@@ -103,38 +103,6 @@ class _Run(NamedTuple):
     parents: np.ndarray
 
 
-def _mask(nodes, size):
-    """Boolean heap of the given length, set at ``nodes``."""
-    mask = np.zeros(size, dtype=bool)
-    mask[nodes] = True
-    return mask
-
-
-def _down(heap):
-    """Each entry replaced by the max over the node and all its ancestors."""
-    out = heap.copy()
-    for d in range(1, out.shape[0].bit_length() - 1):
-        lo = 1 << d
-        np.maximum(out[lo : 2 * lo], np.repeat(out[lo >> 1 : lo], 2), out=out[lo : 2 * lo])
-    return out
-
-
-def _up(mask):
-    """Ancestor closure of a boolean heap: each node or-ed with its subtree."""
-    out = mask.copy()
-    for d in range(out.shape[0].bit_length() - 2, 0, -1):
-        lo = 1 << d
-        out[lo >> 1 : lo] |= out[lo : 2 * lo : 2] | out[lo + 1 : 2 * lo : 2]
-    return out
-
-
-def _maximal_nodes(mask):
-    """Nodes set in a boolean heap with no set strict ancestor, in node order."""
-    above = np.zeros_like(mask)
-    above[2:] = np.repeat(_down(mask)[1 : mask.shape[0] >> 1], 2)
-    return np.flatnonzero(mask & ~above)
-
-
 def _value_heap(functional, vals, mask):
     """functional(vals, d, index) on the nodes set in mask, one call per
     depth; 0.0 elsewhere."""
@@ -171,13 +139,13 @@ def _run_family(nodes, heaps, functionals, refs, C):
     in node order, and the next agenda lists the children in agenda order.
     """
     size = heaps[0].shape[0]
-    stock = _mask(nodes, size)
-    agenda = _maximal_nodes(stock)
+    stock = kernels.node_mask(nodes, size)
+    agenda = kernels.maximal_nodes(stock)
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
         owner = np.zeros(size, dtype=np.intp)
         owner[agenda] = agenda
-        owner = _down(owner)
+        owner = kernels.ancestor_max(owner)
         passes = np.ones(size, dtype=bool)
         for k, (heap, functional) in enumerate(zip(heaps, functionals)):
             V = ref = heap if functional is None else \
@@ -192,7 +160,8 @@ def _run_family(nodes, heaps, functionals, refs, C):
         inside = owner > 0
         inside[agenda] = False
         members = np.flatnonzero(stock & passes)
-        kids = _maximal_nodes(~passes & inside & _up(rejected))
+        closure = kernels.heap_subtree_sums(rejected, size.bit_length() - 1)
+        kids = kernels.maximal_nodes(~passes & inside & closure)
         parts.append((agenda, members, owner[members], kids, owner[kids]))
         rank = np.zeros(size, dtype=np.intp)
         rank[agenda] = np.arange(agenda.size)
@@ -201,17 +170,10 @@ def _run_family(nodes, heaps, functionals, refs, C):
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _children(order, kids, parents):
-    """Q -> tuple of its children, as intervals, for every node of ``order``."""
-    out = {Q: [] for Q in order.tolist()}
-    for P, Q in zip(kids.tolist(), parents.tolist()):
-        out[Q].append(DyadicInterval.from_node(P))
-    return {DyadicInterval.from_node(Q): tuple(v) for Q, v in out.items()}
-
-
 def _with_retries(mode, run, C, measure=None):
     """run(C) from the given C, doubling C while the run cannot finish or its
-    children break the 1/2 budget; returns the run and its C."""
+    children break the 1/2 budget (``measure``: a heap, default lengths);
+    returns the run and its C."""
     attempt_C = float(C)
     for _ in range(MAX_DOUBLINGS + 1):
         try:
@@ -219,33 +181,29 @@ def _with_retries(mode, run, C, measure=None):
         except _RetryNeeded:
             attempt_C *= 2.0
             continue
-        if child_budget_ok(_children(result.order, result.kids, result.parents), measure):
+        if child_budget_ok(result.kids, result.parents, measure):
             return result, attempt_C
         attempt_C *= 2.0
     raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
 
 
-def _split(run, intervals, nodes, values):
-    """(subfam, sums, members, bounds): each run node's sub-family, in run
-    order, as ``intervals`` (the family at ``nodes``) and as
-    members[bounds[k] : bounds[k + 1]], and its sum of the heap ``values``,
-    added in node order one term at a time as Python's sum adds them
-    (``np.sum`` adds pairwise)."""
-    size = values.shape[0]
-    rank = np.full(size, -1, dtype=np.intp)
-    rank[run.order] = np.arange(run.order.size)
-    r = rank[run.owners]
-    sums = np.bincount(r, weights=values[run.members], minlength=run.order.size)
-    members = run.members[np.argsort(r, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=run.order.size))))
-    lookup = np.empty(size, dtype=object)
-    lookup[nodes] = intervals
-    for n in np.setdiff1d(members, nodes).tolist():   # a member outside the family
-        lookup[n] = DyadicInterval.from_node(n)
-    ivs = lookup[members].tolist()
-    subfam = {DyadicInterval.from_node(Q): tuple(ivs[lo:hi])
-              for Q, lo, hi in zip(run.order.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())}
-    return subfam, sums, members, bounds
+def _groups(order, owners, items):
+    """(groups, rank): for each node of ``order``, the items it owns, in
+    listed order, as one array each; and each item's owner's position."""
+    sorter = np.argsort(order)
+    rank = sorter[np.searchsorted(order, owners, sorter=sorter)]
+    grouped = items[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank, minlength=order.size)).tolist()
+    return [grouped[lo:hi] for lo, hi in zip([0] + ends, ends)], rank
+
+
+def _split(run, values):
+    """(families, sums): each run node's sub-family as an array of nodes in
+    node order, in run order, and its sum of the heap ``values``, added in
+    node order one term at a time as Python's sum adds them (``np.sum``
+    adds pairwise)."""
+    families, rank = _groups(run.order, run.owners, run.members)
+    return families, np.bincount(rank, weights=values[run.members], minlength=run.order.size)
 
 
 def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, params=None):
@@ -257,11 +215,17 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     terms = np.array(T.coefficients, dtype=float) * cf.heap[nodes] * cg.heap[nodes]
     by_node = np.zeros(cf.heap.shape[0])
     by_node[nodes] = terms
-    subfam, lam, members, _ = _split(run, T.intervals, nodes, by_node)
+    families, lam = _split(run, by_node)
     lam = lam.tolist()
-    order = list(subfam)
-    child_map = _children(run.order, run.kids, run.parents)
-    collection = SparseCollection(order)
+    kids, _ = _groups(run.order, run.parents, run.kids)
+    # intervals for the output only: T's own, and a fresh one for a node
+    # outside T, which only a tampered run holds (partition_ok rejects it)
+    order = [DyadicInterval.from_node(n) for n in run.order.tolist()]
+    family = dict(zip(nodes.tolist(), T.intervals))
+    subfam = {Q: tuple(family.get(n) or DyadicInterval.from_node(n) for n in fam.tolist())
+              for Q, fam in zip(order, families)}
+    child_map = {Q: tuple(map(DyadicInterval.from_node, k.tolist())) for Q, k in zip(order, kids)}
+    collection = SparseCollection.from_nodes(run.order)
     rhs_terms = [rhs_fn(Q) for Q in order]
     rhs = float(sum(rhs_terms))
     # the form in T's order, added one term at a time as Python's sum adds
@@ -269,14 +233,14 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     lhs = abs(whole)
 
     # exact partition of the input family
-    partition_ok = (members.size == nodes.size
-                    and np.array_equal(np.sort(members), np.sort(nodes)))
+    partition_ok = (run.members.size == nodes.size
+                    and np.array_equal(np.sort(run.members), np.sort(nodes)))
 
     # child budget at eta = 1/2 in the run's measure
-    budget_ok = child_budget_ok(child_map, measure)
+    budget_ok = child_budget_ok(run.kids, run.parents, measure)
 
     # the recursion's children are exactly the collection's derived children
-    forest_ok = all(set(collection.children(Q)) == set(child_map[Q]) for Q in order)
+    forest_ok = collection.has_forest(run.kids, run.parents)
 
     # exact reconstruction of the form from the sub-families
     pieces = sum(lam)
@@ -286,7 +250,7 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     domination_ok = lhs == 0.0 or (np.isfinite(realized)
                                    and lhs <= realized * rhs * (1.0 + REL_SLACK))
 
-    carleson = carleson_constant(collection) if len(collection) else 0.0
+    carleson = carleson_constant(collection)
 
     checks = {
         "partition_ok": partition_ok,
@@ -317,7 +281,7 @@ def _family_stock(T, f, g):
     T.check_depth(f.depth_J)
     cf, cg = haar_transform(f), haar_transform(g)
     nodes = np.array([I.node for I in T.intervals], dtype=np.intp)
-    fam_mask = _mask(nodes, 1 << f.depth_J)
+    fam_mask = kernels.node_mask(nodes, 1 << f.depth_J)
     return cf, cg, nodes, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
 
 
@@ -331,7 +295,7 @@ def _chi_heap(f: Signal, M: int, nodes):
     family member, so it reads no other node."""
     J = f.depth_J
     absf = np.abs(f.values)
-    closure = _up(_mask(nodes, 1 << J))
+    closure = kernels.heap_subtree_sums(kernels.node_mask(nodes, 1 << J), J)
     heap = np.full(1 << J, np.nan)
     for d in range(J):
         index = np.flatnonzero(closure[1 << d : 2 << d])
@@ -438,7 +402,7 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
 
     run, final_C = _with_retries(
         "square", lambda c: _run_family(nodes, (full_f, full_g), (nf, ng), None, c), C)
-    at = _mask(run.order, 1 << J)
+    at = kernels.node_mask(run.order, 1 << J)
     Nf, Ng = _value_heap(nf, full_f, at), _value_heap(ng, full_g, at)
     Lf, Lg = _value_heap(l2, full_f, at), _value_heap(l2, full_g, at)
 
@@ -488,15 +452,13 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError("weight must be strictly positive")
     cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
-    wvals = weight.values
-    wI = kernels.interval_sums(wvals) * 2.0 ** (-J)   # w(I) as Weight.measure gives it
 
     def norm_w(vals, d, index):
-        return _lp_w_values(vals, J, d, index, r, wvals, wI, dx)
+        return _lp_w_values(vals, J, d, index, r, weight.values, weight.heap, dx)
 
     run, final_C = _with_retries(
         "weighted", lambda c: _run_family(nodes, (full_f, full_g), (norm_w, norm_w), None, c),
-        C, measure=weight.measure)
+        C, measure=weight.heap)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
@@ -514,10 +476,10 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
 
     def rhs_fn(Q):
         # omega-sparse chain term: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
-        return float(norms[Q.node]) * weight.measure(Q) ** (1.0 / p) * cg_norm
+        return float(norms[Q.node]) * float(weight.heap[Q.node]) ** (1.0 / p) * cg_norm
 
     cert = _finalize("weighted", T, cf, cg, nodes, run, final_C,
-                     rhs_fn, None, measure=weight.measure,
+                     rhs_fn, None, measure=weight.heap,
                      params={"p": p, "r": r})
     # the certified inequality is the pairing bound, not the chain sum
     cert.checks["chain_sum"] = cert.rhs
@@ -616,20 +578,20 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
         generations.append(agenda)
         owner = np.zeros(size, dtype=np.intp)
         owner[agenda] = agenda
-        owner = _down(owner)
+        owner = kernels.ancestor_max(owner)
         inside = owner > 0
         inside[agenda] = False
-        raw = _maximal_nodes(inside & (np.abs(med - med[owner]) > 2.0 * om[owner]))
+        raw = kernels.maximal_nodes(inside & (np.abs(med - med[owner]) > 2.0 * om[owner]))
         promoted = np.where(raw >> 1 == owner[raw], raw, raw >> 1)
-        agenda = _maximal_nodes(_mask(promoted, size))
+        agenda = kernels.maximal_nodes(kernels.node_mask(promoted, size))
     selected = np.concatenate(generations)
-    collection = SparseCollection([DyadicInterval.from_node(n) for n in selected.tolist()])
+    collection = SparseCollection.from_nodes(selected)
     # each node's children are the maximal selected nodes strictly inside it
-    budget_ok = child_budget_ok({Q: collection.children(Q) for Q in collection})
+    budget_ok = child_budget_ok(collection.nodes, collection.parents)
 
     # sum of omega over the selected Q containing each cell, added depth by
     # depth, shallow first: the order a depth-first walk adds them in
-    chosen = _mask(selected, size)
+    chosen = kernels.node_mask(selected, size)
     osum = np.zeros(hi - lo)
     for d, first in firsts.items():
         row = slice(first, first + (1 << (d - Q0.depth)))

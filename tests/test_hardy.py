@@ -212,9 +212,9 @@ class TestAtomicDecomposition:
                 deco = atomic_decompose(f, p=p, C=C)
                 assert deco.coefficients
                 for Q, c in deco.coefficients.items():
-                    fam = deco.subfamilies[Q]
-                    assert list(fam) == sorted(fam)
-                    energy = float(sum(coeffs.heap[P.node] ** 2 for P in fam))
+                    fam = deco.subfamilies[Q].tolist()
+                    assert fam == sorted(fam)
+                    energy = float(sum(coeffs.heap[P] ** 2 for P in fam))
                     assert c == Q.length ** (1.0 / p - 0.5) * energy**0.5
 
     def test_atom_norm_equality(self):

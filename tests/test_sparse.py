@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.exact import exact_carleson_constant
@@ -11,8 +13,9 @@ from sparsedom.generate import (generate_multiplier, generate_signal,
 from sparsedom.hardy import Weight
 from sparsedom.serialize import dump_json, revalidate_certificate
 from sparsedom.sparse import (SparseCollection, bmo_norm, carleson_constant,
-                              certify_sparse, child_budget_ok, max_sparse_eta_lp,
-                              sparse_form, sparse_operator, sparse_vs_carleson)
+                              certify_sparse, child_budget_ok, greedy_max_eta,
+                              max_sparse_eta_lp, sparse_form, sparse_operator,
+                              sparse_vs_carleson)
 from sparsedom.stopping import dominate_avg, dominate_weighted
 
 
@@ -26,6 +29,85 @@ def all_depths(top):
 
 def rand_signal(J, seed):
     return Signal(np.random.default_rng(seed).standard_normal(1 << J))
+
+
+def node_pairs(children):
+    """(kids, parents) node arrays of a map Q -> its children."""
+    pairs = [(P.node, Q.node) for Q, kids in children.items() for P in kids]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def _reference_children(members, Q):
+    """Maximal members strictly inside Q, by brute force over intervals."""
+    inside = [P for P in members if Q.strictly_contains(P)]
+    return [P for P in inside if not any(R.strictly_contains(P) for R in inside)]
+
+
+def _reference_certify(members, children, eta, J):
+    """The per-interval child-complement masks: Q's cells minus its children's."""
+    n = 1 << J
+    ok, major = True, {}
+    for Q in members:
+        lo, hi = Q.cell_range(J)
+        mask = np.zeros(n, dtype=bool)
+        mask[lo:hi] = True
+        for P in children[Q]:
+            plo, phi = P.cell_range(J)
+            mask[plo:phi] = False
+        major[Q] = mask
+        if mask.sum() / n < eta * Q.length * (1.0 - 1e-12):
+            ok = False
+    return ok, major
+
+
+# random node sets at depth J <= 8: gaps, several roots and deep lone nodes
+node_sets = st.integers(0, 8).flatmap(
+    lambda J: st.tuples(st.just(J), st.sets(st.integers(1, (2 << J) - 1), max_size=40)))
+
+
+class TestForestProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=node_sets, seed=st.integers(0, 10_000),
+           delta=st.sampled_from([0.25, 0.5, 0.8]))
+    @example(case=(8, set()), seed=0, delta=0.5)
+    @example(case=(8, {(1 << 8) + 77}), seed=1, delta=0.5)
+    @example(case=(4, {2, 3, 9, 13, 26, 27, 31}), seed=2, delta=0.25)
+    @example(case=(3, {1, 2, 3, 4, 5, 6, 7}), seed=3, delta=0.8)
+    def test_matches_per_interval_reference(self, case, seed, delta):
+        J, nodes = case
+        members = sorted(DyadicInterval.from_node(n) for n in nodes)
+        S = SparseCollection(members)
+        T = SparseCollection.from_nodes(list(nodes))
+        assert list(S) == list(T) == members and len(S) == len(members)
+        assert np.array_equal(S.parents, T.parents)
+        children = {Q: _reference_children(members, Q) for Q in members}
+        for Q in members:
+            assert Q in S
+            assert list(S.children(Q)) == children[Q]
+        kids, parents = node_pairs(children)
+        assert S.has_forest(kids, parents)
+        if kids.size:
+            assert not S.has_forest(kids[1:], parents[1:])
+
+        assert carleson_constant(S) == exact_carleson_constant(members)
+        eta = 1.0
+        for Q in members:
+            eta = min(eta, (Q.length - sum(P.length for P in children[Q])) / Q.length)
+        assert greedy_max_eta(S) == eta
+
+        w = generate_weight("dyadic_doubling", max(J, 1), seed=seed, delta=delta)
+        for measure, heap in ((lambda I: I.length, None), (w.measure, w.heap)):
+            expected = all(sum(measure(P) for P in children[Q]) <= 0.5 * measure(Q)
+                           for Q in members)
+            assert child_budget_ok(kids, parents, heap) == expected
+            assert child_budget_ok(S.nodes, S.parents, heap) == expected
+
+        for eta in (0.5, 1.0):
+            ok, major = certify_sparse(S, eta, max(J, 1))
+            ref_ok, ref_major = _reference_certify(members, children, eta, max(J, 1))
+            assert ok == ref_ok
+            assert list(major) == list(ref_major)
+            assert all(np.array_equal(major[Q], ref_major[Q]) for Q in members)
 
 
 class TestCarleson:
@@ -121,16 +203,16 @@ class TestLpOracle:
 
 class TestChildBudget:
     def test_length_measure(self):
-        assert child_budget_ok({ROOT: (I(1, 0),), I(1, 0): ()})
-        assert not child_budget_ok({ROOT: (I(1, 0), I(5, 16))})  # one cell more
+        assert child_budget_ok(*node_pairs({ROOT: (I(1, 0),), I(1, 0): ()}))
+        assert not child_budget_ok(*node_pairs({ROOT: (I(1, 0), I(5, 16))}))  # one cell more
 
     def test_weight_measure(self):
         w = Weight(np.array([2.0, 1.0, 0.5, 0.5]))  # w(ROOT) = 1, w(I(2, 0)) = 1/2
-        assert child_budget_ok({ROOT: (I(2, 0),)}, w.measure)
-        assert not child_budget_ok({ROOT: (I(2, 0), I(2, 3))}, w.measure)
+        assert child_budget_ok(*node_pairs({ROOT: (I(2, 0),)}), w.heap)
+        assert not child_budget_ok(*node_pairs({ROOT: (I(2, 0), I(2, 3))}), w.heap)
         # half the length, but three quarters of the weight
-        assert child_budget_ok({ROOT: (I(2, 0), I(2, 1))})
-        assert not child_budget_ok({ROOT: (I(2, 0), I(2, 1))}, w.measure)
+        assert child_budget_ok(*node_pairs({ROOT: (I(2, 0), I(2, 1))}))
+        assert not child_budget_ok(*node_pairs({ROOT: (I(2, 0), I(2, 1))}), w.heap)
 
     def test_revalidation_rejects_broken_budget(self):
         def record(children):
@@ -163,7 +245,10 @@ class TestChildBudget:
         dst["children"].append(src["children"].pop())
         halved = copy.deepcopy(data)
         halved["rhs"] *= 0.5
-        for broken in (dropped, moved, halved):
+        duplicated = copy.deepcopy(data)
+        leaf = next(e for e in duplicated["per_Q"] if not e["children"])
+        duplicated["per_Q"].append({"Q": leaf["Q"], "family": [], "children": []})
+        for broken in (dropped, moved, halved, duplicated):
             assert not revalidate_certificate(broken)
 
 

@@ -709,7 +709,9 @@ class TestLerner:
         selected, children_map, K = _reference_lerner(phi, Q0, lam)
         assert list(S) == selected
         assert rep["K"] == K
-        assert rep["child_budget_ok"] == stopping.child_budget_ok(children_map)
+        kids = [P.node for Q in children_map for P in children_map[Q]]
+        parents = [Q.node for Q in children_map for P in children_map[Q]]
+        assert rep["child_budget_ok"] == stopping.child_budget_ok(kids, parents)
         assert all(set(S.children(Q)) == set(children_map[Q]) for Q in S)
 
     def test_constant_signal(self):
