@@ -27,15 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicInterval, ROOT, Signal, lp_norm, weak_l1_quasinorm
+from .dyadic import (DyadicInterval, ROOT, Signal, check_finite, lp_norm,
+                     weak_l1_quasinorm)
 from .maximal import MaximalKind, maximal
 
 __all__ = ["CZDecomposition", "cz_decompose", "weak11_certify"]
-
-
-def _check_finite(f: Signal) -> None:
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("signal has a non-finite cell (nan or inf)")
 
 
 def _exact_ints(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -220,7 +216,7 @@ def cz_decompose(f: Signal, alpha: float) -> CZDecomposition:
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be finite and > 0")
-    _check_finite(f)
+    check_finite(f)
     absf = Signal(np.abs(f.values))
     J = f.depth_J
     num, den = float(alpha).as_integer_ratio()
@@ -276,7 +272,7 @@ def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,
     """
     if K <= 0:
         raise ValueError("K must be > 0")
-    _check_finite(f)
+    check_finite(f)
     norm1 = lp_norm(f, 1.0)
     if not np.isfinite(norm1):
         raise ValueError("the L^1 norm of the signal overflows")

@@ -216,6 +216,12 @@ class Signal:
         return f"Signal(J={self.depth_J}, n={self.n_cells})"
 
 
+def check_finite(f: Signal) -> None:
+    """Raise ValueError unless every cell of f is finite."""
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("signal has a non-finite cell (nan or inf)")
+
+
 def _vals(x, n):
     if isinstance(x, Signal):
         if x.n_cells != n:

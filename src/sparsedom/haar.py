@@ -217,7 +217,11 @@ def size(f_or_coeffs, I0: DyadicInterval) -> float:
 
 
 def tilde_size(f: Signal, family, M: int = DEFAULT_CHI_M) -> float:
-    """sup over intervals J in the family of |J|**-1 int |f| chi_J^M."""
+    """sup over intervals J in the family of |J|**-1 int |f| chi_J^M.
+
+    Each integral is the one :func:`kernels.chi_sums_depth` gives, bit for
+    bit, so avg passes only the member with the largest chi heap entry.
+    """
     family = list(family)
     if not family:
         raise ValueError("tilde_size needs a nonempty interval family")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dyadic import DyadicInterval, Signal, lp_norm
+from .dyadic import DyadicInterval, Signal, check_finite, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
 from .stopping import _lp_values, _run_family, _split, _with_retries
@@ -194,6 +194,7 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
         raise ValueError("need 0 < r < p")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
+    check_finite(f)
     J = f.depth_J
     coeffs = haar_transform(f)
     mean = coeffs.mean

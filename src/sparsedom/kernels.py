@@ -12,7 +12,13 @@ Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
 only on the offset of the cell x from the start of I, so :func:`chi_kernel`
 computes one cached offset kernel per (J, d, M); every chi^M weight is a
 slice of it, and every chi^M integral a block-wise :func:`dot` with a slice.
-Time the layers with ``python3 perfbench/run.py``.
+:func:`chi_sums_depth` reads the kernel through a read-only window view
+whose row i is the weight of (d, i), and makes one batched :func:`dot` per
+run of consecutive indices: a stacked vector-by-vector ``np.matmul``, which
+numpy runs as one BLAS dot per row, so no row is copied and every row
+equals its one-interval integral bit for bit.  Avg's ``tilde_size`` is read
+off those integrals at the sub-family's largest entry.  Time the layers
+with ``python3 perfbench/run.py``.
 
 Interval-indexed data lives in flat "heap" arrays: the node at (depth d,
 index i) sits at position ``(1 << d) + i``, so an array of length 2**J
@@ -29,6 +35,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "subtree_profile",
@@ -72,10 +79,20 @@ DOT_BLOCK = 8192
 
 def dot(a, b):
     """In-order sum of BLAS dots over DOT_BLOCK-cell blocks: independent of the
-    BLAS thread count, and at 2**14 cells OpenBLAS's two-thread np.dot exactly."""
-    return sum((np.dot(a[lo : lo + DOT_BLOCK], b[lo : lo + DOT_BLOCK])
-                for lo in range(DOT_BLOCK, a.shape[0], DOT_BLOCK)),
-               np.dot(a[:DOT_BLOCK], b[:DOT_BLOCK]))
+    BLAS thread count, and at 2**14 cells OpenBLAS's two-thread np.dot exactly.
+
+    ``a`` may be a 2-D stack of rows; the result then holds one dot per row,
+    each equal to the 1-D ``dot(row, b)`` bit for bit: a stacked
+    vector-by-vector matmul, which numpy runs as one BLAS dot per row.
+    """
+    if a.ndim == 1:
+        return sum((np.dot(a[lo : lo + DOT_BLOCK], b[lo : lo + DOT_BLOCK])
+                    for lo in range(DOT_BLOCK, a.shape[0], DOT_BLOCK)),
+                   np.dot(a[:DOT_BLOCK], b[:DOT_BLOCK]))
+    a, b = a[:, None, :], b[:, None]
+    return sum((np.matmul(a[..., lo : lo + DOT_BLOCK], b[lo : lo + DOT_BLOCK])
+                for lo in range(DOT_BLOCK, b.shape[0], DOT_BLOCK)),
+               np.matmul(a[..., :DOT_BLOCK], b[:DOT_BLOCK]))[:, 0, 0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -102,14 +119,23 @@ def chi_sums_depth(absf, J, d, M, index=None):
     """2**-J * sum over cells of absf * chi_I^M for depth-d intervals I.
 
     ``index`` lists the interval indices wanted (default: the whole row of
-    2**d entries); entry k of the result belongs to ``index[k]``.
+    2**d entries); entry k of the result belongs to ``index[k]``.  Row i of
+    the kernel's window view is chi^M of (d, i), so each run of consecutive
+    indices is one batched :func:`dot` over a slice of the view, no row
+    copied; a lone index takes the 1-D dot.
     """
     n = 1 << J
-    B = 1 << (J - d)
     K = chi_kernel(J, d, M)
-    if index is None:
-        index = range(1 << d)
-    out = np.array([dot(absf, K[n - i * B : 2 * n - i * B]) for i in index])
+    rows = as_strided(K[n:], (1 << d, n), (-(K.itemsize << (J - d)), K.itemsize),
+                      writeable=False)
+    index = np.arange(1 << d) if index is None else np.asarray(index, dtype=np.intp)
+    out = np.empty(index.size)
+    if not index.size:
+        return out
+    cuts = (np.flatnonzero(index[1:] != index[:-1] + 1) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [index.size]):
+        i = int(index[lo])
+        out[lo:hi] = dot(absf, rows[i]) if hi - lo == 1 else dot(rows[i : i + hi - lo], absf)
     return out / n
 
 

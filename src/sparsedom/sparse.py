@@ -15,6 +15,7 @@ constant, which is the sharp content of the sparse/Carleson equivalence.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -141,13 +142,33 @@ def carleson_constant(S: SparseCollection) -> float:
     return float(np.max(kernels.heap_subtree_sums(heap, J)[S.nodes] / size))
 
 
+class _MajorSubsets(Mapping):
+    """Read-only view of the major subsets: member -> boolean cell mask (the
+    cells whose deepest member it is), in member order, built on access
+    from the one cell-owner row."""
+
+    def __init__(self, S: SparseCollection, cells: np.ndarray):
+        self._S, self._cells = S, cells
+
+    def __getitem__(self, Q):
+        if not isinstance(Q, DyadicInterval) or Q not in self._S:
+            raise KeyError(Q)
+        return self._cells == Q.node
+
+    def __iter__(self):
+        return iter(self._S)
+
+    def __len__(self):
+        return len(self._S)
+
+
 def certify_sparse(S: SparseCollection, eta: float, depth_J: int):
     """Greedy child-complement certificate: E_Q = Q minus its children.
 
     Returns (ok, major_subsets) where major_subsets maps Q to a boolean
     cell mask at resolution 2**-depth_J: the cells whose deepest member is
-    Q.  The E_Q are pairwise disjoint by construction; success means
-    |E_Q| >= eta * |Q| for every Q.
+    Q (a read-only view, each mask built when read).  The E_Q are pairwise
+    disjoint by construction; success means |E_Q| >= eta * |Q| for every Q.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -157,9 +178,8 @@ def certify_sparse(S: SparseCollection, eta: float, depth_J: int):
     owner = np.zeros(2 * n, dtype=np.intp)
     owner[S.nodes] = S.nodes
     cells = kernels.ancestor_max(owner)[n:]
-    major = {Q: cells == node for Q, node in zip(S, S.nodes.tolist())}
     got = np.bincount(cells, minlength=2 * n)[S.nodes] / n
-    return not np.any(got < eta * _lengths(S.nodes) * (1.0 - 1e-12)), major
+    return not np.any(got < eta * _lengths(S.nodes) * (1.0 - 1e-12)), _MajorSubsets(S, cells)
 
 
 def greedy_max_eta(S: SparseCollection) -> float:

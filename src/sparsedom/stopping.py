@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dyadic import DEFAULT_CHI_M, REL_SLACK, DyadicInterval, Signal, oscillation
+from .dyadic import (DEFAULT_CHI_M, REL_SLACK, DyadicInterval, Signal, check_finite,
+                     oscillation)
 from .haar import HaarMultiplier, haar_transform, tilde_size
 from .maximal import DEFAULT_LAMBDA
 from .sparse import SparseCollection, carleson_constant, child_budget_ok
@@ -210,7 +211,8 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     """Assemble the certificate and run the structural checks.
 
     ``nodes`` are T's heap nodes in T's order.  per_q_fn(Q, family,
-    lambda_Q) gives the mode's per-node extras.
+    lambda_Q) gives the mode's per-node extras; ``family`` is Q's
+    sub-family as an array of heap nodes in node order.
     """
     terms = np.array(T.coefficients, dtype=float) * cf.heap[nodes] * cg.heap[nodes]
     by_node = np.zeros(cf.heap.shape[0])
@@ -260,10 +262,10 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
         "domination_ok": domination_ok,
     }
     per_interval = []
-    for Q, rhs_term, lam_Q in zip(order, rhs_terms, lam):
+    for Q, fam, rhs_term, lam_Q in zip(order, families, rhs_terms, lam):
         entry = {"Q": Q, "rhs_term": rhs_term, "lambda_Q": lam_Q}
         if per_q_fn is not None:
-            entry.update(per_q_fn(Q, subfam[Q], lam_Q))
+            entry.update(per_q_fn(Q, fam, lam_Q))
         per_interval.append(entry)
     return DominationCertificate(
         mode=mode, collection=collection, subfamilies=subfam, children=child_map,
@@ -275,10 +277,13 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
 
 def _family_stock(T, f, g):
     """Haar coefficients of f and g, T's heap nodes in T's order and the
-    squared coefficients on them: the shared entry of the multiplier modes."""
+    squared coefficients on them: the shared entry of the multiplier modes,
+    which rejects a non-finite signal."""
     if g.depth_J != f.depth_J:
         raise ValueError("f and g must share a depth")
     T.check_depth(f.depth_J)
+    check_finite(f)
+    check_finite(g)
     cf, cg = haar_transform(f), haar_transform(g)
     nodes = np.array([I.node for I in T.intervals], dtype=np.intp)
     fam_mask = kernels.node_mask(nodes, 1 << f.depth_J)
@@ -326,9 +331,11 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     def per_q(Q, fam, lam):
         fa, ga = float(chif[Q.node]), float(chig[Q.node])
         out = {"f_chi_avg": fa, "g_chi_avg": ga}
-        if fam:
-            tf = tilde_size(f, fam, M)
-            tg = tilde_size(g, fam, M)
+        if fam.size:
+            # tilde_size over the sub-family is its largest chi heap entry:
+            # integrate that member's chi^M afresh
+            tf = tilde_size(f, [DyadicInterval.from_node(int(fam[chif[fam].argmax()]))], M)
+            tg = tilde_size(g, [DyadicInterval.from_node(int(fam[chig[fam].argmax()]))], M)
             out["tilde_size_f"] = tf
             out["tilde_size_g"] = tg
             denom = tf * tg * Q.length

@@ -252,6 +252,29 @@ class TestCli:
         assert "non-finite" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["dominate", "--mode", "avg", "--f-file"],
+        ["dominate", "--mode", "square", "--f-file"],
+        ["dominate", "--mode", "weighted", "--f-file"],
+        ["dominate", "--mode", "osc", "--f-file"],
+        ["dominate", "--mode", "avg", "--g-file"],
+        ["dominate", "--mode", "osc", "--g-file"],
+        ["atoms", "--in"],
+    ])
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_signal_stopping_modes(self, tmp_path, capsys, command, cell):
+        rows = ["1.0", "-2.0", "0.5", "3.0", "0.25", "1.5", "-1.0", "2.0"]
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("\n".join(rows) + "\n")
+        bad.write_text("\n".join(rows[:5] + [cell] + rows[6:]) + "\n")
+        other = (["--g-file", str(good)] if command[-1] == "--f-file" else
+                 ["--f-file", str(good)] if command[-1] == "--g-file" else [])
+        rc = main(command + [str(bad), "--depth", "3", "--seed", "1"] + other)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_campaign_command(self, tmp_path, capsys):
         cfg = {"depth_J": 5, "trials": 2, "seed": 1, "modes": ["avg", "cz"],
                "n_intervals": 15}

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from sparsedom import kernels
 from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, localization_weight
@@ -78,10 +79,55 @@ def test_dot_is_blas_dot_below_one_block():
     assert kernels.dot(a, b) == pytest.approx(np.dot(a, b), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 7, kernels.DOT_BLOCK, kernels.DOT_BLOCK + 1,
+                               3 * kernels.DOT_BLOCK + 5])
+def test_dot_of_row_stack_equals_row_dots(n):
+    rng = np.random.default_rng(n)
+    b = rng.random(n) * np.exp(rng.uniform(-40.0, 40.0, n))
+    rows = rng.random((5, n)) * np.exp(rng.uniform(-40.0, 40.0, (5, n)))
+    out = kernels.dot(rows, b)
+    assert out.shape == (5,)
+    for row, got in zip(rows, out):
+        assert got == kernels.dot(row, b)
+        assert got == kernels.dot(b, row)
+    # a read-only window with a negative row stride, as chi_sums_depth takes
+    base = rng.random(n + 4 * 3)
+    view = as_strided(base[12:], (5, n), (-3 * base.itemsize, base.itemsize),
+                      writeable=False)
+    out = kernels.dot(view, b)
+    for k in range(5):
+        assert out[k] == kernels.dot(b, base[12 - 3 * k : 12 - 3 * k + n])
+
+
+def _chi_dots(absf, J, d, M, index):
+    """One chi_weights dot per interval, as the per-interval integral takes it."""
+    return np.array([kernels.dot(absf, chi_weights(DyadicInterval(d, int(i)), J, M))
+                     for i in index]) / (1 << J)
+
+
+@pytest.mark.parametrize("J", [1, 5, 9, 14])
+def test_chi_sums_depth_equals_per_interval_dots(J):
+    rng = np.random.default_rng(J)
+    n = 1 << J
+    absf = np.abs(rng.standard_normal(n)) * np.exp(rng.uniform(-40.0, 40.0, n))
+    for d in sorted({0, 1, J // 2, J - 1, J}):
+        m = 1 << d
+        assert np.array_equal(kernels.chi_sums_depth(absf, J, d, 8),
+                              _chi_dots(absf, J, d, 8, range(m))), d
+        one_run = np.arange(m)[m // 3 : m // 3 + max(1, m // 2)]
+        scattered = np.sort(rng.choice(m, max(1, m // 3), replace=False))
+        unsorted = rng.permutation(m)[:25]
+        for index in (one_run, scattered, unsorted, np.arange(0)):
+            got = kernels.chi_sums_depth(absf, J, d, 8, index)
+            assert got.shape == index.shape
+            assert np.array_equal(got, _chi_dots(absf, J, d, 8, index)), (d, index)
+
+
 def test_dot_does_not_depend_on_blas_threads():
     code = ("import numpy as np; from sparsedom import kernels; "
             "r = np.random.default_rng(9); a, b = r.random(1 << 14), r.random(1 << 14); "
-            "print(repr(float(kernels.dot(a, b))))")
+            "rows = r.random((3, 1 << 14)); "
+            "print(repr(float(kernels.dot(a, b))), kernels.dot(rows, b).tolist())")
     outs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)

@@ -10,7 +10,7 @@ from sparsedom import hardy, kernels, stopping
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal
 from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
-from sparsedom.haar import HaarMultiplier, haar_transform, htilde
+from sparsedom.haar import HaarMultiplier, haar_transform, htilde, tilde_size
 from sparsedom.hardy import Weight, atomic_decompose
 from sparsedom.maximal import MaximalKind, local_mean_oscillation, maximal
 from sparsedom.stopping import (dominate_avg, dominate_oscillation,
@@ -137,6 +137,32 @@ class TestAvgChiCacheEquivalence:
         with mock.patch.object(stopping, "_chi_heap", _row_heap):
             reference = _avg_certificate_json(T, f, g, M, C)
         assert fast == reference
+
+
+class TestAvgTildeSize:
+    """Avg's recorded tilde sizes, read at the chi heap's argmax, are the
+    whole sub-family's tilde_size bit for bit."""
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @settings(max_examples=10, deadline=None)
+    @given(J=st.integers(1, 8), seed=st.integers(0, 10_000), full=st.booleans(),
+           n_intervals=st.integers(1, 60), C=st.sampled_from([1.0, 4.0]),
+           M=st.sampled_from([1, 8]))
+    def test_equals_whole_subfamily(self, kind, J, seed, full, n_intervals, C, M):
+        f = _test_signal(kind, J, seed)
+        g = _test_signal(kind, J, seed + 1)
+        T = full_multiplier(J) if full else \
+            generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals)
+        try:
+            cert = dominate_avg(T, f, g, M=M, C=C)
+        except stopping.StoppingFailure:
+            return
+        for e in cert.per_interval:
+            fam = cert.subfamilies[e["Q"]]
+            assert ("tilde_size_f" in e) == bool(fam)
+            if fam:
+                assert e["tilde_size_f"] == tilde_size(f, fam, M)
+                assert e["tilde_size_g"] == tilde_size(g, fam, M)
 
 
 class TestDominateSquare:
