@@ -17,7 +17,7 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, check_finite, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _lp_values, _run_family, _split, _with_retries
+from .stopping import _first_values, _lp_values, _run_family, _split, _with_retries
 
 __all__ = [
     "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
@@ -207,8 +207,10 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     def n_r(vals, d, index):
         return _lp_values(vals, J, d, index, r, dx)
 
+    heaps, functionals = (coeffs.heap**2,), (n_r,)
+    first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "atoms", lambda c: _run_family(nodes, (coeffs.heap**2,), (n_r,), None, c), C)
+        "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
     # energies add libm squares (np.float_power), as Python's a ** 2 does
     families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
     subfam = dict(zip(map(DyadicInterval.from_node, run.order.tolist()), families))

@@ -4,8 +4,11 @@ The two inner loops that dominate every stopping-time run are
 
 * accumulating a "square profile" sum(v_I * 1_I(x) / |I|) over the dyadic
   subtree of a node (:func:`subtree_profile` takes a whole array of
-  same-depth nodes in one call, so a stopping generation costs one call per
-  depth), and
+  same-depth nodes in one call, so a stopping generation costs at most one
+  call per depth; it evaluates only the stock nodes whose subtree lost a
+  member since the last generation, and since each row is independent of
+  the rows batched with it, every other node's kept value is the fresh one
+  bit for bit), and
 * integrating |f| against the localization weight chi_I^M.
 
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends

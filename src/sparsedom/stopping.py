@@ -104,10 +104,10 @@ class _Run(NamedTuple):
     parents: np.ndarray
 
 
-def _value_heap(functional, vals, mask):
+def _value_heap(functional, vals, mask, out=None):
     """functional(vals, d, index) on the nodes set in mask, one call per
-    depth; 0.0 elsewhere."""
-    out = np.zeros(mask.shape[0])
+    depth, written into ``out`` (default: 0.0 everywhere)."""
+    out = np.zeros(mask.shape[0]) if out is None else out
     for d in range(mask.shape[0].bit_length() - 1):
         index = np.flatnonzero(mask[1 << d : 2 << d])
         if index.size:
@@ -115,15 +115,45 @@ def _value_heap(functional, vals, mask):
     return out
 
 
-def _run_family(nodes, heaps, functionals, refs, C):
+def _stock_values(functional, heap, stock, redo=None, prev=None):
+    """functional's value heap over ``np.where(stock, heap, 0.0)``: 0.0 off
+    the stock, and on it ``functional`` at the nodes of ``redo`` (default:
+    the whole stock); every other stock node keeps its value in ``prev``."""
+    out = np.zeros(stock.shape[0]) if prev is None else np.where(stock, prev, 0.0)
+    return _value_heap(functional, np.where(stock, heap, 0.0),
+                       stock if redo is None else redo, out)
+
+
+def _first_values(nodes, heaps, functionals):
+    """Generation 1's value heaps: ``heaps[k]`` itself for a fixed heap,
+    else functionals[k] over the stock of ``nodes``.  The stock of
+    generation 1 is always ``nodes``, so every attempt at every C shares
+    them."""
+    stock = kernels.node_mask(nodes, heaps[0].shape[0])
+    return tuple(heap if functional is None else _stock_values(functional, heap, stock)
+                 for heap, functional in zip(heaps, functionals))
+
+
+def _run_family(nodes, heaps, functionals, refs, C, first=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
     The stock starts as the boolean heap of ``nodes``.  Each generation
-    builds one value heap V_k per condition: ``heaps[k]`` itself when
+    holds one value heap V_k per condition: ``heaps[k]`` itself when
     ``functionals[k]`` is None (avg's fixed chi^M averages), else
     ``functionals[k]`` on the stock nodes over ``np.where(stock, heaps[k],
-    0)``, one call per depth.  The agenda nodes are disjoint and a
+    0)``, 0.0 off the stock.  The agenda nodes are disjoint and a
     functional reads only the stock inside each, so one V_k serves them all.
+
+    A node's value depends only on the stock in its own subtree, so the
+    functional heaps are never rebuilt whole.  Generation 1's stock is
+    ``nodes`` at every C: its heaps are ``first`` (:func:`_first_values`,
+    computed here when None), which the caller shares across attempts.
+    Within an attempt the stock only shrinks, so a later generation
+    evaluates only the stock nodes at or above a node the last generation
+    selected (one ancestor closure per generation); every other stock node
+    keeps its previous value.  Its subtree holds the same stock, so
+    :func:`kernels.subtree_profile`'s rows, which do not depend on the rows
+    computed with them, give the same value bit for bit.
 
     Tie policy: a stock node I inside agenda node Q0 is selected when
     V_k[I] <= C * V_k[Q0] for every k (``<=`` selects; with ``refs`` given,
@@ -140,7 +170,9 @@ def _run_family(nodes, heaps, functionals, refs, C):
     in node order, and the next agenda lists the children in agenda order.
     """
     size = heaps[0].shape[0]
+    J = size.bit_length() - 1
     stock = kernels.node_mask(nodes, size)
+    values = _first_values(nodes, heaps, functionals) if first is None else first
     agenda = kernels.maximal_nodes(stock)
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
@@ -148,9 +180,8 @@ def _run_family(nodes, heaps, functionals, refs, C):
         owner[agenda] = agenda
         owner = kernels.ancestor_max(owner)
         passes = np.ones(size, dtype=bool)
-        for k, (heap, functional) in enumerate(zip(heaps, functionals)):
-            V = ref = heap if functional is None else \
-                _value_heap(functional, np.where(stock, heap, 0.0), stock)
+        for k, V in enumerate(values):
+            ref = V
             if refs is not None:
                 ref = np.zeros(size)
                 ref[agenda] = [refs[k](DyadicInterval.from_node(n)) for n in agenda.tolist()]
@@ -160,14 +191,20 @@ def _run_family(nodes, heaps, functionals, refs, C):
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
         inside = owner > 0
         inside[agenda] = False
-        members = np.flatnonzero(stock & passes)
-        closure = kernels.heap_subtree_sums(rejected, size.bit_length() - 1)
+        selected = stock & passes
+        members = np.flatnonzero(selected)
+        closure = kernels.heap_subtree_sums(rejected, J)
         kids = kernels.maximal_nodes(~passes & inside & closure)
         parts.append((agenda, members, owner[members], kids, owner[kids]))
         rank = np.zeros(size, dtype=np.intp)
         rank[agenda] = np.arange(agenda.size)
         agenda = kids[np.argsort(rank[owner[kids]], kind="stable")]
         stock = rejected
+        if agenda.size and any(functional is not None for functional in functionals):
+            redo = stock & kernels.heap_subtree_sums(selected, J)
+            values = tuple(V if functional is None else
+                           _stock_values(functional, heap, stock, redo, V)
+                           for V, heap, functional in zip(values, heaps, functionals))
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
 
 
@@ -175,17 +212,16 @@ def _with_retries(mode, run, C, measure=None):
     """run(C) from the given C, doubling C while the run cannot finish or its
     children break the 1/2 budget (``measure``: a heap, default lengths);
     returns the run and its C."""
-    attempt_C = float(C)
-    for _ in range(MAX_DOUBLINGS + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
+        attempt_C = float(C) * 2.0**attempt
         try:
             result = run(attempt_C)
         except _RetryNeeded:
-            attempt_C *= 2.0
             continue
         if child_budget_ok(result.kids, result.parents, measure):
             return result, attempt_C
-        attempt_C *= 2.0
-    raise StoppingFailure(f"no admissible C up to {attempt_C} ({mode} mode)")
+    raise StoppingFailure(f"no admissible C up to {attempt_C} in {MAX_DOUBLINGS + 1} "
+                          f"attempts ({mode} mode)")
 
 
 def _groups(order, owners, items):
@@ -407,11 +443,16 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     def l2(vals, d, index):
         return _lp_values(vals, J, d, index, 2.0, dx)
 
+    heaps, functionals = (full_f, full_g), (nf, ng)
+    first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "square", lambda c: _run_family(nodes, (full_f, full_g), (nf, ng), None, c), C)
+        "square", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
+    # every collection node is a family node, so generation 1's heaps hold
+    # its values over the whole family; at p = 2 they are the L^2 values too
+    Nf, Ng = first
     at = kernels.node_mask(run.order, 1 << J)
-    Nf, Ng = _value_heap(nf, full_f, at), _value_heap(ng, full_g, at)
-    Lf, Lg = _value_heap(l2, full_f, at), _value_heap(l2, full_g, at)
+    Lf = Nf if p == 2.0 else _value_heap(l2, full_f, at)
+    Lg = Ng if q == 2.0 else _value_heap(l2, full_g, at)
 
     def rhs_fn(Q):
         return float(Nf[Q.node] * Ng[Q.node] * Q.length)
@@ -463,8 +504,10 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     def norm_w(vals, d, index):
         return _lp_w_values(vals, J, d, index, r, weight.values, weight.heap, dx)
 
+    heaps, functionals = (full_f, full_g), (norm_w, norm_w)
+    first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "weighted", lambda c: _run_family(nodes, (full_f, full_g), (norm_w, norm_w), None, c),
+        "weighted", lambda c: _run_family(nodes, heaps, functionals, None, c, first),
         C, measure=weight.heap)
 
     hf = hardy_norm(f, p, weight)
@@ -520,9 +563,10 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     osc_f = functools.cache(functools.partial(oscillation, f))
     osc_g = functools.cache(functools.partial(oscillation, g))
 
+    heaps, functionals = (full_f, full_g), (weak, weak)
+    first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "osc", lambda c: _run_family(nodes, (full_f, full_g), (weak, weak), (osc_f, osc_g), c),
-        C)
+        "osc", lambda c: _run_family(nodes, heaps, functionals, (osc_f, osc_g), c, first), C)
 
     def rhs_fn(Q):
         return osc_f(Q) * osc_g(Q) * Q.length

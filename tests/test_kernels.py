@@ -128,9 +128,13 @@ def test_dot_does_not_depend_on_blas_threads():
             "r = np.random.default_rng(9); a, b = r.random(1 << 14), r.random(1 << 14); "
             "rows = r.random((3, 1 << 14)); "
             "print(repr(float(kernels.dot(a, b))), kernels.dot(rows, b).tolist())")
+    # the child imports sparsedom from where this process found it
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
         outs.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, env=env, check=True).stdout)
     assert len(outs) == 1

@@ -387,9 +387,11 @@ def _reference_run_avg(intervals, chif, chig, C):
     return order, subfam, child_map
 
 
-def _reference_run_family(nodes, heaps, functionals, refs, C):
+def _reference_run_family(nodes, heaps, functionals, refs, C, first=None):
     """The per-interval engines: the old average recursion on fixed heaps,
-    and one functional call per stock member for the other modes."""
+    and one functional call per stock member for the other modes.  Memo
+    free: every value is evaluated afresh, and the engine's shared
+    generation-1 heaps ``first`` are ignored."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
     if all(functional is None for functional in functionals):
         return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C))
@@ -496,11 +498,11 @@ class TestFamilyEngineEquivalence:
         T = full_multiplier(J)
         engine, retried = stopping._run_family, []
 
-        def spy(*args):
+        def spy(nodes, heaps, functionals, refs, C, *rest):
             try:
-                return engine(*args)
+                return engine(nodes, heaps, functionals, refs, C, *rest)
             except stopping._RetryNeeded:
-                retried.append(args[-1])
+                retried.append(C)
                 raise
 
         with mock.patch.object(stopping, "_run_family", spy):
@@ -553,6 +555,98 @@ class TestAvgEngineEquivalence:
         with mock.patch.object(stopping, "_run_family", _reference_run_family):
             reference = dominate_avg(T, Signal(vals), Signal(vals))
         assert cert.to_dict() == reference.to_dict()
+
+
+# the dense-hard signal kinds; g takes the next kind in the cycle, so a step
+# f (one Haar mode) still meets a g that the stopping time must split
+_HARD_KINDS = (("point_masses", {"k": 8}), ("sparse_haar", {"k": 32}),
+               ("step", {}), ("gaussian_noise", {}))
+
+
+def _pairs(members, owners):
+    return sorted(zip(members.tolist(), owners.tolist()))
+
+
+def _later_stocks(run, size):
+    """The stock of each generation after the first, as boolean heaps: the
+    members whose owner's generation is at least that one."""
+    parent = dict(zip(run.kids.tolist(), run.parents.tolist()))
+    gen = {}
+    for Q in run.order.tolist():
+        gen[Q] = gen[parent[Q]] + 1 if Q in parent else 1
+    owner_gen = np.array([gen[Q] for Q in run.owners.tolist()], dtype=np.intp)
+    return [kernels.node_mask(run.members[owner_gen >= k], size)
+            for k in range(2, max(gen.values(), default=1) + 1)]
+
+
+class TestIncrementalValues:
+    """Reused value heaps are fresh evaluations, bit for bit, and generation 1
+    is evaluated once per condition per call."""
+
+    @pytest.mark.parametrize("mode", ["square2", "square1", "weighted", "osc", "atoms"])
+    @pytest.mark.parametrize("kind", [kind for kind, _ in _HARD_KINDS])
+    def test_reused_values_equal_fresh_values(self, mode, kind):
+        J = 8
+        T = full_multiplier(J)
+        at = [k for k, _ in _HARD_KINDS].index(kind)
+        (fk, fkw), (gk, gkw) = _HARD_KINDS[at], _HARD_KINDS[(at + 1) % len(_HARD_KINDS)]
+        f, g = generate_signal(fk, J, seed=J, **fkw), generate_signal(gk, J, seed=J + 1, **gkw)
+        w = generate_weight("two_level", J, seed=J + 2, t=64.0)
+        run = {"square2": lambda: dominate_square(T, f, g, C=1.0),
+               "square1": lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=1.0),
+               "weighted": lambda: dominate_weighted(T, f, g, w, C=1.0),
+               "osc": lambda: dominate_oscillation(T, f, g, C=1.0),
+               "atoms": lambda: atomic_decompose(Signal(f.values + g.values), p=1.0, C=1.0)}[mode]
+        engine, stock_values, value_heap = \
+            stopping._run_family, stopping._stock_values, stopping._value_heap
+        attempts, evaluations, kept = [], [], []
+
+        def engine_spy(nodes, heaps, functionals, refs, C, *rest):
+            # each attempt decides as the memo-free per-interval engine does,
+            # and takes every later generation's values from _stock_values
+            attempts.append((nodes, functionals, []))
+            try:
+                want = _reference_run_family(nodes, heaps, functionals, refs, C)
+            except stopping._RetryNeeded:
+                with pytest.raises(stopping._RetryNeeded):
+                    engine(nodes, heaps, functionals, refs, C, *rest)
+                raise
+            try:
+                got = engine(nodes, heaps, functionals, refs, C, *rest)
+            except stopping._RetryNeeded:
+                pytest.fail(f"the engine rejects C={C}, which the reference accepts")
+            assert np.array_equal(got.order, want.order)
+            assert _pairs(got.members, got.owners) == _pairs(want.members, want.owners)
+            assert _pairs(got.kids, got.parents) == _pairs(want.kids, want.parents)
+            stocks = [stock.tobytes() for stock in attempts[-1][2]]
+            assert stocks == [stock.tobytes() for stock in _later_stocks(want, 1 << J)
+                              for _ in functionals]
+            return got
+
+        def value_heap_spy(functional, vals, mask, out=None):
+            evaluations.append((functional, mask.copy()))
+            return value_heap(functional, vals, mask, out)
+
+        def stock_values_spy(functional, heap, stock, redo=None, prev=None):
+            got = stock_values(functional, heap, stock, redo, prev)
+            fresh = value_heap(functional, np.where(stock, heap, 0.0), stock)
+            assert got.tobytes() == fresh.tobytes()
+            if redo is not None:
+                attempts[-1][2].append(stock.copy())
+                kept.append(int(np.count_nonzero(stock & ~redo)))
+            return got
+
+        with mock.patch.object(stopping, "_run_family", engine_spy), \
+                mock.patch.object(hardy, "_run_family", engine_spy), \
+                mock.patch.object(stopping, "_value_heap", value_heap_spy), \
+                mock.patch.object(stopping, "_stock_values", stock_values_spy):
+            run()
+        assert len(attempts) >= 2 and sum(kept) > 0
+        nodes, functionals, _ = attempts[0]
+        family = kernels.node_mask(nodes, 1 << J)
+        first = [fn for fn, mask in evaluations
+                 if any(fn is k for k in functionals) and np.array_equal(mask, family)]
+        assert len(first) == len(functionals)
 
 
 def _shuffled_multiplier(J, seed):
