@@ -8,8 +8,12 @@ The two inner loops that dominate every stopping-time run are
   call per depth; it evaluates only the stock nodes whose subtree lost a
   member since the last generation, and since each row is independent of
   the rows batched with it, every other node's kept value is the fresh one
-  bit for bit), and
-* integrating |f| against the localization weight chi_I^M.
+  bit for bit; a row is built top down, widened only at the depths it
+  adds, in at most about 2 * 2**(J-d0) adds), and
+* integrating |f| against the localization weight chi_I^M (avg integrates
+  only the nodes its stopping runs read, each once per call: the family,
+  the agenda nodes and the paths down to rejected nodes, a depth at a time
+  over the missing indices).
 
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
 only on the offset of the cell x from the start of I, so :func:`chi_kernel`
@@ -59,20 +63,24 @@ def subtree_profile(vals, J, d0, index):
     ``vals`` is a heap array of length 2**J.  ``index`` is one depth-d0
     index or an array of them; the result has shape
     ``np.shape(index) + (2**(J-d0),)``, one row per index.  Depths d0, d0+1,
-    ..., J-1 are added in that order, each row scaled by 2**d and spread
-    over its cells.  A depth is skipped only when it is zero for every
-    index, and adding +0.0 leaves a row unchanged, so each row equals the
-    single-index result bit for bit whatever indices come with it.
+    ..., J-1 are added in that order, top down: the row starts one entry
+    wide, is widened to a depth's width (each entry repeated) and gets that
+    depth's values times 2**d added at that width, and is spread over its
+    cells once at the end, so every cell gets the same terms in the same
+    order as a full-width sum.  A depth is skipped only when it is zero for
+    every index, and adding +0.0 leaves a row unchanged, so each row equals
+    the single-index result bit for bit whatever indices come with it.
     """
     index = np.asarray(index, dtype=np.intp)
     rows = index.reshape(-1)
     n = 1 << (J - d0)
-    out = np.zeros((rows.size, n))
+    out = np.zeros((rows.size, 1))
     for d in range(d0, J):
         block = vals[1 << d : 2 << d].reshape(1 << d0, -1)[rows]
         if block.any():
-            out += np.repeat(block * float(1 << d), 1 << (J - d), axis=1)
-    return out.reshape(index.shape + (n,))
+            out = np.repeat(out, block.shape[1] // out.shape[1], axis=1)
+            out += block * float(1 << d)
+    return np.repeat(out, n // out.shape[1], axis=1).reshape(index.shape + (n,))
 
 
 #: Longest vector handed to BLAS in one dot: OpenBLAS runs longer dots on its

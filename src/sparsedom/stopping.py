@@ -134,7 +134,7 @@ def _first_values(nodes, heaps, functionals):
                  for heap, functional in zip(heaps, functionals))
 
 
-def _run_family(nodes, heaps, functionals, refs, C, first=None):
+def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
     The stock starts as the boolean heap of ``nodes``.  Each generation
@@ -168,6 +168,15 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None):
     maximal rejected nodes; avg's fixed heaps can stop at an ancestor of a
     rejected node that is not in the family.  Sub-families and children are
     in node order, and the next agenda lists the children in agenda order.
+
+    Fixed heaps filled on demand (avg's chi^M heaps, :func:`_chi_heaps`)
+    come with ``read(mask)``, which fills them at the nodes of ``mask`` and
+    returns the nodes it filled just now; an unfilled node holds NaN, which
+    fails every test.  The run reads the fixed heaps at three kinds of node
+    only, and fills them just before: the stock and the agenda before the
+    selection test, and the nodes strictly inside an agenda node on the path
+    down to a rejected node before the child rule.  Only the nodes the
+    second fill reached are tested again.
     """
     size = heaps[0].shape[0]
     J = size.bit_length() - 1
@@ -179,13 +188,17 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None):
         owner = np.zeros(size, dtype=np.intp)
         owner[agenda] = agenda
         owner = kernels.ancestor_max(owner)
+        if read is not None:
+            read(stock | kernels.node_mask(agenda, size))
         passes = np.ones(size, dtype=bool)
+        bounds = []
         for k, V in enumerate(values):
             ref = V
             if refs is not None:
                 ref = np.zeros(size)
                 ref[agenda] = [refs[k](DyadicInterval.from_node(n)) for n in agenda.tolist()]
-            passes &= V <= C * ref[owner]
+            bounds.append(C * ref[owner])
+            passes &= V <= bounds[k]
         rejected = stock & ~passes
         if rejected[agenda].any():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
@@ -194,6 +207,11 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None):
         selected = stock & passes
         members = np.flatnonzero(selected)
         closure = kernels.heap_subtree_sums(rejected, J)
+        if read is not None:
+            filled = read(inside & closure)
+            if filled.size:
+                passes[filled] = np.all([V[filled] <= b[filled] for V, b in zip(values, bounds)],
+                                        axis=0)
         kids = kernels.maximal_nodes(~passes & inside & closure)
         parts.append((agenda, members, owner[members], kids, owner[kids]))
         rank = np.zeros(size, dtype=np.intp)
@@ -330,19 +348,34 @@ def _family_stock(T, f, g):
 # chi^M average stopping time (L^1 averages)
 # ---------------------------------------------------------------------------
 
-def _chi_heap(f: Signal, M: int, nodes):
-    """Heap of |I|**-1 int |f| chi_I^M over the ancestor closure of ``nodes``,
-    NaN elsewhere: avg's agenda nodes, members and children all contain a
-    family member, so it reads no other node."""
-    J = f.depth_J
-    absf = np.abs(f.values)
-    closure = kernels.heap_subtree_sums(kernels.node_mask(nodes, 1 << J), J)
-    heap = np.full(1 << J, np.nan)
-    for d in range(J):
-        index = np.flatnonzero(closure[1 << d : 2 << d])
-        if index.size:
-            heap[(1 << d) + index] = kernels.chi_sums_depth(absf, J, d, M, index) / 2.0 ** (-d)
-    return heap
+def _chi_heaps(signals, M: int):
+    """(heaps, read): one heap of |I|**-1 int |s| chi_I^M per signal s, NaN
+    until read.  ``read(mask)`` integrates every signal at the nodes of
+    ``mask`` not integrated yet, one :func:`kernels.chi_sums_depth` call per
+    depth and signal, and returns those nodes in node order.  The signals
+    and every attempt of a call share one ``integrated`` mask, so each node
+    is integrated at most once per signal."""
+    J = signals[0].depth_J
+    absvals = [np.abs(s.values) for s in signals]
+    heaps = tuple(np.full(1 << J, np.nan) for _ in signals)
+    integrated = np.zeros(1 << J, dtype=bool)
+
+    def read(mask):
+        if integrated[1:].all():        # a full family's first read fills every node
+            return np.zeros(0, dtype=np.intp)
+        new = np.flatnonzero(mask & ~integrated)
+        if not new.size:
+            return new
+        integrated[new] = True
+        cuts = np.searchsorted(new, 1 << np.arange(J + 1)).tolist()
+        for d, lo, hi in zip(range(J), cuts, cuts[1:]):
+            if hi > lo:
+                index = new[lo:hi] - (1 << d)
+                for heap, absv in zip(heaps, absvals):
+                    heap[new[lo:hi]] = kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
+        return new
+
+    return heaps, read
 
 
 def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
@@ -353,13 +386,15 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     stock intervals whose chi-averages of f and g are <= C times its own; its
     children are the maximal dyadic intervals strictly inside it that
     contain a surviving stock interval and break one of the two conditions.
+    The heaps are integrated only at the nodes the runs read, each node once
+    for all C-doubling attempts (:func:`_chi_heaps`).
     """
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1 for termination")
     cf, cg, nodes, _, _ = _family_stock(T, f, g)
-    chif, chig = _chi_heap(f, M, nodes), _chi_heap(g, M, nodes)
+    (chif, chig), read = _chi_heaps((f, g), M)
     run, final_C = _with_retries(
-        "avg", lambda c: _run_family(nodes, (chif, chig), (None, None), None, c), C)
+        "avg", lambda c: _run_family(nodes, (chif, chig), (None, None), None, c, read=read), C)
 
     def rhs_fn(Q):
         return float(chif[Q.node]) * float(chig[Q.node]) * Q.length

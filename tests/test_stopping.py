@@ -95,14 +95,15 @@ class TestDominateAvg:
             dominate_avg(T, Signal(np.ones(8)), Signal(np.ones(16)))
 
 
-def _row_heap(f, M, nodes):
-    """Reference chi heap: whole chi_sums_depth rows for every depth."""
-    J = f.depth_J
-    absf = np.abs(f.values)
-    heap = np.full(1 << J, np.nan)
-    for d in range(J):
-        heap[1 << d : 2 << d] = kernels.chi_sums_depth(absf, J, d, M) / 2.0 ** (-d)
-    return heap
+def _row_heaps(signals, M):
+    """Reference chi heaps: whole chi_sums_depth rows of every depth, all
+    integrated before the run, so the read hook has nothing left to fill."""
+    J = signals[0].depth_J
+    heaps = tuple(np.full(1 << J, np.nan) for _ in signals)
+    for heap, s in zip(heaps, signals):
+        for d in range(J):
+            heap[1 << d : 2 << d] = kernels.chi_sums_depth(np.abs(s.values), J, d, M) / 2.0 ** (-d)
+    return heaps, lambda mask: np.zeros(0, dtype=np.intp)
 
 
 def _test_signal(kind, J, seed):
@@ -121,7 +122,7 @@ def _avg_certificate_json(T, f, g, M, C):
 
 
 class TestAvgChiCacheEquivalence:
-    """The ancestor-closure chi heap gives the certificate of whole rows."""
+    """The lazily filled chi heaps give the certificate of whole rows."""
 
     @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
     @settings(max_examples=12, deadline=None)
@@ -134,7 +135,7 @@ class TestAvgChiCacheEquivalence:
         T = generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals,
                                 signs_only=signs_only)
         fast = _avg_certificate_json(T, f, g, M, C)
-        with mock.patch.object(stopping, "_chi_heap", _row_heap):
+        with mock.patch.object(stopping, "_chi_heaps", _row_heaps):
             reference = _avg_certificate_json(T, f, g, M, C)
         assert fast == reference
 
@@ -348,7 +349,9 @@ class _HeapAverages:
         return float(self.heap[I.node])
 
 
-def _reference_run_avg(intervals, chif, chig, C):
+def _reference_run_avg(intervals, chif, chig, C, reads=None):
+    """The old average recursion; ``reads`` (a set) collects the nodes it
+    reads: each agenda node, its stock, and the candidate children."""
     stock = set(intervals)
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
@@ -372,6 +375,8 @@ def _reference_run_avg(intervals, chif, chig, C):
             for I in survivors:
                 for d in range(Q0.depth + 1, I.depth + 1):
                     cands.add(I.ancestor(d))
+            if reads is not None:
+                reads.update(I.node for I in [Q0, *members, *cands])
             chosen = []
             for Q in sorted(cands, key=lambda I: (I.depth, I.index)):
                 if any(K.contains(Q) for K in chosen):
@@ -387,12 +392,15 @@ def _reference_run_avg(intervals, chif, chig, C):
     return order, subfam, child_map
 
 
-def _reference_run_family(nodes, heaps, functionals, refs, C, first=None):
+def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     """The per-interval engines: the old average recursion on fixed heaps,
     and one functional call per stock member for the other modes.  Memo
     free: every value is evaluated afresh, and the engine's shared
-    generation-1 heaps ``first`` are ignored."""
+    generation-1 heaps ``first`` are ignored.  Fixed heaps filled on demand
+    are filled at every node before the run."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
+    if read is not None:
+        read(np.ones(heaps[0].shape[0], dtype=bool))
     if all(functional is None for functional in functionals):
         return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C))
 
@@ -523,6 +531,13 @@ def _certificate_json(run):
                       sort_keys=True)
 
 
+def _spike_case():
+    """One deep mode under a large spike: avg's child lies outside the family."""
+    vals = np.ones(1 << 6)
+    vals[:2] = 1e4
+    return HaarMultiplier.from_dict({ROOT: 1.0, I(5, 0): 1.0}), Signal(vals), Signal(vals)
+
+
 class TestAvgEngineEquivalence:
     """Avg on the one engine gives the old average recursion's certificates."""
 
@@ -542,19 +557,84 @@ class TestAvgEngineEquivalence:
         assert fast == reference
 
     def test_children_need_not_be_family_members(self):
-        # one deep mode under a large spike: the child is the maximal
-        # violating ancestor of the survivor, outside the family
-        J = 6
-        vals = np.ones(1 << J)
-        vals[:2] = 1e4
-        T = HaarMultiplier.from_dict({ROOT: 1.0, I(5, 0): 1.0})
-        cert = dominate_avg(T, Signal(vals), Signal(vals))
+        # the child is the maximal violating ancestor of the survivor,
+        # outside the family
+        T, f, g = _spike_case()
+        cert = dominate_avg(T, f, g)
         kids = cert.children[ROOT]
         assert kids and not set(kids) & set(T.intervals)
         assert structural_ok(cert)
         with mock.patch.object(stopping, "_run_family", _reference_run_family):
-            reference = dominate_avg(T, Signal(vals), Signal(vals))
+            reference = dominate_avg(T, f, g)
         assert cert.to_dict() == reference.to_dict()
+
+
+class TestAvgReadSet:
+    """Avg integrates chi^M exactly at the nodes its runs read (family nodes,
+    agenda nodes, and the paths strictly inside an agenda node down to its
+    rejected nodes), each at most once per signal in one call, C doublings
+    included."""
+
+    @staticmethod
+    def _integrated(T, f, g, M, C):
+        """The certificate and the (signal, node) pairs integrated in one call."""
+        chi_sums_depth, pairs = kernels.chi_sums_depth, []
+
+        def spy(absf, J, d, M, index=None):
+            index = np.arange(1 << d) if index is None else np.asarray(index)
+            pairs.extend((id(absf), (1 << d) + i) for i in index.tolist())
+            return chi_sums_depth(absf, J, d, M, index)
+
+        with mock.patch.object(kernels, "chi_sums_depth", spy):
+            cert = dominate_avg(T, f, g, M=M, C=C)
+        return cert, pairs
+
+    @staticmethod
+    def _read_set(T, f, g, M, C, final_C):
+        """Family nodes, plus each attempt's agenda nodes and the paths
+        strictly inside them down to rejected nodes, from the old recursion
+        on whole-row heaps."""
+        (chif, chig), _ = _row_heaps((f, g), M)
+        reads = {I.node for I in T.intervals}
+        for k in range(round(np.log2(final_C / C)) + 1):
+            _reference_run_avg(list(T.intervals), _HeapAverages(chif), _HeapAverages(chig),
+                               C * 2.0**k, reads)
+        return reads
+
+    def _check(self, T, f, g, M=8, C=1.0):
+        cert, pairs = self._integrated(T, f, g, M, C)
+        assert len(pairs) == len(set(pairs)), "a node was integrated twice"
+        by_signal = {}
+        for signal, node in pairs:
+            by_signal.setdefault(signal, set()).add(node)
+        assert len(by_signal) == 2 and len({frozenset(v) for v in by_signal.values()}) == 1
+        nodes = next(iter(by_signal.values()))
+        assert nodes == self._read_set(T, f, g, M, C, cert.stopping_constant)
+        return cert, nodes
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @pytest.mark.parametrize("J", [6, 7])
+    def test_full_family_at_c1(self, kind, J):
+        f, g = _test_signal(kind, J, J), _test_signal(kind, J, J + 1)
+        cert, _ = self._check(full_multiplier(J), f, g)
+        # every kind but the exact ties of a zero signal doubles C at least once
+        assert (cert.stopping_constant > 1.0) == (kind != "zero")
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    def test_random_family(self, kind):
+        J = 10
+        f, g = _test_signal(kind, J, 3), _test_signal(kind, J, 4)
+        T = generate_multiplier(J, seed=5, n_intervals=96)
+        _, nodes = self._check(T, f, g, C=4.0)
+        # fewer nodes than the family's ancestor closure
+        closure = kernels.heap_subtree_sums(
+            kernels.node_mask([I.node for I in T.intervals], 1 << J), J)
+        assert len(nodes) < np.count_nonzero(closure)
+
+    def test_children_need_not_be_family_members(self):
+        T, f, g = _spike_case()
+        cert, nodes = self._check(T, f, g, C=4.0)
+        assert {P.node for P in cert.children[ROOT]} <= nodes
 
 
 # the dense-hard signal kinds; g takes the next kind in the cycle, so a step
