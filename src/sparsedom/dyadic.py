@@ -2,9 +2,8 @@
 
 Signals are piecewise constant on the 2**J cells of the finest depth J, so
 every integral below is a finite sum times the cell width 2**-J; no
-quadrature error enters any certified inequality.  All stopping times in
-this package run on the shift-0 grid; the 1/3-shifted grid exists only for
-the classical covering demo (see :class:`DyadicGrid.covering_interval`).
+quadrature error enters any certified inequality.  Every stopping time in
+this package runs on the shift-0 grid.
 """
 
 from __future__ import annotations
@@ -92,69 +91,10 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Dyadic grid on [0, 1) at finest depth J, with shift 0 or 1/3.
-
-    The shifted grid follows 2**-k ([0,1] + m + (-1)**k * shift); it is not
-    aligned with the cells of a depth-J signal and is used only for the
-    three-grids covering property.
-    """
-
-    depth_J: int
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if self.depth_J < 1:
-            raise ValueError("depth_J must be >= 1")
-        if self.shift not in (0.0, 1.0 / 3.0):
-            raise ValueError("shift must be 0 or 1/3")
-
-    def n_cells(self) -> int:
-        return 1 << self.depth_J
-
-    def intervals(self, depth: int):
-        """All shift-0 intervals of one depth."""
-        return [DyadicInterval(depth, i) for i in range(1 << depth)]
-
-    def all_intervals(self, max_depth: int | None = None):
-        top = self.depth_J if max_depth is None else max_depth
-        return [DyadicInterval(d, i) for d in range(top + 1) for i in range(1 << d)]
-
-    def interval_bounds(self, k: int, m: int) -> tuple[float, float]:
-        """Endpoints of the grid member 2**-k ([0,1] + m + (-1)**k shift)."""
-        lo = 2.0 ** (-k) * (m + (-1) ** k * self.shift)
-        return lo, lo + 2.0 ** (-k)
-
-    @staticmethod
-    def covering_interval(a: float, b: float):
-        """Some shifted-grid interval containing [a, b] with length <= 6 (b-a).
-
-        Returns (shift, k, m, lo, hi).  This is the classical three-grids
-        lemma specialised to one dimension; the covering member may poke
-        outside [0, 1).
-        """
-        if not b > a:
-            raise ValueError("need b > a")
-        length = b - a
-        kmax = int(np.floor(np.log2(1.0 / length))) + 1
-        for k in range(max(kmax, 0), -1, -1):
-            side = 2.0 ** (-k)
-            if side > 6.0 * length:
-                continue
-            for shift in (0.0, 1.0 / 3.0):
-                off = (-1) ** k * shift
-                m = int(np.floor(a / side - off))
-                lo = side * (m + off)
-                if lo <= a and b <= lo + side:
-                    return shift, k, m, lo, lo + side
-        raise AssertionError("three-grids covering failed")  # unreachable per the lemma
-
-
 class Signal:
     """Real signal, piecewise constant on the 2**J cells of [0, 1)."""
 
-    __slots__ = ("values", "depth_J", "_sums", "_abs_sums")
+    __slots__ = ("values", "depth_J", "_sums")
 
     def __init__(self, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -166,7 +106,6 @@ class Signal:
         self.values = values
         self.depth_J = n.bit_length() - 1
         self._sums = None
-        self._abs_sums = None
 
     @property
     def n_cells(self) -> int:
@@ -181,11 +120,6 @@ class Signal:
         if self._sums is None:
             self._sums = interval_sums(self.values)
         return self._sums
-
-    def abs_sums(self):
-        if self._abs_sums is None:
-            self._abs_sums = interval_sums(np.abs(self.values))
-        return self._abs_sums
 
     def integral(self, I: DyadicInterval | None = None) -> float:
         if I is None:
@@ -268,56 +202,11 @@ def oscillation(f: Signal, I: DyadicInterval) -> float:
     return float(np.mean(np.abs(block - np.mean(block))))
 
 
-def localization_weight(I: DyadicInterval, cell: int, depth_J: int,
-                        M: int = DEFAULT_CHI_M) -> float:
-    """chi_I(x)^M at the center of one depth-J cell.
-
-    chi_I(x) = (1 + d(x, I)/len(I))**-1; distances are taken inside [0, 1)
-    without periodization.
-    """
-    if not 0 <= cell < (1 << depth_J):
-        raise ValueError(f"cell {cell} out of range at depth {depth_J}")
-    return float(chi_weights(I, depth_J, M)[cell])
-
-
 def chi_weights(I: DyadicInterval, depth_J: int, M: int = DEFAULT_CHI_M) -> np.ndarray:
     """chi_I^M sampled at every cell center of the depth-J grid (read-only)."""
     lo, _ = I.cell_range(depth_J)
     n = 1 << depth_J
     return chi_kernel(depth_J, I.depth, M)[n - lo : 2 * n - lo]
-
-
-class StepFunction:
-    """Nonincreasing right-continuous step function on [0, total_measure].
-
-    Levels hold equal measure ``width``; evaluates to 0 past the total.
-    """
-
-    __slots__ = ("levels", "width")
-
-    def __init__(self, levels: np.ndarray, width: float):
-        self.levels = levels
-        self.width = width
-
-    @property
-    def total_measure(self) -> float:
-        return self.levels.shape[0] * self.width
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("rearrangement argument must be >= 0")
-        k = int(np.floor(t / self.width))
-        if k >= self.levels.shape[0]:
-            return 0.0
-        return float(self.levels[k])
-
-
-def decreasing_rearrangement(f: Signal, I: DyadicInterval) -> StepFunction:
-    """Exact decreasing rearrangement of |f| restricted to I."""
-    f._check(I)
-    lo, hi = I.cell_range(f.depth_J)
-    vals = np.sort(np.abs(f.values[lo:hi]))[::-1]
-    return StepFunction(vals, f.cell_width)
 
 
 def weak_l1_quasinorm(f: Signal, E=None) -> float:

@@ -1,9 +1,11 @@
-"""Haar system on the shift-0 grid: transforms, multipliers, square functions.
+"""Haar system on the shift-0 grid: transforms, multipliers, chi^M tilde size.
 
 Coefficients use the L2-normalized system h_I = |I|**-1/2 (1_left - 1_right);
 the L-infinity-normalized variant 1_left - 1_right is written htilde below.
 The constant mode (the plain integral of f) is carried separately so the
-round trip signal -> coefficients -> signal is exact.
+round trip signal -> coefficients -> signal is exact.  A multiplier acts
+on coefficient maps (:func:`multiplied_coefficients`); T f is the inverse
+transform of that map.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dyadic import (DEFAULT_CHI_M, DyadicInterval, Signal, chi_weights)
+from .dyadic import DEFAULT_CHI_M, DyadicInterval, Signal, chi_weights
 
 __all__ = [
     "HaarCoefficients", "HaarMultiplier", "haar_transform", "inverse_haar_transform",
-    "haar_function", "htilde", "apply_multiplier", "bilinear_form",
-    "localized_square_function", "square_profile", "size", "tilde_size",
-    "energy_check",
+    "haar_function", "htilde", "multiplied_coefficients", "tilde_size",
 ]
 
 
@@ -146,74 +146,9 @@ class HaarMultiplier:
         return len(self.intervals)
 
 
-def apply_multiplier(T: HaarMultiplier, f: Signal) -> Signal:
-    """T f = sum over the family of eps_I <f, h_I> h_I."""
-    coeffs = haar_transform(f)
-    out = HaarCoefficients(T.eps_heap(f.depth_J) * coeffs.heap, 0.0, f.depth_J)
-    return inverse_haar_transform(out)
-
-
 def multiplied_coefficients(T: HaarMultiplier, coeffs: HaarCoefficients) -> HaarCoefficients:
     """Coefficient map of T f from the map of f (mean mode dropped)."""
     return HaarCoefficients(T.eps_heap(coeffs.depth_J) * coeffs.heap, 0.0, coeffs.depth_J)
-
-
-def bilinear_form(T: HaarMultiplier, f: Signal, g: Signal) -> float:
-    """sum eps_I <f, h_I> <g, h_I>; equals <T f, g> exactly."""
-    cf = haar_transform(f)
-    cg = haar_transform(g)
-    return float(np.sum(T.eps_heap(f.depth_J) * cf.heap * cg.heap))
-
-
-def _mask_heap(depth_J: int, restrict) -> np.ndarray | None:
-    if restrict is None:
-        return None
-    mask = np.zeros(1 << depth_J)
-    for I in restrict:
-        if I.depth < depth_J:
-            mask[I.node] = 1.0
-    return mask
-
-
-def square_profile(coeffs: HaarCoefficients, I0: DyadicInterval,
-                   restrict=None) -> np.ndarray:
-    """Pointwise sum over I <= I0 (in the family) of a_I**2 1_I / |I|.
-
-    Returned on the cells of I0 only.  ``restrict`` limits the family
-    (default: every dyadic interval of depth < J).
-    """
-    J = coeffs.depth_J
-    vals = coeffs.heap**2
-    mask = _mask_heap(J, restrict)
-    if mask is not None:
-        vals = vals * mask
-    return kernels.subtree_profile(vals, J, I0.depth, I0.index)
-
-
-def localized_square_function(f_or_coeffs, I0: DyadicInterval,
-                              restrict=None) -> Signal:
-    """S_I0(f) = (sum over I <= I0 of |a_I|**2 1_I / |I|)**1/2 as a signal."""
-    coeffs = f_or_coeffs if isinstance(f_or_coeffs, HaarCoefficients) \
-        else haar_transform(f_or_coeffs)
-    out = np.zeros(1 << coeffs.depth_J)
-    lo, hi = I0.cell_range(coeffs.depth_J)
-    out[lo:hi] = np.sqrt(square_profile(coeffs, I0, restrict))
-    return Signal(out)
-
-
-def size(f_or_coeffs, I0: DyadicInterval) -> float:
-    """sup over I <= I0 of (|I|**-1 sum over J <= I of a_J**2)**1/2, exact."""
-    coeffs = f_or_coeffs if isinstance(f_or_coeffs, HaarCoefficients) \
-        else haar_transform(f_or_coeffs)
-    J = coeffs.depth_J
-    sub = kernels.heap_subtree_sums(coeffs.heap**2, J)
-    best = 0.0
-    for d in range(I0.depth, J):
-        lo = (1 << d) + (I0.index << (d - I0.depth))
-        block = sub[lo : lo + (1 << (d - I0.depth))]
-        if block.size:
-            best = max(best, float(np.max(block)) * (1 << d))
-    return best**0.5
 
 
 def tilde_size(f: Signal, family, M: int = DEFAULT_CHI_M) -> float:
@@ -232,17 +167,3 @@ def tilde_size(f: Signal, family, M: int = DEFAULT_CHI_M) -> float:
         val = float(kernels.dot(absf, chi_weights(I, f.depth_J, M))) * dx / I.length
         best = max(best, val)
     return best
-
-
-def energy_check(f: Signal, I0: DyadicInterval,
-                 M: int = DEFAULT_CHI_M) -> tuple[float, float]:
-    """(lhs, rhs) of the coefficient-energy bound on I0.
-
-    lhs = sum over I <= I0 of a_I(f)**2, rhs = squared L2 norm of
-    f * chi_I0^M.  The harness records the realized ratio.
-    """
-    coeffs = haar_transform(f)
-    lhs = float(np.sum(square_profile(coeffs, I0))) * f.cell_width
-    w = chi_weights(I0, f.depth_J, M)
-    rhs = float(np.sum((f.values * w) ** 2) * f.cell_width)
-    return lhs, rhs

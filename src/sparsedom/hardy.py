@@ -1,4 +1,4 @@
-"""Weights, weighted A_p / RH characteristics, H^p and CMO^p norms, and the
+"""Weights, the weighted A_p characteristic, H^p and CMO^p norms, and the
 sparse atomic decomposition.
 
 The atomic decomposition runs the same norm stopping time as the square
@@ -20,7 +20,7 @@ from .sparse import SparseCollection, child_budget_ok
 from .stopping import _first_values, _lp_values, _run_family, _split, _with_retries
 
 __all__ = [
-    "Weight", "ap_characteristic", "rh_characteristic", "hardy_norm",
+    "Weight", "ap_characteristic", "square_function", "hardy_norm",
     "cmo_norm", "AtomicDecomposition", "atomic_decompose",
 ]
 
@@ -79,19 +79,6 @@ def ap_characteristic(w: Weight, p: float) -> float:
         a = _depth_means(w.values, w.depth_J, d)
         b = _depth_means(dual, w.depth_J, d)
         best = max(best, float(np.max(a * b ** (p - 1.0))))
-    return best
-
-
-def rh_characteristic(w: Weight, q: float) -> float:
-    """Reverse Holder characteristic sup over dyadic Q of (avg w^q)^{1/q} / avg w."""
-    if q <= 1:
-        raise ValueError("RH_q requires q > 1")
-    wq = w.values**q
-    best = 0.0
-    for d in range(w.depth_J + 1):
-        a = _depth_means(wq, w.depth_J, d) ** (1.0 / q)
-        b = _depth_means(w.values, w.depth_J, d)
-        best = max(best, float(np.max(a / b)))
     return best
 
 

@@ -1,9 +1,10 @@
-"""Dyadic maximal operators and the local mean oscillation functional.
+"""Dyadic Hardy-Littlewood and sharp maximal operators, and the local mean
+oscillation functional.
 
-Every maximal function here takes the sup over shift-0 dyadic intervals
+Both maximal functions take the sup over shift-0 dyadic intervals
 containing the point (depths 0 .. J), never over general intervals; the
 dyadic Hardy-Littlewood operator then has weak (1,1) constant 1, which is
-what calibrates the stopping constants downstream.
+what calibrates the level sets of the weak (1,1) certifier.
 """
 
 from __future__ import annotations
@@ -25,33 +26,10 @@ class MaximalKind:
     """One of the maximal-operator variants; build via the classmethods."""
 
     name: str
-    p: float | None = None
-    r: float | None = None
-    weight: object = None
 
     @classmethod
     def hl(cls):
         return cls("hl")
-
-    @classmethod
-    def lp(cls, p: float):
-        if p <= 0:
-            raise ValueError("p must be > 0")
-        return cls("lp", p=p)
-
-    @classmethod
-    def weighted(cls, weight):
-        return cls("weighted", weight=weight)
-
-    @classmethod
-    def weighted_lr(cls, r: float, weight):
-        if r <= 0:
-            raise ValueError("r must be > 0")
-        return cls("weighted_lr", r=r, weight=weight)
-
-    @classmethod
-    def weak(cls):
-        return cls("weak")
 
     @classmethod
     def sharp(cls):
@@ -63,26 +41,6 @@ def _depth_functional_hl(f, d):
     return np.abs(f.values).reshape(-1, B).sum(axis=1) / B
 
 
-def _depth_functional_lp(f, d, p):
-    B = 1 << (f.depth_J - d)
-    return (np.abs(f.values) ** p).reshape(-1, B).mean(axis=1) ** (1.0 / p)
-
-
-def _depth_functional_weighted(f, d, w):
-    B = 1 << (f.depth_J - d)
-    num = (np.abs(f.values) * w).reshape(-1, B).sum(axis=1)
-    den = w.reshape(-1, B).sum(axis=1)
-    return num / den
-
-
-def _depth_functional_weak(f, d):
-    B = 1 << (f.depth_J - d)
-    blocks = np.sort(np.abs(f.values).reshape(-1, B), axis=1)[:, ::-1]
-    ranks = np.arange(1, B + 1)
-    # |I|**-1 sup_lam lam |{x in I : |f| > lam}|
-    return np.max(blocks * ranks, axis=1) / B
-
-
 def _depth_functional_sharp(f, d):
     B = 1 << (f.depth_J - d)
     blocks = f.values.reshape(-1, B)
@@ -92,33 +50,16 @@ def _depth_functional_sharp(f, d):
 
 def maximal(f: Signal, kind: MaximalKind) -> Signal:
     """Pointwise sup over dyadic intervals containing x of the local functional."""
+    if kind.name == "hl":
+        functional = _depth_functional_hl
+    elif kind.name == "sharp":
+        functional = _depth_functional_sharp
+    else:
+        raise ValueError(f"unknown maximal kind {kind.name!r}")
     J = f.depth_J
-    if kind.name in ("weighted", "weighted_lr"):
-        w = kind.weight.values if hasattr(kind.weight, "values") \
-            else np.asarray(kind.weight, float)
-        if w.shape != f.values.shape:
-            raise ValueError("weight resolution mismatch")
-        if np.any(w <= 0):
-            raise ValueError("weight must be strictly positive")
-    if kind.name == "weighted_lr":
-        fr = Signal(np.abs(f.values) ** kind.r)
     out = np.full(f.n_cells, -np.inf)
     for d in range(J + 1):
-        if kind.name == "hl":
-            per = _depth_functional_hl(f, d)
-        elif kind.name == "lp":
-            per = _depth_functional_lp(f, d, kind.p)
-        elif kind.name == "weighted":
-            per = _depth_functional_weighted(f, d, w)
-        elif kind.name == "weighted_lr":
-            per = _depth_functional_weighted(fr, d, w) ** (1.0 / kind.r)
-        elif kind.name == "weak":
-            per = _depth_functional_weak(f, d)
-        elif kind.name == "sharp":
-            per = _depth_functional_sharp(f, d)
-        else:
-            raise ValueError(f"unknown maximal kind {kind.name!r}")
-        np.maximum(out, np.repeat(per, 1 << (J - d)), out=out)
+        np.maximum(out, np.repeat(functional(f, d), 1 << (J - d)), out=out)
     return Signal(out)
 
 

@@ -1,4 +1,4 @@
-"""Sparse / Carleson collections: certification, operators, bilinear forms.
+"""Sparse / Carleson collections: certification and the sparse operator.
 
 A collection is a node-array forest: its members' heap nodes and, for each,
 its nearest member strictly above it.  Every budget, packing and sparsity
@@ -20,12 +20,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
-from .dyadic import DyadicInterval, Signal, average, chi_weights
+from .dyadic import DyadicInterval, Signal, average
 
 __all__ = [
     "SparseCollection", "child_budget_ok", "carleson_constant", "certify_sparse",
     "sparse_vs_carleson", "max_sparse_eta_lp", "sparse_operator",
-    "sparse_form", "bmo_norm", "LP_MAX_INTERVALS",
+    "LP_MAX_INTERVALS",
 ]
 
 #: largest collection :func:`sparse_vs_carleson` hands to the exact LP
@@ -254,53 +254,3 @@ def sparse_operator(S: SparseCollection, f: Signal) -> Signal:
         lo, hi = Q.cell_range(f.depth_J)
         out[lo:hi] += average(f, Q)
     return Signal(out)
-
-
-def sparse_form(S: SparseCollection, f: Signal, g: Signal,
-                p: float = 1.0, q: float = 1.0, chi_M: int | None = None) -> float:
-    """sum over Q of (avg |f|^p on Q)**1/p (avg |g|^q on Q)**1/q |Q|.
-
-    With chi_M set, each average gains the localization weight chi_Q^M and
-    extends over the whole domain: |Q|**-1 int |f|^p chi_Q^M.
-    """
-    if p <= 0 or q <= 0:
-        raise ValueError("exponents must be > 0")
-    total = 0.0
-    dx = f.cell_width
-    for Q in S:
-        if chi_M is None:
-            lo, hi = Q.cell_range(f.depth_J)
-            af = np.mean(np.abs(f.values[lo:hi]) ** p) ** (1.0 / p)
-            ag = np.mean(np.abs(g.values[lo:hi]) ** q) ** (1.0 / q)
-        else:
-            w = chi_weights(Q, f.depth_J, chi_M)
-            af = (kernels.dot(np.abs(f.values) ** p, w) * dx / Q.length) ** (1.0 / p)
-            ag = (kernels.dot(np.abs(g.values) ** q, w) * dx / Q.length) ** (1.0 / q)
-        total += af * ag * Q.length
-    return float(total)
-
-
-def bmo_norm(collection, depth_J: int, signs=None) -> float:
-    """Dyadic BMO norm of phi = sum over the collection of eps_I htilde_I.
-
-    signs maps I -> +-1 (default +1).  The collection may not contain
-    depth-J intervals (phi would not be representable at resolution J).
-    """
-    from .haar import htilde
-
-    collection = list(collection)
-    for I in collection:
-        if I.depth >= depth_J:
-            raise ValueError("collection contains an interval at the finest depth")
-    vals = np.zeros(1 << depth_J)
-    for I in collection:
-        eps = 1.0 if signs is None else float(signs[I])
-        vals += eps * htilde(I, depth_J).values
-    phi = Signal(vals)
-    best = 0.0
-    for d in range(depth_J + 1):
-        B = 1 << (depth_J - d)
-        blocks = phi.values.reshape(-1, B)
-        means = blocks.mean(axis=1, keepdims=True)
-        best = max(best, float(np.max(np.abs(blocks - means).mean(axis=1))))
-    return best

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedom.dyadic import (DyadicGrid, DyadicInterval, ROOT, Signal, average,
-                              decreasing_rearrangement, localization_weight,
+from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, average, chi_weights,
                               lp_norm, oscillation, weak_l1_quasinorm)
 from sparsedom.exact import exact_average, exact_oscillation, exact_weak_l1
 
@@ -44,27 +43,6 @@ class TestInterval:
         assert I(1, 1).cell_range(3) == (4, 8)
         with pytest.raises(ValueError):
             I(4, 0).cell_range(3)
-
-
-class TestGrid:
-    def test_cell_counts(self):
-        g = DyadicGrid(4)
-        for d in range(5):
-            assert len(g.intervals(d)) == 1 << d
-
-    def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            DyadicGrid(4, shift=0.5)
-
-    def test_covering_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = rng.uniform(0.0, 0.95)
-            b = a + rng.uniform(1e-4, 1.0 - a)
-            shift, k, m, lo, hi = DyadicGrid.covering_interval(a, b)
-            assert lo <= a and b <= hi
-            assert (hi - lo) <= 6.0 * (b - a) * (1 + 1e-12)
-            assert shift in (0.0, 1.0 / 3.0)
 
 
 class TestAverage:
@@ -136,56 +114,23 @@ class TestOscillation:
 
 
 class TestLocalizationWeight:
+    """chi_I^M at one cell center, read off chi_weights."""
+
     def test_inside_is_one(self):
-        assert localization_weight(I(1, 0), 0, 3, M=5) == 1.0
+        assert chi_weights(I(1, 0), 3, M=5)[0] == 1.0
 
     def test_formula_value(self):
         # I = [0, 1/2), cell center 3/4 at J = 1, M = 1
-        assert localization_weight(I(1, 0), 1, 1, M=1) == pytest.approx(2.0 / 3.0)
+        assert chi_weights(I(1, 0), 1, M=1)[1] == pytest.approx(2.0 / 3.0)
 
     def test_monotone_in_m(self):
-        vals = [localization_weight(I(2, 0), 7, 3, M=m) for m in (1, 2, 4, 8, 16)]
+        vals = [chi_weights(I(2, 0), 3, M=m)[7] for m in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-3
 
     def test_m_validation(self):
-        with pytest.raises(ValueError):
-            localization_weight(ROOT, 0, 3, M=0)
-
-
-class TestRearrangement:
-    def test_half_indicator(self):
-        r = decreasing_rearrangement(indicator(0, 4, 3), ROOT)
-        assert r(0.0) == 1.0 and r(0.49) == 1.0
-        assert r(0.5) == 0.0 and r(0.99) == 0.0
-        assert r(1.0) == 0.0  # beyond total measure
-
-    def test_constant(self):
-        r = decreasing_rearrangement(Signal(np.full(8, -2.0)), I(1, 1))
-        assert r.total_measure == 0.5
-        assert r(0.0) == 2.0 and r(0.499) == 2.0 and r(0.5) == 0.0
-
-    def test_monotone_right_continuous(self):
-        rng = np.random.default_rng(6)
-        f = Signal(rng.standard_normal(16))
-        r = decreasing_rearrangement(f, ROOT)
-        ts = np.linspace(0, 1.2, 100)
-        vals = [r(t) for t in ts]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        # right continuity at the jump points
-        for k in range(16):
-            assert r(k / 16) == r(k / 16 + 1e-9)
-
-    def test_equimeasurable(self):
-        rng = np.random.default_rng(7)
-        f = Signal(rng.standard_normal(32))
-        for q in (ROOT, I(2, 2)):
-            r = decreasing_rearrangement(f, q)
-            lo, hi = q.cell_range(5)
-            assert np.array_equal(np.sort(r.levels), np.sort(np.abs(f.values[lo:hi])))
-            for p in (0.5, 1.0, 2.0, 3.0):
-                assert lp_norm(f, p, q) == pytest.approx(
-                    float(np.sum(r.levels**p) * r.width) ** (1 / p), rel=1e-13)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            chi_weights(ROOT, 3, M=0)
 
 
 class TestWeakL1:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal, lp_norm
-from sparsedom.haar import (HaarMultiplier, apply_multiplier, bilinear_form,
-                            energy_check, haar_function, haar_transform, htilde,
-                            inverse_haar_transform, localized_square_function,
-                            multiplied_coefficients, size, tilde_size)
-from sparsedom.generate import full_multiplier
+from sparsedom.haar import (HaarMultiplier, haar_function, haar_transform, htilde,
+                            inverse_haar_transform, multiplied_coefficients,
+                            tilde_size)
+from sparsedom.generate import (full_multiplier, generate_multiplier,
+                                generate_signal, generate_weight)
+from sparsedom.stopping import (dominate_avg, dominate_oscillation,
+                                dominate_square, dominate_weighted)
 
 
 def I(d, i):
@@ -15,6 +17,22 @@ def I(d, i):
 
 def rand_signal(J, seed):
     return Signal(np.random.default_rng(seed).standard_normal(1 << J))
+
+
+def apply_multiplier(T, f):
+    """T f = sum over the family of eps_I <f, h_I> h_I, in space."""
+    return inverse_haar_transform(multiplied_coefficients(T, haar_transform(f)))
+
+
+def certify(mode, T, f, g):
+    """The domination certificate of one mode at its default constants."""
+    if mode == "avg":
+        return dominate_avg(T, f, g)
+    if mode == "square":
+        return dominate_square(T, f, g)
+    if mode == "weighted":
+        return dominate_weighted(T, f, g, generate_weight("two_level", f.depth_J))
+    return dominate_oscillation(T, f, g)
 
 
 class TestTransform:
@@ -102,106 +120,40 @@ class TestMultiplier:
 
 
 class TestBilinearForm:
+    """Every mode's certificate lhs is |<T f, g>|, the pairing taken in space."""
+
+    MODES = ("avg", "square", "weighted", "osc")
+
     def test_equals_inner_product(self):
-        rng = np.random.default_rng(5)
-        for seed in range(5):
-            fam = {I(d, i): float(rng.uniform(-1, 1)) for d in range(5)
-                   for i in range(1 << d) if rng.random() < 0.5}
-            if not fam:
-                continue
-            T = HaarMultiplier.from_dict(fam)
-            f, g = rand_signal(5, seed), rand_signal(5, seed + 50)
-            lhs = bilinear_form(T, f, g)
-            rhs = np.dot(apply_multiplier(T, f).values, g.values) / 32
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        for J in (5, 6, 7):
+            for seed in range(3):
+                T = generate_multiplier(J, seed=100 * J + seed, n_intervals=(1 << J) // 2)
+                f = generate_signal("gaussian_noise", J, seed=2 * seed)
+                g = generate_signal("gaussian_noise", J, seed=2 * seed + 1)
+                pairing = float(np.dot(apply_multiplier(T, f).values, g.values)) * f.cell_width
+                for mode in self.MODES:
+                    cert = certify(mode, T, f, g)
+                    assert cert.lhs == pytest.approx(abs(pairing), rel=1e-12, abs=1e-12), mode
 
     def test_full_family_parseval(self):
         f, g = rand_signal(5, 6), rand_signal(5, 7)
-        val = bilinear_form(full_multiplier(5), f, g)
         expect = np.dot(f.values, g.values) / 32 - f.mean() * g.mean()
-        assert val == pytest.approx(expect, abs=1e-12)
+        for mode in self.MODES:
+            cert = certify(mode, full_multiplier(5), f, g)
+            assert cert.lhs == pytest.approx(abs(expect), abs=1e-12), mode
 
     def test_orthogonal_function_gives_zero(self):
         T = HaarMultiplier.from_dict({I(1, 0): 1.0})
         f = htilde(I(1, 1), 4)  # modes disjoint from the family
         g = rand_signal(4, 8)
-        assert bilinear_form(T, f, g) == 0.0
+        for mode in self.MODES:
+            assert certify(mode, T, f, g).lhs == 0.0, mode
 
     def test_single_mode_value(self):
         T = HaarMultiplier.from_dict({I(1, 0): 1.0})
         f = htilde(I(1, 0), 4)
-        assert bilinear_form(T, f, f) == pytest.approx(0.5)
-
-
-class TestSquareFunction:
-    def test_constant_gives_zero(self):
-        s = localized_square_function(Signal(np.ones(16)), ROOT)
-        assert np.all(s.values == 0.0)
-
-    def test_single_mode_profile(self):
-        q = I(1, 0)
-        s = localized_square_function(htilde(q, 4), q)
-        lo, hi = q.cell_range(4)
-        assert np.allclose(s.values[lo:hi], 1.0)
-        assert np.all(s.values[hi:] == 0.0)
-
-    def test_l2_identity(self):
-        for seed in range(4):
-            f = rand_signal(6, seed)
-            s = localized_square_function(f, ROOT)
-            lhs = lp_norm(s, 2.0) ** 2
-            mean_removed = f.values - f.mean()
-            assert lhs == pytest.approx(np.mean(mean_removed**2), rel=1e-11)
-
-    def test_restrict(self):
-        f = rand_signal(4, 9)
-        s = localized_square_function(f, ROOT, restrict=[ROOT])
-        c = haar_transform(f)
-        assert np.allclose(s.values, abs(c[ROOT]))
-
-
-class TestSize:
-    def test_constant_zero(self):
-        assert size(Signal(np.ones(8)), ROOT) == 0.0
-
-    def test_single_mode_is_one(self):
-        for q in (ROOT, I(2, 1)):
-            assert size(htilde(q, 5), q) == pytest.approx(1.0)
-
-    def test_monotone_in_root(self):
-        f = rand_signal(6, 10)
-        assert size(f, ROOT) >= size(f, I(1, 0)) - 1e-15
-        assert size(f, ROOT) >= size(f, I(2, 3)) - 1e-15
-
-    def test_equals_l2_oscillation_sup(self):
-        # size**2 = sup |I|^-1 int_I |f - avg_I f|^2 over I <= I0, exactly
-        for seed in range(4):
-            f = rand_signal(5, seed + 20)
-            J = f.depth_J
-            best = 0.0
-            for d in range(J + 1):
-                B = 1 << (J - d)
-                blocks = f.values.reshape(-1, B)
-                dev = blocks - blocks.mean(axis=1, keepdims=True)
-                best = max(best, float(np.max(np.mean(dev**2, axis=1))))
-            assert size(f, ROOT) == pytest.approx(best**0.5, rel=1e-11)
-
-    def test_john_nirenberg_comparability(self):
-        # L2-oscillation sup and L1-oscillation sup stay comparable
-        worst = 0.0
-        for seed in range(20):
-            f = rand_signal(6, seed + 100)
-            a = size(f, ROOT)
-            J = f.depth_J
-            b = 0.0
-            for d in range(J + 1):
-                B = 1 << (J - d)
-                blocks = f.values.reshape(-1, B)
-                dev = np.abs(blocks - blocks.mean(axis=1, keepdims=True))
-                b = max(b, float(np.max(np.mean(dev, axis=1))))
-            assert b <= a * (1 + 1e-12)          # Cauchy-Schwarz direction
-            worst = max(worst, a / b)
-        assert worst < 8.0                        # recorded two-sided bound
+        for mode in self.MODES:
+            assert certify(mode, T, f, f).lhs == pytest.approx(0.5), mode
 
 
 class TestTildeSize:
@@ -224,31 +176,6 @@ class TestTildeSize:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             tilde_size(Signal(np.ones(4)), [])
-
-
-class TestEnergy:
-    def test_supported_inside(self):
-        vals = np.zeros(16)
-        vals[:4] = np.array([1.0, -2.0, 0.5, 3.0])
-        f = Signal(vals)
-        q = I(2, 0)
-        lhs, rhs = energy_check(f, q)
-        inside = np.mean(vals[:4] ** 2) * q.length
-        assert lhs <= inside + 1e-12
-        assert inside <= rhs + 1e-12
-
-    def test_constant(self):
-        lhs, _ = energy_check(Signal(np.full(8, 2.0)), ROOT)
-        assert lhs == 0.0
-
-    def test_ratio_campaign(self):
-        worst = 0.0
-        for seed in range(30):
-            f = rand_signal(6, seed + 200)
-            lhs, rhs = energy_check(f, I(2, 1))
-            assert rhs > 0
-            worst = max(worst, lhs / rhs)
-        assert worst <= 1.0 + 1e-9  # Bessel: coefficient mass under the cutoff
 
 
 class TestMultipliedCoefficients:

@@ -5,8 +5,7 @@ from sparsedom.dyadic import DyadicInterval, ROOT, Signal, lp_norm
 from sparsedom.generate import generate_multiplier, generate_signal, generate_weight
 from sparsedom.haar import HaarMultiplier, haar_transform, htilde, multiplied_coefficients
 from sparsedom.hardy import (Weight, ap_characteristic, atomic_decompose,
-                             cmo_norm, hardy_norm, rh_characteristic,
-                             square_function)
+                             cmo_norm, hardy_norm, square_function)
 
 
 def I(d, i):
@@ -62,25 +61,6 @@ class TestApCharacteristic:
         for seed in range(5):
             w = generate_weight("dyadic_doubling", 6, seed=seed, delta=0.3)
             assert ap_characteristic(w, 2.0) >= 1.0 - 1e-12
-
-
-class TestRhCharacteristic:
-    def test_constant(self):
-        assert rh_characteristic(Weight(np.full(8, 2.0)), 2.0) == pytest.approx(1.0)
-
-    def test_two_level_value(self):
-        # sup over Q of (avg w^2)^(1/2) / avg w at J = 1: root gives sqrt(8.5)/2.5
-        got = rh_characteristic(two_level(1), 2.0)
-        assert got == pytest.approx(np.sqrt(8.5) / 2.5)
-
-    def test_nonincreasing_toward_one(self):
-        w = generate_weight("dyadic_doubling", 6, seed=2, delta=0.4)
-        vals = [rh_characteristic(w, q) for q in (1.5, 2.0, 3.0, 5.0)]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_q_validation(self):
-        with pytest.raises(ValueError):
-            rh_characteristic(Weight(np.ones(4)), 1.0)
 
 
 class TestHardyNorm:

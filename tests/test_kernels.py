@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from sparsedom import kernels
-from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, localization_weight
+from sparsedom.dyadic import DyadicInterval, Signal, chi_weights
 
 
 def _direct_chi_row(absf, J, d, M):
@@ -55,7 +55,7 @@ def test_chi_kernel_slices_equal_direct_formula(J, M):
             assert np.array_equal(chi_weights(I, J, M), _direct_chi_weights(I, J, M))
 
 
-def test_chi_weights_read_only_and_shared_with_localization_weight():
+def test_chi_weights_read_only():
     J = 6
     I = DyadicInterval(2, 1)
     w = chi_weights(I, J, 8)
@@ -63,11 +63,6 @@ def test_chi_weights_read_only_and_shared_with_localization_weight():
     with pytest.raises(ValueError):
         w[0] = 1.0
     assert not kernels.chi_kernel(J, 2, 8).flags.writeable
-    for cell in range(1 << J):
-        assert localization_weight(I, cell, J, 8) == w[cell]
-    for cell in (-1, 1 << J):
-        with pytest.raises(ValueError):
-            localization_weight(I, cell, J, 8)
 
 
 def test_dot_is_blas_dot_below_one_block():

@@ -3,10 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, lp_norm,
-                              weak_l1_quasinorm)
+from sparsedom.dyadic import DyadicInterval, ROOT, Signal, lp_norm
 from sparsedom.exact import exact_local_mean_oscillation
-from sparsedom.hardy import Weight
 from sparsedom.maximal import (MaximalKind, local_mean_oscillation, maximal,
                                shortest_window_oscillation)
 
@@ -39,12 +37,6 @@ class TestMaximal:
         out = maximal(f, MaximalKind.hl())
         assert np.all(out.values >= np.abs(f.values) - 1e-15)
 
-    def test_lp_dominates_hl(self):
-        f = rand_signal(5, 1)
-        m1 = maximal(f, MaximalKind.hl()).values
-        m2 = maximal(f, MaximalKind.lp(2.0)).values
-        assert np.all(m2 >= m1 - 1e-12)
-
     def test_weak_11_constant_at_most_one(self):
         for seed in range(20):
             f = rand_signal(6, seed)
@@ -54,26 +46,6 @@ class TestMaximal:
                 measure = np.sum(mf > lam * (1 - 1e-12)) / f.n_cells
                 assert lam * measure <= l1 * (1 + 1e-9)
 
-    def test_weighted_doob_uniform(self):
-        # M_w bounded on L^q(w) with constant q' independent of the weight
-        q = 2.0
-        qprime = q / (q - 1.0)
-        rng = np.random.default_rng(2)
-        for seed in range(15):
-            w = Weight(np.exp(rng.standard_normal(64)))
-            f = rand_signal(6, seed + 40)
-            mw = maximal(f, MaximalKind.weighted(w))
-            lhs = lp_norm(mw, q, weight=w)
-            rhs = lp_norm(f, q, weight=w)
-            assert lhs <= qprime * rhs * (1 + 1e-9)
-
-    def test_weighted_lr(self):
-        w = Weight(np.ones(16))
-        f = rand_signal(4, 3)
-        a = maximal(f, MaximalKind.weighted_lr(2.0, w)).values
-        b = maximal(f, MaximalKind.lp(2.0)).values
-        assert np.allclose(a, b, rtol=1e-12)
-
     def test_sharp_at_most_twice_hl(self):
         for seed in range(10):
             f = rand_signal(5, seed + 60)
@@ -81,22 +53,9 @@ class TestMaximal:
             hl = maximal(f, MaximalKind.hl()).values
             assert np.all(sharp <= 2.0 * hl + 1e-12)
 
-    def test_weak_kind_lower_bound(self):
-        f = rand_signal(5, 4)
-        mw = maximal(f, MaximalKind.weak()).values
-        for q in (ROOT, I(1, 0), I(3, 5)):
-            lo, hi = q.cell_range(5)
-            bound = weak_l1_quasinorm(f, q) / q.length
-            assert np.all(mw[lo:hi] >= bound - 1e-12)
-
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            MaximalKind.lp(0.0)
-        with pytest.raises(ValueError):
-            MaximalKind.weighted_lr(-1.0, None)
-        f = Signal(np.ones(4))
-        with pytest.raises(ValueError):
-            maximal(f, MaximalKind.weighted(Weight(np.ones(8))))
+        with pytest.raises(ValueError, match="unknown maximal kind"):
+            maximal(Signal(np.ones(8)), MaximalKind("lp"))
 
 
 class TestLocalMeanOscillation:

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom.dyadic import DyadicInterval, ROOT, Signal
+from sparsedom.dyadic import DyadicInterval, ROOT, Signal, chi_weights
 from sparsedom.exact import exact_carleson_constant
-from sparsedom.generate import (generate_multiplier, generate_signal,
-                                generate_sparse_collection, generate_weight)
+from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
+                                generate_signal, generate_sparse_collection,
+                                generate_weight)
 from sparsedom.hardy import Weight
 from sparsedom.serialize import dump_json, revalidate_certificate
-from sparsedom.sparse import (SparseCollection, bmo_norm, carleson_constant,
-                              certify_sparse, child_budget_ok, greedy_max_eta,
-                              max_sparse_eta_lp, sparse_form, sparse_operator,
-                              sparse_vs_carleson)
+from sparsedom.sparse import (SparseCollection, carleson_constant, certify_sparse,
+                              child_budget_ok, greedy_max_eta, max_sparse_eta_lp,
+                              sparse_operator, sparse_vs_carleson)
 from sparsedom.stopping import dominate_avg, dominate_weighted
 
 
@@ -280,71 +280,34 @@ class TestSparseOperator:
         assert np.all(sparse_operator(S, f).values >= 0.0)
 
 
-class TestSparseForm:
-    def test_root_constant(self):
-        S = SparseCollection([ROOT])
-        one = Signal(np.ones(8))
-        assert sparse_form(S, one, one, 1.0, 1.0) == 1.0
-
-    def test_two_interval_value(self):
-        S = SparseCollection([ROOT, I(1, 0)])
-        vals = np.zeros(8)
-        vals[:4] = 1.0
-        f = Signal(vals)
-        assert sparse_form(S, f, f, 1.0, 1.0) == pytest.approx(0.75)
-
-    def test_matches_operator_pairing(self):
-        for seed in range(8):
-            S = generate_sparse_collection(6, seed=seed + 80)
-            f = Signal(np.abs(rand_signal(6, seed).values))
-            g = Signal(np.abs(rand_signal(6, seed + 1).values))
-            pairing = np.dot(sparse_operator(S, f).values, g.values) / 64
-            assert sparse_form(S, f, g, 1.0, 1.0) == pytest.approx(pairing, rel=1e-11)
-
-    def test_monotone_in_exponents(self):
-        S = generate_sparse_collection(5, seed=5)
-        f, g = rand_signal(5, 6), rand_signal(5, 7)
-        vals = [sparse_form(S, f, g, p, 1.0) for p in (0.5, 1.0, 2.0, 4.0)]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_chi_weighted_at_least_plain(self):
-        S = generate_sparse_collection(5, seed=8)
-        f = Signal(np.abs(rand_signal(5, 9).values))
-        plain = sparse_form(S, f, f, 1.0, 1.0)
-        chi = sparse_form(S, f, f, 1.0, 1.0, chi_M=8)
-        assert chi >= plain - 1e-12
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            sparse_form(SparseCollection([ROOT]), Signal(np.ones(4)),
-                        Signal(np.ones(4)), 0.0, 1.0)
+def _chi_sparse_form(S, f, g, M):
+    """sum over Q in S of (|Q|**-1 int |f| chi_Q^M)(|Q|**-1 int |g| chi_Q^M)|Q|,
+    one direct chi^M integral per member and signal."""
+    total = 0.0
+    dx = f.cell_width
+    for Q in S:
+        w = chi_weights(Q, f.depth_J, M)
+        af = float(np.dot(np.abs(f.values), w)) * dx / Q.length
+        ag = float(np.dot(np.abs(g.values), w)) * dx / Q.length
+        total += af * ag * Q.length
+    return total
 
 
-class TestBmoNorm:
-    def test_single_interval(self):
-        assert bmo_norm([ROOT], 4) == pytest.approx(1.0)
+class TestAvgRhs:
+    """Avg's rhs is the chi^M-localized sparse form over its own collection."""
 
-    def test_empty_collection(self):
-        assert bmo_norm([], 4) == 0.0
-
-    def test_finest_depth_rejected(self):
-        with pytest.raises(ValueError):
-            bmo_norm([I(4, 0)], 4)
-
-    def test_quadratic_carleson_comparability(self):
-        # carleson(S) equals the squared dyadic L2-BMO norm of phi, and the
-        # L1-BMO norm stays two-sidedly comparable (signs included)
-        rng = np.random.default_rng(10)
-        lo_ratio, hi_ratio = np.inf, 0.0
-        for seed in range(12):
-            S = generate_sparse_collection(7, seed=seed + 120)
-            members = [q for q in S if q.depth < 7]
-            if not members:
-                continue
-            signs = {q: float(rng.choice([-1.0, 1.0])) for q in members}
-            lam = carleson_constant(SparseCollection(members))
-            norm = bmo_norm(members, 7, signs)
-            ratio = lam / norm**2
-            lo_ratio, hi_ratio = min(lo_ratio, ratio), max(hi_ratio, ratio)
-            assert ratio >= 1.0 - 1e-9          # Cauchy-Schwarz direction
-        assert hi_ratio < 16.0                  # recorded John-Nirenberg band
+    @pytest.mark.parametrize("M", [1, 8])
+    @pytest.mark.parametrize("family", ["random", "full"])
+    def test_matches_chi_sparse_form(self, family, M):
+        J = 7
+        sizes = []
+        for seed, kind in enumerate(SIGNAL_KINDS):
+            T = generate_multiplier(J, seed=seed, n_intervals=48) if family == "random" \
+                else full_multiplier(J)
+            f = generate_signal(kind, J, seed=10 + seed)
+            g = generate_signal("gaussian_noise", J, seed=20 + seed)
+            cert = dominate_avg(T, f, g, M=M, C=1.0)
+            sizes.append(len(cert.collection))
+            want = _chi_sparse_form(cert.collection, f, g, M)
+            assert cert.rhs == pytest.approx(want, rel=1e-12)
+        assert max(sizes) > 1  # members shorter than the root
