@@ -194,12 +194,27 @@ def average(f: Signal, I: DyadicInterval) -> float:
     return f.integral(I) / I.length
 
 
-def oscillation(f: Signal, I: DyadicInterval) -> float:
-    """Mean absolute deviation of f from its mean on I."""
-    f._check(I)
-    lo, hi = I.cell_range(f.depth_J)
-    block = f.values[lo:hi]
-    return float(np.mean(np.abs(block - np.mean(block))))
+def oscillation(f: Signal, I):
+    """Mean absolute deviation of f from its mean on I.
+
+    I is one DyadicInterval, or an int array of heap nodes of one depth, for
+    which one value per node comes back as an array.  Either way the blocks
+    are rows of ``f.values.reshape(2**depth, -1)`` and each value takes two
+    row means, so an interval's value is its one-row call bit for bit.
+    """
+    one = isinstance(I, DyadicInterval)
+    nodes = np.array([I.node]) if one else np.asarray(I, dtype=np.intp)
+    if not nodes.size:
+        return np.zeros(0)
+    depth = int(nodes[0]).bit_length() - 1
+    if depth > f.depth_J:
+        raise ValueError(f"interval depth {depth} exceeds signal depth {f.depth_J}")
+    index = nodes - (1 << depth)
+    if np.any((index < 0) | (index >= 1 << depth)):
+        raise ValueError("heap nodes must share one depth")
+    blocks = f.values.reshape(1 << depth, -1)[index]
+    out = np.mean(np.abs(blocks - np.mean(blocks, axis=1)[:, None]), axis=1)
+    return float(out[0]) if one else out
 
 
 def chi_weights(I: DyadicInterval, depth_J: int, M: int = DEFAULT_CHI_M) -> np.ndarray:

@@ -17,7 +17,6 @@ times.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -156,10 +155,11 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     computed with them, give the same value bit for bit.
 
     Tie policy: a stock node I inside agenda node Q0 is selected when
-    V_k[I] <= C * V_k[Q0] for every k (``<=`` selects; with ``refs`` given,
-    C * refs[k](Q0) replaces C * V_k[Q0]), and rejected otherwise.  Every
-    value equals the one-interval evaluation bit for bit.  An agenda node in
-    the stock that rejects itself means C is too small.
+    V_k[I] <= C * R_k[Q0] for every k (``<=`` selects), and rejected
+    otherwise.  The reference heap R_k is V_k itself, or ``refs[k]`` when
+    given (osc's oscillation heaps of f and g).  Every value equals the
+    one-interval evaluation bit for bit.  An agenda node in the stock that
+    rejects itself means C is too small.
 
     Child rule, the 1/2-sparse stopping rule of Lerner and Nazarov: Q0's
     children are the maximal nodes strictly inside Q0 that fail the test
@@ -169,19 +169,20 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     rejected node that is not in the family.  Sub-families and children are
     in node order, and the next agenda lists the children in agenda order.
 
-    Fixed heaps filled on demand (avg's chi^M heaps, :func:`_chi_heaps`)
-    come with ``read(mask)``, which fills them at the nodes of ``mask`` and
-    returns the nodes it filled just now; an unfilled node holds NaN, which
-    fails every test.  The run reads the fixed heaps at three kinds of node
-    only, and fills them just before: the stock and the agenda before the
-    selection test, and the nodes strictly inside an agenda node on the path
-    down to a rejected node before the child rule.  Only the nodes the
-    second fill reached are tested again.
+    Heaps filled on demand (:func:`_lazy_heaps`: avg's fixed chi^M heaps,
+    osc's reference heaps) come with ``read(mask)``, which fills them at the
+    nodes of ``mask`` not filled yet and returns those nodes.  The run reads
+    them only where it fills them just before: reference heaps at the
+    agenda before the selection test; fixed heaps at the stock and the
+    agenda before that test, and at the nodes strictly inside an agenda node
+    on the path down to a rejected node before the child rule.  Only the
+    nodes the second fill reached are tested again.
     """
     size = heaps[0].shape[0]
     J = size.bit_length() - 1
     stock = kernels.node_mask(nodes, size)
     values = _first_values(nodes, heaps, functionals) if first is None else first
+    fixed = any(functional is None for functional in functionals)
     agenda = kernels.maximal_nodes(stock)
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
@@ -189,16 +190,12 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
         owner[agenda] = agenda
         owner = kernels.ancestor_max(owner)
         if read is not None:
-            read(stock | kernels.node_mask(agenda, size))
+            at = kernels.node_mask(agenda, size)
+            read(at | stock if fixed else at)
         passes = np.ones(size, dtype=bool)
-        bounds = []
-        for k, V in enumerate(values):
-            ref = V
-            if refs is not None:
-                ref = np.zeros(size)
-                ref[agenda] = [refs[k](DyadicInterval.from_node(n)) for n in agenda.tolist()]
-            bounds.append(C * ref[owner])
-            passes &= V <= bounds[k]
+        bounds = [C * ref[owner] for ref in (values if refs is None else refs)]
+        for V, bound in zip(values, bounds):
+            passes &= V <= bound
         rejected = stock & ~passes
         if rejected[agenda].any():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
@@ -207,7 +204,7 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
         selected = stock & passes
         members = np.flatnonzero(selected)
         closure = kernels.heap_subtree_sums(rejected, J)
-        if read is not None:
+        if read is not None and fixed:
             filled = read(inside & closure)
             if filled.size:
                 passes[filled] = np.all([V[filled] <= b[filled] for V, b in zip(values, bounds)],
@@ -348,34 +345,42 @@ def _family_stock(T, f, g):
 # chi^M average stopping time (L^1 averages)
 # ---------------------------------------------------------------------------
 
-def _chi_heaps(signals, M: int):
-    """(heaps, read): one heap of |I|**-1 int |s| chi_I^M per signal s, NaN
-    until read.  ``read(mask)`` integrates every signal at the nodes of
-    ``mask`` not integrated yet, one :func:`kernels.chi_sums_depth` call per
-    depth and signal, and returns those nodes in node order.  The signals
-    and every attempt of a call share one ``integrated`` mask, so each node
-    is integrated at most once per signal."""
-    J = signals[0].depth_J
-    absvals = [np.abs(s.values) for s in signals]
-    heaps = tuple(np.full(1 << J, np.nan) for _ in signals)
-    integrated = np.zeros(1 << J, dtype=bool)
+def _lazy_heaps(J: int, fills):
+    """(heaps, read): one heap per fill function, NaN until read.
+    ``read(mask)`` fills every heap at the nodes of ``mask`` not filled yet,
+    one ``fill(d, index)`` call per depth and heap for the depth-d nodes
+    2**d + index, and returns those nodes in node order.  The heaps and
+    every attempt of a call share one ``filled`` mask, so each node is
+    filled at most once per heap."""
+    heaps = tuple(np.full(1 << J, np.nan) for _ in fills)
+    filled = np.zeros(1 << J, dtype=bool)
 
     def read(mask):
-        if integrated[1:].all():        # a full family's first read fills every node
+        if filled[1:].all():        # a full family's first read fills every node
             return np.zeros(0, dtype=np.intp)
-        new = np.flatnonzero(mask & ~integrated)
+        new = np.flatnonzero(mask & ~filled)
         if not new.size:
             return new
-        integrated[new] = True
+        filled[new] = True
         cuts = np.searchsorted(new, 1 << np.arange(J + 1)).tolist()
         for d, lo, hi in zip(range(J), cuts, cuts[1:]):
             if hi > lo:
-                index = new[lo:hi] - (1 << d)
-                for heap, absv in zip(heaps, absvals):
-                    heap[new[lo:hi]] = kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
+                for heap, fill in zip(heaps, fills):
+                    heap[new[lo:hi]] = fill(d, new[lo:hi] - (1 << d))
         return new
 
     return heaps, read
+
+
+def _chi_heaps(signals, M: int):
+    """:func:`_lazy_heaps` of |I|**-1 int |s| chi_I^M, one heap per signal
+    s, one :func:`kernels.chi_sums_depth` call per depth and signal."""
+    J = signals[0].depth_J
+
+    def chi(absv):
+        return lambda d, index: kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
+
+    return _lazy_heaps(J, [chi(np.abs(s.values)) for s in signals])
 
 
 def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
@@ -387,7 +392,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     children are the maximal dyadic intervals strictly inside it that
     contain a surviving stock interval and break one of the two conditions.
     The heaps are integrated only at the nodes the runs read, each node once
-    for all C-doubling attempts (:func:`_chi_heaps`).
+    for all C-doubling attempts (:func:`_chi_heaps`, :func:`_lazy_heaps`).
     """
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1 for termination")
@@ -577,6 +582,22 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     return cert
 
 
+def _osc_heaps(signals):
+    """:func:`_lazy_heaps` of the L^1 oscillations, one heap per signal, one
+    batched :func:`oscillation` call per depth and signal.  A value that
+    overflows raises ValueError: it would fail every selection test."""
+    def osc(s):
+        def fill(d, index):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = oscillation(s, (1 << d) + index)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("the L^1 oscillation of the signal overflows")
+            return values
+        return fill
+
+    return _lazy_heaps(signals[0].depth_J, [osc(s) for s in signals])
+
+
 def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
                          C: float = 4.0) -> DominationCertificate:
     """Sparse domination by products of L^1 oscillations.
@@ -584,7 +605,10 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     Candidates are kept while the weak L^{1,infinity} quasinorm of their
     restricted square function stays below C times the node's L^1
     oscillation (for both functions); children are the maximal violating
-    stock intervals.
+    stock intervals.  The oscillations are heaps filled at the agenda nodes
+    only, each node once for all C-doubling attempts (:func:`_osc_heaps`);
+    the rhs terms and the per-node ``osc_f`` / ``osc_g`` read them.  Raises
+    ValueError when an oscillation the run needs overflows.
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
@@ -594,20 +618,18 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     def weak(vals, d, index):
         return _weak_values(vals, J, d, index, dx)
 
-    # one evaluation per node and function, shared by the attempts and _finalize
-    osc_f = functools.cache(functools.partial(oscillation, f))
-    osc_g = functools.cache(functools.partial(oscillation, g))
-
+    (osc_f, osc_g), read = _osc_heaps((f, g))
     heaps, functionals = (full_f, full_g), (weak, weak)
     first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "osc", lambda c: _run_family(nodes, heaps, functionals, (osc_f, osc_g), c, first), C)
+        "osc", lambda c: _run_family(nodes, heaps, functionals, (osc_f, osc_g), c, first, read),
+        C)
 
     def rhs_fn(Q):
-        return osc_f(Q) * osc_g(Q) * Q.length
+        return float(osc_f[Q.node]) * float(osc_g[Q.node]) * Q.length
 
     def per_q(Q, fam, lam):
-        return {"osc_f": osc_f(Q), "osc_g": osc_g(Q)}
+        return {"osc_f": float(osc_f[Q.node]), "osc_g": float(osc_g[Q.node])}
 
     return _finalize("osc", T, cf, cg, nodes, run, final_C,
                      rhs_fn, per_q, params={})

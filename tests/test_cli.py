@@ -275,6 +275,19 @@ class TestCli:
         assert "non-finite" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_overflowing_oscillation(self, tmp_path, capsys):
+        # finite cells whose L^1 oscillation overflows
+        sig = tmp_path / "f.txt"
+        sig.write_text("\n".join(["1.5e308", "-1.5e308"] * 32) + "\n")
+        with np.errstate(over="ignore"):
+            rc = main(["dominate", "--mode", "osc", "--f-file", str(sig), "--depth", "6",
+                       "--seed", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sparsedom: error:" in captured.err and "overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_campaign_command(self, tmp_path, capsys):
         cfg = {"depth_J": 5, "trials": 2, "seed": 1, "modes": ["avg", "cz"],
                "n_intervals": 15}

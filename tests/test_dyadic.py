@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, average, chi_weights,
                               lp_norm, oscillation, weak_l1_quasinorm)
@@ -111,6 +113,62 @@ class TestOscillation:
         f = Signal(rng.integers(-8, 9, size=32).astype(float))
         assert oscillation(f, I(2, 1)) == pytest.approx(
             float(exact_oscillation(f, I(2, 1))), abs=1e-15)
+
+
+@st.composite
+def _osc_signals(draw):
+    """Zero, constant, point-mass or Gaussian cells at J = 1..12, with
+    random signs or not, rescaled by 10**U(-150, 150)."""
+    J = draw(st.integers(1, 12))
+    n = 1 << J
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "constant", "point_masses", "gaussian"]))
+    if kind == "zero":
+        vals = np.zeros(n)
+    elif kind == "constant":
+        vals = np.full(n, rng.uniform(0.5, 5.0))
+    elif kind == "point_masses":
+        vals = np.zeros(n)
+        vals[rng.choice(n, size=min(n, 3), replace=False)] = rng.uniform(1.0, 80.0, min(n, 3))
+    else:
+        vals = rng.standard_normal(n)
+    if draw(st.booleans()):
+        vals = vals * rng.choice([-1.0, 1.0], n)
+    return Signal(vals * 10.0 ** draw(st.floats(-150.0, 150.0)))
+
+
+class TestBatchedOscillation:
+    """oscillation on an array of same-depth heap nodes gives each node's
+    one-interval value bit for bit, in any order and batch size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=_osc_signals(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_one_interval(self, f, seed):
+        rng = np.random.default_rng(seed)
+        J = f.depth_J
+        for d in range(J + 1):
+            one = {n: oscillation(f, DyadicInterval.from_node(n))
+                   for n in range((1 << d), (2 << d))}
+            for nodes in ((1 << d) + rng.permutation(1 << d),
+                          np.array([(1 << d) + rng.integers(1 << d)]),
+                          np.zeros(0, dtype=np.intp)):
+                got = oscillation(f, nodes)
+                want = np.array([one[n] for n in nodes.tolist()], dtype=float)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            # the one-interval value is the plain formula on the cell block
+            for n, value in one.items():
+                lo, hi = DyadicInterval.from_node(n).cell_range(J)
+                block = f.values[lo:hi]
+                assert value == float(np.mean(np.abs(block - np.mean(block))))
+
+    def test_node_validation(self):
+        f = Signal(np.arange(8.0))
+        with pytest.raises(ValueError, match="one depth"):
+            oscillation(f, np.array([2, 4]))
+        with pytest.raises(ValueError, match="exceeds signal depth"):
+            oscillation(f, np.array([16]))
+        with pytest.raises(ValueError, match="exceeds signal depth"):
+            oscillation(f, I(4, 0))
 
 
 class TestLocalizationWeight:

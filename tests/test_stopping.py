@@ -1,3 +1,4 @@
+import functools
 import json
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedom import hardy, kernels, stopping
-from sparsedom.dyadic import DyadicInterval, ROOT, Signal
+from sparsedom.dyadic import DyadicInterval, ROOT, Signal, oscillation
 from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
 from sparsedom.haar import HaarMultiplier, haar_transform, htilde, tilde_size
@@ -281,6 +282,17 @@ class TestDominateOscillation:
             assert structural_ok(cert)
             assert np.isfinite(cert.realized_constant)
 
+    def test_overflowing_oscillation_rejected(self):
+        # the oscillation of a finite signal overflows: every selection test
+        # would fail at every C
+        f = Signal(np.tile([1.5e308, -1.5e308], 32))
+        g = generate_signal("gaussian_noise", 6, seed=0)
+        T = full_multiplier(6)
+        with np.errstate(over="ignore"):
+            for pair in ((f, g), (g, f)):
+                with pytest.raises(ValueError, match="oscillation of the signal overflows"):
+                    dominate_oscillation(T, *pair)
+
     def test_polarized_fefferman_stein(self):
         # identity multiplier on the full family, mean-zero pair
         J = 7
@@ -392,12 +404,18 @@ def _reference_run_avg(intervals, chif, chig, C, reads=None):
     return order, subfam, child_map
 
 
-def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
+def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=None,
+                          signals=None, agendas=None):
     """The per-interval engines: the old average recursion on fixed heaps,
     and one functional call per stock member for the other modes.  Memo
     free: every value is evaluated afresh, and the engine's shared
-    generation-1 heaps ``first`` are ignored.  Fixed heaps filled on demand
-    are filled at every node before the run."""
+    generation-1 heaps ``first`` are ignored.  Heaps filled on demand are
+    filled at every node before the run, for the certificate to read.
+
+    With reference heaps ``refs`` (osc), each agenda node's references are
+    the one-interval ``oscillation`` of ``signals``, the caller's own f and
+    g, and ``refs`` itself is never read.  ``agendas`` (a set) collects
+    every generation's agenda nodes, a self-rejecting one's included."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
     if read is not None:
         read(np.ones(heaps[0].shape[0], dtype=bool))
@@ -412,13 +430,15 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=N
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
     while agenda:
+        if agendas is not None:
+            agendas.update(Q0.node for Q0 in agenda)
         nxt = []
         for Q0 in agenda:
             members = sorted(I for I in stock if Q0.contains(I))
             if refs is None:
                 bounds = [C * value(k, h, Q0) for k, h in enumerate(heaps)]
             else:
-                bounds = [C * rf(Q0) for rf in refs]
+                bounds = [C * oscillation(s, Q0) for s in signals]
             selected = [I for I in members
                         if all(value(k, h, I) <= b for k, (h, b) in enumerate(zip(heaps, bounds)))]
             rejected = [I for I in members if I not in selected]
@@ -495,8 +515,9 @@ class TestFamilyEngineEquivalence:
         weights = (generate_weight("two_level", J, seed=seed + 3, t=64.0),
                    generate_weight("dyadic_doubling", J, seed=seed + 3, delta=0.25))
         fast = _family_certificates(T, f, g, weights, C)
-        with mock.patch.object(stopping, "_run_family", _reference_run_family), \
-                mock.patch.object(hardy, "_run_family", _reference_run_family):
+        reference_engine = functools.partial(_reference_run_family, signals=(f, g))
+        with mock.patch.object(stopping, "_run_family", reference_engine), \
+                mock.patch.object(hardy, "_run_family", reference_engine):
             reference = _family_certificates(T, f, g, weights, C)
         assert fast == reference
 
@@ -516,7 +537,8 @@ class TestFamilyEngineEquivalence:
         with mock.patch.object(stopping, "_run_family", spy):
             cert = dominate_oscillation(T, f, g, C=1.0)
         assert retried == [1.0] and cert.stopping_constant == 2.0
-        with mock.patch.object(stopping, "_run_family", _reference_run_family):
+        with mock.patch.object(stopping, "_run_family",
+                               functools.partial(_reference_run_family, signals=(f, g))):
             reference = dominate_oscillation(T, f, g, C=1.0)
         assert cert.to_dict() == reference.to_dict()
 
@@ -637,6 +659,73 @@ class TestAvgReadSet:
         assert {P.node for P in cert.children[ROOT]} <= nodes
 
 
+class TestOscFillSet:
+    """Osc computes oscillations exactly at its runs' agenda nodes, each at
+    most once per signal in one call, C doublings included, and its
+    certificate reads them at the right node."""
+
+    @staticmethod
+    def _filled(T, f, g, C):
+        """The certificate and the (signal, node) pairs whose oscillation
+        was computed in one call."""
+        batched, pairs = stopping.oscillation, []
+
+        def spy(s, nodes):
+            assert not isinstance(nodes, DyadicInterval), "a per-interval call"
+            pairs.extend((id(s), n) for n in np.asarray(nodes).tolist())
+            return batched(s, nodes)
+
+        with mock.patch.object(stopping, "oscillation", spy):
+            cert = dominate_oscillation(T, f, g, C=C)
+        return cert, pairs
+
+    @staticmethod
+    def _agenda_union(T, f, g, C):
+        """Every attempt's agenda nodes, from the per-interval reference
+        engine on one-interval oscillations."""
+        agendas = set()
+        with mock.patch.object(stopping, "_run_family", functools.partial(
+                _reference_run_family, signals=(f, g), agendas=agendas)):
+            reference = dominate_oscillation(T, f, g, C=C)
+        return reference, agendas
+
+    def _check(self, T, f, g, C=1.0):
+        cert, pairs = self._filled(T, f, g, C)
+        assert len(pairs) == len(set(pairs)), "an oscillation was computed twice"
+        by_signal = {}
+        for signal, node in pairs:
+            by_signal.setdefault(signal, set()).add(node)
+        assert set(by_signal) == {id(f), id(g)}
+        assert by_signal[id(f)] == by_signal[id(g)]
+        reference, agendas = self._agenda_union(T, f, g, C)
+        assert cert.stopping_constant == reference.stopping_constant
+        assert by_signal[id(f)] == agendas
+        for e in cert.per_interval:
+            assert e["osc_f"] == oscillation(f, e["Q"])
+            assert e["osc_g"] == oscillation(g, e["Q"])
+            assert e["rhs_term"] == e["osc_f"] * e["osc_g"] * e["Q"].length
+        return cert, agendas
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @pytest.mark.parametrize("J", [6, 7])
+    def test_full_family_at_c1(self, kind, J):
+        f, g = _test_signal(kind, J, J), _test_signal(kind, J, J + 1)
+        cert, agendas = self._check(full_multiplier(J), f, g)
+        assert {Q.node for Q in cert.collection} <= agendas
+        # these kinds double C at least once, so the attempts share the fill
+        assert (cert.stopping_constant > 1.0) == \
+            (kind in ("gaussian_noise", "sparse_haar", "point_masses"))
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    def test_random_family(self, kind):
+        J = 10
+        f, g = _test_signal(kind, J, 3), _test_signal(kind, J, 4)
+        T = generate_multiplier(J, seed=5, n_intervals=96)
+        _, agendas = self._check(T, f, g, C=1.0)
+        # fewer nodes than the family
+        assert len(agendas) < len(T.intervals)
+
+
 # the dense-hard signal kinds; g takes the next kind in the cycle, so a step
 # f (one Haar mode) still meets a g that the stopping time must split
 _HARD_KINDS = (("point_masses", {"k": 8}), ("sparse_haar", {"k": 32}),
@@ -686,7 +775,8 @@ class TestIncrementalValues:
             # and takes every later generation's values from _stock_values
             attempts.append((nodes, functionals, []))
             try:
-                want = _reference_run_family(nodes, heaps, functionals, refs, C)
+                want = _reference_run_family(nodes, heaps, functionals, refs, C,
+                                             signals=(f, g))
             except stopping._RetryNeeded:
                 with pytest.raises(stopping._RetryNeeded):
                     engine(nodes, heaps, functionals, refs, C, *rest)
