@@ -22,8 +22,10 @@ from .hardy import atomic_decompose
 from .serialize import (dump_json, read_collection, read_multiplier,
                         read_signal, read_weight)
 from .sparse import certify_sparse, sparse_operator, sparse_vs_carleson
-from .stopping import (dominate_avg, dominate_oscillation, dominate_square,
-                       dominate_weighted)
+from .stopping import (StoppingFailure, dominate_avg, dominate_oscillation,
+                       dominate_square, dominate_weighted)
+
+DEFAULT_DEPTH = 10
 
 
 def _default_seed() -> int:
@@ -32,7 +34,9 @@ def _default_seed() -> int:
 
 
 def _add_common(sp):
-    sp.add_argument("--depth", type=int, default=10, help="finest dyadic depth J")
+    sp.add_argument("--depth", type=int, default=None,
+                    help=f"finest dyadic depth J (default: a loaded signal's, "
+                         f"else {DEFAULT_DEPTH})")
     sp.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: SPARSEDOM_SEED or 0)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -62,12 +66,26 @@ def _emit(args, payload, csv_rows=None):
         sys.stdout.write(text)
 
 
-def _load_signal(args, role: str, seed_shift: int):
-    path = getattr(args, f"{role}_file", None)
-    if path:
-        return read_signal(path)
-    seed = (args.seed if args.seed is not None else _default_seed()) + seed_shift
-    return generate_signal(args.signal, args.depth, seed=seed)
+def _load_signals(args, *roles):
+    """One signal per role: read from the file its ``<role>_file`` option
+    names (``--f-file``, ``--in``), or generated with the seed shifted by
+    the role's position, at the depth of the first file read (else
+    ``--depth``, else DEFAULT_DEPTH).  An explicit ``--depth`` that
+    disagrees with a file read is an error."""
+    loaded = {}
+    for role in roles:
+        path = getattr(args, f"{role}_file", None)
+        if path:
+            s = loaded[role] = read_signal(path)
+            if args.depth is not None and s.depth_J != args.depth:
+                raise ValueError(f"--depth {args.depth} disagrees with {path}, "
+                                 f"a signal of depth {s.depth_J}")
+    depth = next((s.depth_J for s in loaded.values()),
+                 DEFAULT_DEPTH if args.depth is None else args.depth)
+    seed = args.seed if args.seed is not None else _default_seed()
+    return [loaded[role] if role in loaded else
+            generate_signal(args.signal, depth, seed=seed + shift)
+            for shift, role in enumerate(roles)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_haar(args):
-    f = _load_signal(args, "f", 0)
+    [f] = _load_signals(args, "f")
     coeffs = haar_transform(f)
     rows = [["depth", "index", "coefficient"]]
     payload = {"depth_J": f.depth_J, "mean": coeffs.mean, "coefficients": []}
@@ -147,7 +165,7 @@ def _cmd_haar(args):
 def _cmd_sparse_check(args):
     S = read_collection(args.collection)
     J = max((I.depth for I in S), default=1)
-    J = max(J, args.depth)
+    J = max(J, DEFAULT_DEPTH if args.depth is None else args.depth)
     ok, _ = certify_sparse(S, args.eta, J)
     report = sparse_vs_carleson(S)
     payload = {"eta": args.eta, "certified": bool(ok),
@@ -159,12 +177,11 @@ def _cmd_sparse_check(args):
 
 def _cmd_dominate(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    f = _load_signal(args, "f", 0)
-    g = _load_signal(args, "g", 1)
+    f, g = _load_signals(args, "f", "g")
     if args.multiplier_file:
         T = read_multiplier(args.multiplier_file)
     else:
-        T = generate_multiplier(args.depth, seed=seed + 2,
+        T = generate_multiplier(f.depth_J, seed=seed + 2,
                                 n_intervals=args.n_intervals)
     if args.mode == "avg":
         cert = dominate_avg(T, f, g, M=args.chi_M, C=args.stop_C)
@@ -184,14 +201,14 @@ def _cmd_dominate(args):
 
 
 def _cmd_atoms(args):
-    f = _load_signal(args, "f", 0)
+    [f] = _load_signals(args, "f")
     deco = atomic_decompose(f, p=args.p, r=args.r, C=args.stop_C)
     _emit(args, deco.to_dict())
     return 0 if deco.ok() else 1
 
 
 def _cmd_cz(args):
-    f = _load_signal(args, "f", 0)
+    [f] = _load_signals(args, "f")
     dec = cz_decompose(f, args.alpha)
     checks = dec.verify()
     payload = {"alpha": args.alpha, "n_bad_cubes": len(dec.bad_cubes),
@@ -203,7 +220,7 @@ def _cmd_cz(args):
 
 def _cmd_weak11(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    f = _load_signal(args, "f", 0)
+    [f] = _load_signals(args, "f")
     if args.collection:
         S = read_collection(args.collection)
     else:
@@ -245,6 +262,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"sparsedom: error: {exc}", file=sys.stderr)
         return 2
+    except StoppingFailure as exc:
+        print(f"sparsedom: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

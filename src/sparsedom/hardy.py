@@ -17,7 +17,8 @@ from . import kernels
 from .dyadic import DyadicInterval, Signal, check_finite, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _first_values, _lp_values, _run_family, _split, _with_retries
+from .stopping import (_first_values, _lp_values, _run_family, _split, _squared,
+                       _with_retries)
 
 __all__ = [
     "Weight", "ap_characteristic", "square_function", "hardy_norm",
@@ -194,7 +195,7 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     def n_r(vals, d, index):
         return _lp_values(vals, J, d, index, r, dx)
 
-    heaps, functionals = (coeffs.heap**2,), (n_r,)
+    heaps, functionals = (_squared(coeffs.heap, "f"),), (n_r,)
     first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
         "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)

@@ -11,8 +11,9 @@ weighted, osc, atoms) a generation at a time on heap arrays, with one child
 rule; runs are int node arrays, and intervals are built only for the output.
 
 The stopping threshold C only needs to be "large enough"; runs start from
-the given C and double it on a failed budget check, a bounded number of
-times.
+the given C and double it, a bounded number of times, while an attempt
+fails: an agenda node rejects itself, or a generation's children break the
+1/2 budget.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _first_values(nodes, heaps, functionals):
                  for heap, functional in zip(heaps, functionals))
 
 
-def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
+def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None, measure=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
     The stock starts as the boolean heap of ``nodes``.  Each generation
@@ -168,6 +169,13 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     maximal rejected nodes; avg's fixed heaps can stop at an ancestor of a
     rejected node that is not in the family.  Sub-families and children are
     in node order, and the next agenda lists the children in agenda order.
+
+    The 1/2 child budget (:func:`child_budget_ok`, in ``measure``: a heap,
+    default lengths) is judged one generation at a time, as soon as its
+    children are known; a generation that breaks it ends the attempt there.
+    An agenda node gets all its children in its own generation, and
+    ``np.bincount`` adds them in the same order as over the whole run, so
+    the verdict is the whole run's bit for bit.
 
     Heaps filled on demand (:func:`_lazy_heaps`: avg's fixed chi^M heaps,
     osc's reference heaps) come with ``read(mask)``, which fills them at the
@@ -210,6 +218,8 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
                 passes[filled] = np.all([V[filled] <= b[filled] for V, b in zip(values, bounds)],
                                         axis=0)
         kids = kernels.maximal_nodes(~passes & inside & closure)
+        if not child_budget_ok(kids, owner[kids], measure):
+            raise _RetryNeeded(f"the children break the 1/2 budget at C={C}")
         parts.append((agenda, members, owner[members], kids, owner[kids]))
         rank = np.zeros(size, dtype=np.intp)
         rank[agenda] = np.arange(agenda.size)
@@ -223,18 +233,15 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None):
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _with_retries(mode, run, C, measure=None):
-    """run(C) from the given C, doubling C while the run cannot finish or its
-    children break the 1/2 budget (``measure``: a heap, default lengths);
-    returns the run and its C."""
+def _with_retries(mode, run, C):
+    """run(C) from the given C, doubling C while the run raises
+    :class:`_RetryNeeded`; returns the run and its C."""
     for attempt in range(MAX_DOUBLINGS + 1):
         attempt_C = float(C) * 2.0**attempt
         try:
-            result = run(attempt_C)
+            return run(attempt_C), attempt_C
         except _RetryNeeded:
-            continue
-        if child_budget_ok(result.kids, result.parents, measure):
-            return result, attempt_C
+            pass
     raise StoppingFailure(f"no admissible C up to {attempt_C} in {MAX_DOUBLINGS + 1} "
                           f"attempts ({mode} mode)")
 
@@ -326,10 +333,23 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     )
 
 
-def _family_stock(T, f, g):
+def _squared(heap, role):
+    """heap**2, or ValueError when a square overflows: an infinite stock
+    value would fail every selection test."""
+    with np.errstate(over="ignore"):
+        squares = heap**2
+    if not np.all(np.isfinite(squares)):
+        raise ValueError(f"a squared Haar coefficient of {role} overflows")
+    return squares
+
+
+def _family_stock(T, f, g, read=None):
     """Haar coefficients of f and g, T's heap nodes in T's order and the
     squared coefficients on them: the shared entry of the multiplier modes,
-    which rejects a non-finite signal."""
+    which rejects a non-finite signal and a square that overflows.  Heaps
+    filled on demand that the first agenda reads (osc's oscillations) are
+    filled there before the squares are formed, so an oscillation that
+    overflows is reported as such."""
     if g.depth_J != f.depth_J:
         raise ValueError("f and g must share a depth")
     T.check_depth(f.depth_J)
@@ -338,7 +358,10 @@ def _family_stock(T, f, g):
     cf, cg = haar_transform(f), haar_transform(g)
     nodes = np.array([I.node for I in T.intervals], dtype=np.intp)
     fam_mask = kernels.node_mask(nodes, 1 << f.depth_J)
-    return cf, cg, nodes, cf.heap**2 * fam_mask, cg.heap**2 * fam_mask
+    if read is not None:
+        read(kernels.node_mask(kernels.maximal_nodes(fam_mask), fam_mask.shape[0]))
+    return (cf, cg, nodes, _squared(np.where(fam_mask, cf.heap, 0.0), "f"),
+            _squared(np.where(fam_mask, cg.heap, 0.0), "g"))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +570,8 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     heaps, functionals = (full_f, full_g), (norm_w, norm_w)
     first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "weighted", lambda c: _run_family(nodes, heaps, functionals, None, c, first),
-        C, measure=weight.heap)
+        "weighted",
+        lambda c: _run_family(nodes, heaps, functionals, None, c, first, measure=weight.heap), C)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
@@ -612,13 +635,13 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
-    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
+    (osc_f, osc_g), read = _osc_heaps((f, g))
+    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g, read)
     J, dx = f.depth_J, f.cell_width
 
     def weak(vals, d, index):
         return _weak_values(vals, J, d, index, dx)
 
-    (osc_f, osc_g), read = _osc_heaps((f, g))
     heaps, functionals = (full_f, full_g), (weak, weak)
     first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsedom import stopping
 from sparsedom.campaign import CampaignConfig, _domination_record, run_campaign
 from sparsedom.cli import main
 from sparsedom.dyadic import DyadicInterval, Signal
-from sparsedom.generate import (generate_multiplier, generate_signal,
+from sparsedom.generate import (full_multiplier, generate_multiplier, generate_signal,
                                 generate_sparse_collection)
 from sparsedom.haar import HaarMultiplier
 from sparsedom.serialize import (dump_json, read_collection, read_multiplier,
@@ -286,6 +287,77 @@ class TestCli:
         captured = capsys.readouterr()
         assert "sparsedom: error:" in captured.err and "overflows" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["dominate", "--mode", "avg", "--f-file", "F", "--g-file", "F"],
+        ["dominate", "--mode", "square", "--f-file", "F", "--g-file", "F"],
+        ["dominate", "--mode", "weighted", "--f-file", "F", "--g-file", "F"],
+        ["dominate", "--mode", "osc", "--f-file", "F", "--g-file", "F"],
+        ["atoms", "--in", "F"],
+    ])
+    def test_overflowing_haar_squares(self, tmp_path, capsys, command):
+        # finite cells whose root Haar coefficient squares past the float range
+        sig = tmp_path / "F.txt"
+        sig.write_text("\n".join(["1e200"] * 32 + ["-1e200"] * 32) + "\n")
+        rc = main([str(sig) if a == "F" else a for a in command] + ["--depth", "6"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sparsedom: error:" in captured.err and "overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+    @pytest.mark.parametrize("files", [["f"], ["g"], ["f", "g"]])
+    def test_dominate_takes_the_depth_of_a_loaded_signal(self, tmp_path, capsys, mode, files):
+        # with no --depth, the missing signal, the multiplier and the weight
+        # are generated at the loaded file's depth 6, not at the default 10
+        args = ["dominate", "--mode", mode, "--seed", "1"]
+        for role in files:
+            path = tmp_path / f"{role}.txt"
+            write_signal(generate_signal("step", 6, seed=len(args)), path)
+            args += [f"--{role}-file", str(path)]
+        outputs = []
+        for depth in ([], ["--depth", "6"]):
+            rc = main(args + depth)
+            captured = capsys.readouterr()
+            assert rc == 0, captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["checks"]["partition_ok"]
+
+    @pytest.mark.parametrize("command", [
+        ["dominate", "--mode", "osc", "--f-file"],
+        ["dominate", "--mode", "square", "--g-file"],
+        ["atoms", "--in"],
+        ["haar", "--in"],
+    ])
+    def test_explicit_depth_disagreeing_with_a_file(self, tmp_path, capsys, command):
+        sig = tmp_path / "f.txt"
+        write_signal(generate_signal("gaussian_noise", 6, seed=0), sig)
+        rc = main(command + [str(sig), "--depth", "5", "--seed", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--depth 5" in captured.err and "depth 6" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_stopping_failure_reported(self, tmp_path, capsys, monkeypatch):
+        # osc at C=1 on this input needs one doubling (an agenda node rejects
+        # itself); with none allowed the run finds no admissible C
+        monkeypatch.setattr(stopping, "MAX_DOUBLINGS", 0)
+        files = []
+        for role, seed in (("f", 0), ("g", 1)):
+            path = tmp_path / f"{role}.txt"
+            write_signal(generate_signal("gaussian_noise", 5, seed=seed), path)
+            files += [f"--{role}-file", str(path)]
+        mult = tmp_path / "m.csv"
+        write_multiplier(full_multiplier(5), mult)
+        rc = main(["dominate", "--mode", "osc", *files, "--multiplier-file", str(mult),
+                   "--stop-C", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sparsedom: error: no admissible C")
         assert captured.out == ""
 
     def test_campaign_command(self, tmp_path, capsys):

@@ -155,6 +155,12 @@ class TestAtomicDecomposition:
         assert lp_norm(atom, 2.0) == pytest.approx(np.sqrt(2.0))
         assert lp_norm(atom, 2.0) <= I(1, 0).length ** (0.5 - 1.0) * (1 + 1e-12)
 
+    def test_overflowing_haar_square_rejected(self):
+        # finite cells whose root Haar coefficient squares past the float range
+        f = Signal(np.repeat([1e200, -1e200], 32))
+        with pytest.raises(ValueError, match="squared Haar coefficient of f overflows"):
+            atomic_decompose(f, p=1.0)
+
     def test_zero_signal(self):
         deco = atomic_decompose(Signal(np.zeros(16)), p=1.0)
         assert len(deco.coefficients) == 0

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 from unittest import mock
@@ -361,15 +362,16 @@ class _HeapAverages:
         return float(self.heap[I.node])
 
 
-def _reference_run_avg(intervals, chif, chig, C, reads=None):
-    """The old average recursion; ``reads`` (a set) collects the nodes it
-    reads: each agenda node, its stock, and the candidate children."""
+def _reference_run_avg(intervals, chif, chig, C, generations):
+    """The old average recursion.  ``generations`` (a list) collects, per
+    generation, the nodes it reads (each agenda node, its stock, and the
+    candidate children) and its (child, parent) node arrays."""
     stock = set(intervals)
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
     guard = 0
     while agenda:
-        nxt = []
+        nxt, reads = [], set()
         for Q0 in agenda:
             rf, rg = C * chif.avg(Q0), C * chig.avg(Q0)
             members = [I for I in stock if Q0.contains(I)]
@@ -387,8 +389,7 @@ def _reference_run_avg(intervals, chif, chig, C, reads=None):
             for I in survivors:
                 for d in range(Q0.depth + 1, I.depth + 1):
                     cands.add(I.ancestor(d))
-            if reads is not None:
-                reads.update(I.node for I in [Q0, *members, *cands])
+            reads.update(I.node for I in [Q0, *members, *cands])
             chosen = []
             for Q in sorted(cands, key=lambda I: (I.depth, I.index)):
                 if any(K.contains(Q) for K in chosen):
@@ -397,6 +398,7 @@ def _reference_run_avg(intervals, chif, chig, C, reads=None):
                     chosen.append(Q)
             child_map[Q0] = tuple(sorted(chosen))
             nxt.extend(chosen)
+        generations.append((reads, *_child_pairs(agenda, child_map)))
         agenda = nxt
         guard += 1
         if guard > 4 * (chif.J + 2):
@@ -404,23 +406,65 @@ def _reference_run_avg(intervals, chif, chig, C, reads=None):
     return order, subfam, child_map
 
 
+def _child_pairs(agenda, child_map):
+    """(kids, parents) node arrays of the agenda nodes' children."""
+    pairs = [(P.node, Q.node) for Q in agenda for P in child_map.get(Q, ())]
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+
+def _reached(generations, measure=None):
+    """The nodes of each generation up to the first whose children break
+    the 1/2 budget, that one included: the generations the engine reaches
+    before it drops a failing attempt."""
+    out = set()
+    for nodes, kids, parents in generations:
+        out.update(nodes)
+        if not stopping.child_budget_ok(kids, parents, measure):
+            break
+    return out
+
+
 def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=None,
-                          signals=None, agendas=None):
+                          measure=None, signals=None, agendas=None, weight=None):
+    """The old retry policy on the per-interval engines: each attempt runs
+    to completion, then the 1/2 budget is applied to the whole run, and a
+    budget break raises _RetryNeeded.  The budget is taken in the measure
+    of ``weight``, the test's own Weight (default: lengths), never in the
+    ``measure`` the engine is handed, so a mode that hands the engine a
+    wrong measure disagrees with this reference.
+
+    ``agendas`` (a set) collects the agenda nodes of every generation the
+    engine reaches (:func:`_reached`), a self-rejecting one's included."""
+    measure = None if weight is None else weight.heap
+    generations = []
+    try:
+        run = _reference_run(nodes, heaps, functionals, refs, C, read, signals, generations)
+    finally:
+        if agendas is not None:
+            agendas.update(_reached(generations, measure))
+    if not stopping.child_budget_ok(run.kids, run.parents, measure):
+        raise stopping._RetryNeeded(f"the children break the 1/2 budget at C={C}")
+    return run
+
+
+def _reference_run(nodes, heaps, functionals, refs, C, read, signals, generations):
     """The per-interval engines: the old average recursion on fixed heaps,
     and one functional call per stock member for the other modes.  Memo
     free: every value is evaluated afresh, and the engine's shared
-    generation-1 heaps ``first`` are ignored.  Heaps filled on demand are
-    filled at every node before the run, for the certificate to read.
+    generation-1 heaps are ignored.  Heaps filled on demand are filled at
+    every node before the run, for the certificate to read.
 
     With reference heaps ``refs`` (osc), each agenda node's references are
     the one-interval ``oscillation`` of ``signals``, the caller's own f and
-    g, and ``refs`` itself is never read.  ``agendas`` (a set) collects
-    every generation's agenda nodes, a self-rejecting one's included."""
+    g, and ``refs`` itself is never read.  ``generations`` (a list) collects
+    each generation's agenda nodes and (child, parent) node arrays, as
+    :func:`_reference_run_avg` does."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
     if read is not None:
         read(np.ones(heaps[0].shape[0], dtype=bool))
     if all(functional is None for functional in functionals):
-        return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C))
+        return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C,
+                                           generations))
 
     def value(k, heap, I):
         return float(functionals[k](heap, I.depth, np.array([I.index]))[0])
@@ -430,8 +474,9 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=N
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
     while agenda:
-        if agendas is not None:
-            agendas.update(Q0.node for Q0 in agenda)
+        # the agenda counts as reached even when one of its nodes rejects itself
+        reached = {Q0.node for Q0 in agenda}
+        generations.append((reached, *_child_pairs(agenda, child_map)))
         nxt = []
         for Q0 in agenda:
             members = sorted(I for I in stock if Q0.contains(I))
@@ -452,21 +497,30 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=N
             subfam[Q0] = tuple(selected)
             child_map[Q0] = tuple(sorted(_maximal_intervals(rejected)))
             nxt.extend(child_map[Q0])
+        generations[-1] = (reached, *_child_pairs(agenda, child_map))
         agenda = nxt
     return _as_run(order, subfam, child_map)
 
 
-def _family_certificates(T, f, g, weights, C):
-    runs = {"square1": lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=C),
-            "square2": lambda: dominate_square(T, f, g, p=2.0, q=2.0, C=C),
-            "osc": lambda: dominate_oscillation(T, f, g, C=C),
-            "atoms": lambda: atomic_decompose(f, p=1.0, C=C)}
+def _family_certificates(T, f, g, weights, C, reference=False):
+    """Every family mode's certificate as JSON, on the engine or, with
+    ``reference``, on the per-interval reference engine."""
+    runs = {"square1": (None, lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=C)),
+            "square2": (None, lambda: dominate_square(T, f, g, p=2.0, q=2.0, C=C)),
+            "osc": (None, lambda: dominate_oscillation(T, f, g, C=C)),
+            "atoms": (None, lambda: atomic_decompose(f, p=1.0, C=C))}
     for k, w in enumerate(weights):
-        runs[f"weighted{k}"] = lambda w=w: dominate_weighted(T, f, g, w, p=1.0, C=C)
+        runs[f"weighted{k}"] = (w, lambda w=w: dominate_weighted(T, f, g, w, p=1.0, C=C))
     out = {}
-    for name, run in runs.items():
+    for name, (weight, run) in runs.items():
         try:
-            cert = run()
+            with contextlib.ExitStack() as stack:
+                if reference:
+                    engine = functools.partial(_reference_run_family, signals=(f, g),
+                                               weight=weight)
+                    for module in (stopping, hardy):
+                        stack.enter_context(mock.patch.object(module, "_run_family", engine))
+                cert = run()
             # sub-families in the engine's node order, which sets the rhs sum order
             out[name] = [cert.to_dict(), [[Q.depth, Q.index] for Q in cert.subfamilies]]
         except stopping.StoppingFailure as exc:
@@ -507,6 +561,9 @@ class TestFamilyEngineEquivalence:
            n_intervals=st.integers(1, 40), C=st.sampled_from([1.0, 4.0]))
     # sparse_haar here gives a generation whose agenda is not in (depth, index) order
     @example(J=6, seed=1, full=False, n_intervals=30, C=4.0)
+    # a full family at C = 1 where, for three of the kinds, a weighted
+    # generation's 1/2 budget verdict in w differs from its verdict in length
+    @example(J=5, seed=3, full=True, n_intervals=1, C=1.0)
     def test_matches_per_candidate_engine(self, kind, J, seed, full, n_intervals, C):
         f = _test_signal(kind, J, seed)
         g = _test_signal(kind, J, seed + 1)
@@ -515,11 +572,7 @@ class TestFamilyEngineEquivalence:
         weights = (generate_weight("two_level", J, seed=seed + 3, t=64.0),
                    generate_weight("dyadic_doubling", J, seed=seed + 3, delta=0.25))
         fast = _family_certificates(T, f, g, weights, C)
-        reference_engine = functools.partial(_reference_run_family, signals=(f, g))
-        with mock.patch.object(stopping, "_run_family", reference_engine), \
-                mock.patch.object(hardy, "_run_family", reference_engine):
-            reference = _family_certificates(T, f, g, weights, C)
-        assert fast == reference
+        assert fast == _family_certificates(T, f, g, weights, C, reference=True)
 
     def test_self_rejection_retry_matches_reference(self):
         J = 5
@@ -527,9 +580,9 @@ class TestFamilyEngineEquivalence:
         T = full_multiplier(J)
         engine, retried = stopping._run_family, []
 
-        def spy(nodes, heaps, functionals, refs, C, *rest):
+        def spy(nodes, heaps, functionals, refs, C, *rest, **kw):
             try:
-                return engine(nodes, heaps, functionals, refs, C, *rest)
+                return engine(nodes, heaps, functionals, refs, C, *rest, **kw)
             except stopping._RetryNeeded:
                 retried.append(C)
                 raise
@@ -594,8 +647,8 @@ class TestAvgEngineEquivalence:
 class TestAvgReadSet:
     """Avg integrates chi^M exactly at the nodes its runs read (family nodes,
     agenda nodes, and the paths strictly inside an agenda node down to its
-    rejected nodes), each at most once per signal in one call, C doublings
-    included."""
+    rejected nodes, up to the generation that breaks the 1/2 budget), each
+    at most once per signal in one call, C doublings included."""
 
     @staticmethod
     def _integrated(T, f, g, M, C):
@@ -615,12 +668,15 @@ class TestAvgReadSet:
     def _read_set(T, f, g, M, C, final_C):
         """Family nodes, plus each attempt's agenda nodes and the paths
         strictly inside them down to rejected nodes, from the old recursion
-        on whole-row heaps."""
+        on whole-row heaps, up to the generation whose children break the
+        1/2 budget."""
         (chif, chig), _ = _row_heaps((f, g), M)
         reads = {I.node for I in T.intervals}
         for k in range(round(np.log2(final_C / C)) + 1):
+            generations = []
             _reference_run_avg(list(T.intervals), _HeapAverages(chif), _HeapAverages(chig),
-                               C * 2.0**k, reads)
+                               C * 2.0**k, generations)
+            reads |= _reached(generations)
         return reads
 
     def _check(self, T, f, g, M=8, C=1.0):
@@ -660,9 +716,10 @@ class TestAvgReadSet:
 
 
 class TestOscFillSet:
-    """Osc computes oscillations exactly at its runs' agenda nodes, each at
-    most once per signal in one call, C doublings included, and its
-    certificate reads them at the right node."""
+    """Osc computes oscillations exactly at its runs' agenda nodes, up to
+    the generation that breaks the 1/2 budget, each at most once per signal
+    in one call, C doublings included, and its certificate reads them at
+    the right node."""
 
     @staticmethod
     def _filled(T, f, g, C):
@@ -681,8 +738,9 @@ class TestOscFillSet:
 
     @staticmethod
     def _agenda_union(T, f, g, C):
-        """Every attempt's agenda nodes, from the per-interval reference
-        engine on one-interval oscillations."""
+        """Every attempt's agenda nodes up to the generation whose children
+        break the 1/2 budget, from the per-interval reference engine on
+        one-interval oscillations."""
         agendas = set()
         with mock.patch.object(stopping, "_run_family", functools.partial(
                 _reference_run_family, signals=(f, g), agendas=agendas)):
@@ -755,7 +813,10 @@ class TestIncrementalValues:
     @pytest.mark.parametrize("mode", ["square2", "square1", "weighted", "osc", "atoms"])
     @pytest.mark.parametrize("kind", [kind for kind, _ in _HARD_KINDS])
     def test_reused_values_equal_fresh_values(self, mode, kind):
-        J = 8
+        # a failed attempt stops at its first over-budget generation, which
+        # can leave a case with no later generation to reuse values in (step
+        # and square2 at J = 8); at J = 10 every case has one
+        J = 10
         T = full_multiplier(J)
         at = [k for k, _ in _HARD_KINDS].index(kind)
         (fk, fkw), (gk, gkw) = _HARD_KINDS[at], _HARD_KINDS[(at + 1) % len(_HARD_KINDS)]
@@ -766,23 +827,24 @@ class TestIncrementalValues:
                "weighted": lambda: dominate_weighted(T, f, g, w, C=1.0),
                "osc": lambda: dominate_oscillation(T, f, g, C=1.0),
                "atoms": lambda: atomic_decompose(Signal(f.values + g.values), p=1.0, C=1.0)}[mode]
+        weight = w if mode == "weighted" else None
         engine, stock_values, value_heap = \
             stopping._run_family, stopping._stock_values, stopping._value_heap
         attempts, evaluations, kept = [], [], []
 
-        def engine_spy(nodes, heaps, functionals, refs, C, *rest):
+        def engine_spy(nodes, heaps, functionals, refs, C, *rest, **kw):
             # each attempt decides as the memo-free per-interval engine does,
             # and takes every later generation's values from _stock_values
             attempts.append((nodes, functionals, []))
             try:
                 want = _reference_run_family(nodes, heaps, functionals, refs, C,
-                                             signals=(f, g))
+                                             signals=(f, g), weight=weight)
             except stopping._RetryNeeded:
                 with pytest.raises(stopping._RetryNeeded):
-                    engine(nodes, heaps, functionals, refs, C, *rest)
+                    engine(nodes, heaps, functionals, refs, C, *rest, **kw)
                 raise
             try:
-                got = engine(nodes, heaps, functionals, refs, C, *rest)
+                got = engine(nodes, heaps, functionals, refs, C, *rest, **kw)
             except stopping._RetryNeeded:
                 pytest.fail(f"the engine rejects C={C}, which the reference accepts")
             assert np.array_equal(got.order, want.order)
@@ -817,6 +879,52 @@ class TestIncrementalValues:
         first = [fn for fn, mask in evaluations
                  if any(fn is k for k in functionals) and np.array_equal(mask, family)]
         assert len(first) == len(functionals)
+
+
+class TestBudgetCut:
+    """A generation whose children break the 1/2 budget ends its attempt:
+    the engine evaluates no later generation of it."""
+
+    @pytest.mark.parametrize("mode", ["square", "weighted"])
+    def test_failed_attempt_stops_at_generation_one(self, mode):
+        J = 8
+        T = full_multiplier(J)
+        f = generate_signal("gaussian_noise", J, seed=J)
+        g = generate_signal("point_masses", J, seed=J + 1, k=8)
+        w = generate_weight("two_level", J, seed=J + 2, t=64.0)
+        measure = w.heap if mode == "weighted" else None
+        engine, stock_values = stopping._run_family, stopping._stock_values
+        attempts, old = [], []      # per attempt: [C, raised, later evaluations]
+
+        def engine_spy(nodes, heaps, functionals, refs, C, *rest, **kw):
+            if not attempts:
+                # the parent policy's first attempt, run to completion
+                run = _reference_run(nodes, heaps, functionals, refs, C, None, (f, g), old)
+                assert not stopping.child_budget_ok(run.kids, run.parents, measure)
+            attempts.append([C, False, 0])
+            try:
+                return engine(nodes, heaps, functionals, refs, C, *rest, **kw)
+            except stopping._RetryNeeded:
+                attempts[-1][1] = True
+                raise
+
+        def stock_values_spy(functional, heap, stock, redo=None, prev=None):
+            if redo is not None:
+                attempts[-1][2] += 1
+            return stock_values(functional, heap, stock, redo, prev)
+
+        with mock.patch.object(stopping, "_run_family", engine_spy), \
+                mock.patch.object(stopping, "_stock_values", stock_values_spy):
+            cert = (dominate_square(T, f, g, C=1.0) if mode == "square" else
+                    dominate_weighted(T, f, g, w, C=1.0))
+        # the old policy went on past a first generation that breaks the budget
+        assert len(old) > 2
+        _, kids, parents = old[0]
+        assert not stopping.child_budget_ok(kids, parents, measure)
+        # the engine dropped the attempt there, with no later generation evaluated
+        assert attempts[0] == [1.0, True, 0]
+        assert attempts[-1][:2] == [cert.stopping_constant, False]
+        assert structural_ok(cert)
 
 
 def _shuffled_multiplier(J, seed):
@@ -927,6 +1035,36 @@ def test_multiplier_deeper_than_signal(mode, depth):
            "osc": lambda: dominate_oscillation(T, f, f)}[mode]
     with pytest.raises(ValueError, match=f"multiplier interval at depth {depth} needs depth < 3"):
         run()
+
+
+def _overflow_signal(J):
+    """Finite cells whose root Haar coefficient squares past the float range."""
+    return Signal(np.repeat([1e200, -1e200], 1 << (J - 1)))
+
+
+@pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+def test_overflowing_haar_squares_rejected(mode):
+    J = 6
+    F, g = _overflow_signal(J), generate_signal("gaussian_noise", J, seed=0)
+    T, w = full_multiplier(J), generate_weight("dyadic_doubling", J, seed=1)
+    run = {"avg": lambda f, g: dominate_avg(T, f, g),
+           "square": lambda f, g: dominate_square(T, f, g),
+           "weighted": lambda f, g: dominate_weighted(T, f, g, w),
+           "osc": lambda f, g: dominate_oscillation(T, f, g)}[mode]
+    for pair, role in (((F, g), "f"), ((g, F), "g"), ((F, F), "f")):
+        with pytest.raises(ValueError, match=f"squared Haar coefficient of {role} overflows"):
+            run(*pair)
+
+
+def test_overflowing_haar_square_outside_family_is_unread():
+    # only the family's squares enter a run: a family below the root
+    # certifies the signal whose root coefficient overflows
+    J = 6
+    F = _overflow_signal(J)
+    T = HaarMultiplier.from_dict({I(3, 1): 1.0, I(5, 2): -0.5})
+    for cert in (dominate_avg(T, F, F), dominate_square(T, F, F),
+                 dominate_oscillation(T, F, F)):
+        assert cert.ok() and cert.lhs == 0.0
 
 
 def _reference_lerner(phi, Q0, lam):
