@@ -2,14 +2,22 @@
 
 The decomposition splits |f| at a level alpha into a bounded good part and
 cancellative bad parts supported on the maximal dyadic intervals where the
-local average exceeds alpha.  Cell values are dyadic rationals: ``np.frexp``
-gives each a 53-bit integer mantissa, and shifting the mantissas to one
-common exponent turns the exact interval sums into a heap of Python ints,
-one level per depth.  Every level-set decision is an integer comparison
-against alpha's exact ratio, so the decomposition is exact; the stored good
-part and the one length-n vector of bad values are its float rendering,
-and :meth:`CZDecomposition.verify` re-checks them against the exact object
-in one vectorized pass.  Both cost O(J n) for n = 2**J cells.
+local average exceeds alpha.  Every level-set decision and every cube
+average is exact, and each is made on one float64 double-double heap of the
+cell sums (:func:`kernels.dd_interval_sums`).  The cells are |f| >= 0, so
+the pairwise sum hi of a node of height h is within (h + 2) 2**-51 of its
+exact sum S, relative; S is hi + lo itself where the heap's ``exact`` flag
+is set, and within (h + 2)**2 2**-100 of it elsewhere.  A question those
+bounds settle is answered in float64.  The nodes they leave open (near-ties
+on an inexact node, overflowing sums, subnormal averages) are summed exactly
+on their own cells by :func:`_exact_sums`: ``np.frexp`` gives each cell a
+53-bit integer mantissa, and shifting the mantissas to one common exponent
+makes the sum a Python int.  This is the filter-then-exact pattern of
+Shewchuk, *Adaptive precision floating-point arithmetic and fast robust
+geometric predicates*.  The stored good part and the one length-n vector of
+bad values are the float rendering of the exact object, and
+:meth:`CZDecomposition.verify` re-checks them with the same filters in one
+vectorized pass.  Both cost O(J n) for n = 2**J cells.
 
 The weak (1,1) certifier follows the major-subset characterization of weak
 L^1 (the 1/2-sparse test of Lerner and Nazarov, *Intuitive dyadic calculus:
@@ -24,14 +32,37 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .dyadic import (DyadicInterval, ROOT, Signal, check_finite, lp_norm,
                      weak_l1_quasinorm)
 from .maximal import MaximalKind, maximal
 
 __all__ = ["CZDecomposition", "cz_decompose", "weak11_certify"]
+
+#: Added to every float bound: covers the rounding of a product that underflows.
+_TINY = 2.0 ** -1074
+
+
+def _hi_bound(h):
+    """Relative error bound of a pairwise sum over 2**h cells of one sign (or
+    over |cells|), with a factor of 4 to spare for the rounding of the test."""
+    return (h + 2.0) * 2.0 ** -51
+
+
+def _lo_bound(h):
+    """|S - hi - lo| / sum|cells| on an inexact double-double node of height
+    h: the bound is about 1.1 (h + 1)**2 2**-106, kept here with a factor of
+    at least 58 to spare."""
+    return (h + 2.0) ** 2 * 2.0 ** -100
+
+
+def _height(nodes: np.ndarray, J: int) -> np.ndarray:
+    """Height J - depth of heap nodes (a node covers 2**height cells)."""
+    return J + 1 - np.frexp(nodes.astype(np.float64))[1]
 
 
 def _exact_ints(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -46,22 +77,28 @@ def _exact_ints(values: np.ndarray) -> tuple[np.ndarray, int]:
     return mant.astype(object) << shift.astype(object), e
 
 
-def _cuts(num: int, den: int, J: int, e: int) -> np.ndarray:
-    """For d = 0 .. J, the largest integer sum, in units of 2**e, whose
-    average over a depth-d interval is <= num/den: a node's average exceeds
-    alpha = num/den iff its exact sum exceeds its depth's cut."""
-    cuts = []
-    for d in range(J + 1):
-        x = num << (J - d)
-        cuts.append((x << -e) // den if e <= 0 else x // (den << e))
-    return np.array(cuts, dtype=object)
+def _exact_sums(values: np.ndarray, nodes: np.ndarray, J: int) -> tuple[np.ndarray, int]:
+    """The exact path: each heap node's cell sum as a Python int c[k] times
+    one common 2**e, from the node's own cells only."""
+    size = np.left_shift(1, _height(nodes, J))
+    lo = nodes * size - (1 << J)
+    cells, _, start = _cube_cells(lo, size)
+    ints, e = _exact_ints(values[cells])
+    prefix = np.cumsum(np.concatenate(([0], ints)))
+    return prefix[start + size] - prefix[start], e
 
 
-def _averages(sums: np.ndarray, depth: np.ndarray, J: int, e: int) -> np.ndarray:
-    """float(sum * 2**e / 2**(J-d)) of integer node sums, correctly rounded
+def _exact_total(values: np.ndarray) -> Fraction:
+    """The exact sum of all values, on the exact path."""
+    c, e = _exact_sums(values, np.ones(1, dtype=np.int64), values.shape[0].bit_length() - 1)
+    return Fraction(int(c[0])) * Fraction(2) ** e
+
+
+def _averages(sums: np.ndarray, height: np.ndarray, e: int) -> np.ndarray:
+    """float(sum * 2**e / 2**height) of integer node sums, correctly rounded
     (int true division rounds correctly)."""
     out = [float(s << k) if k >= 0 else s / (1 << -k)
-           for s, k in zip(sums, (e - J + depth).tolist())]
+           for s, k in zip(sums, (e - height).tolist())]
     return np.array(out, dtype=np.float64)
 
 
@@ -77,6 +114,157 @@ def _cube_cells(lo: np.ndarray, size: np.ndarray) -> tuple:
     owner = np.repeat(np.arange(lo.size), size)
     start = np.cumsum(size) - size
     return np.arange(int(size.sum())) + np.repeat(lo - start, size), owner, start
+
+
+def _times(iv: tuple, k: int) -> tuple:
+    return iv[0] * k, iv[1] * k
+
+
+def _le(a: tuple, b: tuple):
+    """a <= b for two (low, high) intervals, or None while they overlap."""
+    if a[1] <= b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    return None
+
+
+class _Sums:
+    """Exact questions about the cell sums S of nonnegative values over dyadic
+    nodes: float64 on the double-double heap where its bounds settle them,
+    :func:`_exact_sums` on the node's own cells where they do not."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.J = values.shape[0].bit_length() - 1
+        self.hi, self.lo, self.exact = kernels.dd_interval_sums(values)
+
+    def exceeds(self, nodes: np.ndarray, shift, alpha: float) -> np.ndarray:
+        """Whether S > alpha * 2**shift, node by node."""
+        h = _height(nodes, self.J)
+        shift = np.broadcast_to(shift, nodes.shape)
+        hi = self.hi[nodes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.ldexp(alpha, shift)
+            gap = hi - t
+            # past DBL_MAX, t or S is >= 2**1023.99 while the other is < 2**1023
+            far = ((np.abs(gap) > _hi_bound(h) * hi + _TINY) & ((t < np.inf) | (hi < 2.0 ** 1023))
+                   | (hi == np.inf) & (t < 2.0 ** 1023))
+            out = gap > 0.0
+            near = np.flatnonzero(~far)
+            if not near.size:
+                return out
+            # near t, hi - t is exact (Sterbenz's lemma): on an exact node
+            # (hi - t) + lo has the sign of S - t, elsewhere it is within the
+            # lo bound of S - t
+            dd = gap[near] + self.lo[nodes[near]]
+            out[near] = dd > 0.0
+            sure = (t[near] < np.inf) & (
+                self.exact[nodes[near]]
+                | (np.abs(dd) > 2.0 * (_lo_bound(h[near]) * hi[near] + _TINY)))
+        unsure = near[~sure]
+        if unsure.size:
+            c, e = _exact_sums(self.values, nodes[unsure], self.J)
+            num, den = float(alpha).as_integer_ratio()
+            out[unsure] = [x > y for x, y in (
+                _align(int(ck) * den, e, num, s) for ck, s in zip(c, shift[unsure].tolist()))]
+        return out
+
+    def averages(self, nodes: np.ndarray) -> np.ndarray:
+        """Each node's average S / 2**height, correctly rounded to float64."""
+        h = _height(nodes, self.J)
+        hi, lo = self.hi[nodes], self.lo[nodes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = hi + lo                   # fl(S) on an exact node
+            err = kernels.two_sum_err(hi, lo, y)
+            # elsewhere fl(S) == y while S, within r of y + err, stays
+            # strictly inside y's rounding interval
+            r = _lo_bound(h) * hi + _TINY
+            sure = self.exact[nodes] | ((err + r < np.spacing(y) / 2.0)
+                                        & (r - err < (y - np.nextafter(y, 0.0)) / 2.0))
+            # a normal average: y / 2**h is exact, so it is fl(S / 2**h)
+            sure &= (y >= np.ldexp(2.0 ** -1022, h)) & (y < np.inf)
+            avg = np.ldexp(y, -h)
+        unsure = np.flatnonzero(~sure)
+        if unsure.size:
+            c, e = _exact_sums(self.values, nodes[unsure], self.J)
+            avg[unsure] = _averages(c, h[unsure], e)
+        return avg
+
+    def total(self) -> tuple:
+        """(low, high) Fractions around the sum of every cell, equal where the
+        root is exact or overflows."""
+        hi, lo = self.hi[1], self.lo[1]
+        if not np.isfinite(hi):
+            s = _exact_total(self.values)
+            return s, s
+        s = Fraction(hi) + Fraction(lo)
+        r = 0 if self.exact[1] else Fraction(_lo_bound(self.J) * hi + _TINY)
+        return s - r, s + r
+
+
+def _sum_bounds(values: np.ndarray) -> tuple:
+    """(low, high) Fractions around sum(values), from the pairwise float sum
+    (the exact sum twice if that overflows)."""
+    J = values.shape[0].bit_length() - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = kernels.interval_sums(values)[1]
+        a = np.sum(np.abs(values))
+        r = 2.0 * _hi_bound(J) * a + _TINY if a else 0.0
+    if not (np.isfinite(s) and np.isfinite(r)):
+        s = _exact_total(values)
+        return s, s
+    return Fraction(s) - Fraction(r), Fraction(s) + Fraction(r)
+
+
+def _cancellation_exact(f, bad, favg, nodes, J) -> bool:
+    """The rendering bound of :meth:`CZDecomposition.verify` in Python ints,
+    on the given cubes' own cells."""
+    sums, ev = _exact_sums(f, nodes, J)
+    size = np.left_shift(1, _height(nodes, J))
+    cells, _, start = _cube_cells(nodes * size - (1 << J), size)
+    b = bad[cells]
+    ulp = np.where(b == 0.0, 0.0, np.abs(np.spacing(b)))
+    rend, er = _exact_ints(np.concatenate([b, ulp, favg]))
+    L = b.size
+    end = start + size
+    bpre = np.cumsum(np.concatenate(([0], rend[:L])))
+    upre = np.cumsum(np.concatenate(([0], rend[L:2 * L])))
+    e0 = min(ev, er)
+    m = size.astype(object)
+    err = np.abs((sums << (ev - e0)) - ((m * rend[2 * L:]) << (er - e0)))
+    lhs = (2 * np.abs(bpre[end] - bpre[start])) << (er - e0)
+    return not np.any(lhs > 2 * err + ((upre[end] - upre[start]) << (er - e0)))
+
+
+def _cancellation_ok(sums: _Sums, bad: np.ndarray, favg: np.ndarray,
+                     nodes: np.ndarray) -> bool:
+    """2|B| <= 2E + U on every cube, for B = sum b, E = |S - m favg| and
+    U = sum ulp(b) over its m cells.  Decided in float64 from the
+    double-double heaps of |f| and of b: |b| <= 2**53 ulp(b), so b's tail
+    error is below (h + 2)**2 2**-52 U.  A cube the error bounds leave open
+    goes to :func:`_cancellation_exact`."""
+    J = sums.J
+    h = _height(nodes, J)
+    hi, exact = sums.hi[nodes], sums.exact[nodes]
+    b_hi, b_lo, b_exact = kernels.dd_interval_sums(bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ulp = np.where(bad == 0.0, 0.0, np.abs(np.spacing(bad)))
+        U = kernels.interval_sums(ulp)[nodes]
+        B = np.abs(b_hi[nodes] + b_lo[nodes])
+        P = np.ldexp(favg, h)         # m favg, exact
+        E = np.abs((hi - P) + sums.lo[nodes])   # hi - P exact by Sterbenz's lemma
+        X = (2.0 * E + U) - 2.0 * B
+        eps = (2.0 * _hi_bound(h) * (2.0 * E + U + 2.0 * B + np.abs(X))
+               + np.where(exact, 0.0, 2.0 * _lo_bound(h) * hi)
+               + np.where(b_exact[nodes], 0.0, (h + 2.0) ** 2 * 2.0 ** -50 * U)
+               + 2.0 ** -1070)
+        sure = (np.abs(X) > eps) & (P <= 2.0 * hi) & (hi <= 2.0 * P)
+    if np.any(sure & (X < 0.0) & (U != 0.0)):
+        return False
+    unsure = np.flatnonzero(~sure & (U != 0.0))       # U == 0: every b is 0
+    return not unsure.size or _cancellation_exact(sums.values, bad, favg[unsure],
+                                                  nodes[unsure], J)
 
 
 class _BadParts(Mapping):
@@ -127,68 +315,57 @@ class CZDecomposition:
         bad vector vanishes off the cubes, and on each cube the stored bad
         values b_i satisfy the rendering bound
         |sum b_i| <= m |avg_Q - float(avg_Q)| + sum ulp(b_i) / 2.  Level
-        decisions, measures and L^1 sums are exact integer statements.
+        decisions, averages, measures and L^1 sums are exact statements,
+        decided on double-double heaps of |f| and of the bad vector where
+        their error bounds settle them and in Python ints on the open cubes'
+        own cells where they do not.
         """
         f = self.source_abs.values
         J, n = self.source_abs.depth_J, self.source_abs.n_cells
         alpha = float(self.level_alpha)
-        num, den = alpha.as_integer_ratio()
         good, bad = self.good.values, self.bad
-        depth = np.array([Q.depth for Q in self.bad_cubes], dtype=np.int64)
-        lo = np.array([Q.cell_range(J)[0] for Q in self.bad_cubes], dtype=np.int64)
-        size = np.left_shift(1, J - depth)
-        hi = lo + size
-
-        ints, ev = _exact_ints(f)
-        prefix = np.cumsum(np.concatenate(([0], ints)))
-        cut = _cuts(num, den, J, ev)
-        root_is_bad = self.bad_cubes == (ROOT,) and prefix[n] > cut[0]
+        nodes = np.fromiter((Q.node for Q in self.bad_cubes), np.int64,
+                            len(self.bad_cubes))
+        h = _height(nodes, J)
+        size = np.left_shift(1, h)
+        lo = nodes * size - n
+        sums = _Sums(f)
+        root_is_bad = (self.bad_cubes == (ROOT,)
+                       and bool(sums.exceeds(np.ones(1, dtype=np.int64), J, alpha)[0]))
 
         cover = np.cumsum(np.bincount(lo, minlength=n + 1)
-                          - np.bincount(hi, minlength=n + 1))[:n]
+                          - np.bincount(lo + size, minlength=n + 1))[:n]
         covered = cover > 0
         disjoint_ok = not np.any(cover > 1)
-        cells, owner, start = _cube_cells(lo, size)
+        cells, owner, _ = _cube_cells(lo, size)
 
-        sums = prefix[hi] - prefix[lo]
-        favg = _averages(sums, depth, J, ev)
+        favg = sums.averages(nodes)
         split_ok = bool(np.all(good[cells] == favg[owner])
                         and np.all(good[~covered] == f[~covered]))
         support_ok = not np.any(bad[~covered] != 0.0)
-
-        # rendering bound, doubled: 2|sum b| <= 2|m avg - m float(avg)| + sum ulp
-        b = bad[cells]
-        ulp = np.where(b == 0.0, 0.0, np.abs(np.spacing(b)))
-        rend, er = _exact_ints(np.concatenate([b, ulp, favg]))
-        L = b.size
-        end = start + size
-        bpre = np.cumsum(np.concatenate(([0], rend[:L])))
-        upre = np.cumsum(np.concatenate(([0], rend[L:2 * L])))
-        e0 = min(ev, er)
-        m = size.astype(object)
-        err = np.abs((sums << (ev - e0)) - ((m * rend[2 * L:]) << (er - e0)))
-        lhs = (2 * np.abs(bpre[end] - bpre[start])) << (er - e0)
-        cancel_ok = not np.any(lhs > 2 * err + ((upre[end] - upre[start]) << (er - e0)))
+        cancel_ok = _cancellation_ok(sums, bad, favg, nodes)
 
         maximal_ok = linf_ok = measure_ok = True
         if not root_is_bad:
-            if np.any(depth == 0):
+            if np.any(h == J):
                 maximal_ok = False
             else:
-                plo = lo & ~(2 * size - 1)
-                maximal_ok = bool(np.all(sums > cut[depth]) and np.all(
-                    prefix[plo + 2 * size] - prefix[plo] <= cut[depth - 1]))
+                maximal_ok = bool(np.all(sums.exceeds(nodes, h, alpha))
+                                  and not np.any(sums.exceeds(nodes >> 1, h + 1, alpha)))
             # dyadic parent bound: avg_Q <= 2 alpha
-            if np.any(sums > _cuts(2 * num, den, J, ev)[depth]):
+            if np.any(sums.exceeds(nodes, h + 1, alpha)):
                 linf_ok = False
             if np.any(np.abs(f[~covered]) > alpha):
                 linf_ok = False        # uncovered cells sit under the level
             # sum |Q| alpha <= ||f||_1, times n
-            lhs, rhs = _align(int(size.sum()) * num, 0, prefix[n] * den, ev)
-            measure_ok = lhs <= rhs
-        gints, eg = _exact_ints(good)
-        lhs, rhs = _align(np.sum(gints) * 10**9, eg, prefix[n] * (10**9 + 1), ev)
-        good_l1_ok = lhs <= rhs
+            mass = Fraction(int(size.sum())) * Fraction(alpha)
+            measure_ok = _le((mass, mass), sums.total())
+            if measure_ok is None:
+                measure_ok = mass <= _exact_total(f)
+        # sum good <= (1 + 1e-9) ||f||_1, times 10**9
+        good_l1_ok = _le(_times(_sum_bounds(good), 10**9), _times(sums.total(), 10**9 + 1))
+        if good_l1_ok is None:
+            good_l1_ok = _exact_total(good) * 10**9 <= _exact_total(f) * (10**9 + 1)
         return {
             "split_ok": bool(split_ok),
             "cancellation_ok": bool(cancel_ok),
@@ -210,41 +387,36 @@ def cz_decompose(f: Signal, alpha: float) -> CZDecomposition:
     Bad cubes are the maximal dyadic intervals with average of |f| above
     alpha (equivalently, of the level set {M|f| > alpha}); the good part is
     |f| off their union and the cube average on each of them, so every bad
-    part integrates to zero.  Averages are compared with alpha exactly, on
-    an integer heap of the cell sums.  If alpha is at most the root average
-    the root itself is the single bad cube.
+    part integrates to zero.  Averages are compared with alpha exactly, and
+    each cube's average is correctly rounded: both are decided on the
+    double-double heap of the cell sums, and in Python ints on the cells of
+    the few nodes its error bounds leave open.  If alpha is at most the root
+    average the root itself is the single bad cube.
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be finite and > 0")
     check_finite(f)
     absf = Signal(np.abs(f.values))
     J = f.depth_J
-    num, den = float(alpha).as_integer_ratio()
-    ints, e = _exact_ints(absf.values)
-    levels = [ints]                     # levels[k]: the 2**(J-k) sums at depth J-k
-    for _ in range(J):
-        levels.append(levels[-1][0::2] + levels[-1][1::2])
-    levels.reverse()
-    cut = _cuts(num, den, J, e)
+    sums = _Sums(absf.values)
 
     # maximal nodes above the level, depth by depth under the nodes not yet bad
     hits = [np.zeros(0, dtype=np.int64)] * (J + 1)
-    if levels[0][0] > cut[0]:
-        hits[0] = np.zeros(1, dtype=np.int64)
+    alive = np.ones(1, dtype=np.int64)
+    if sums.exceeds(alive, J, alpha)[0]:
+        hits[0] = alive
     else:
-        alive = np.zeros(1, dtype=np.int64)
         for d in range(1, J + 1):
             alive = np.repeat(2 * alive, 2)
             alive[1::2] += 1
-            above = levels[d][alive] > cut[d]
+            above = sums.exceeds(alive, J - d, alpha)
             hits[d], alive = alive[above], alive[~above]
     depth = np.repeat(np.arange(J + 1), [h.size for h in hits])
-    index = np.concatenate(hits)
-    sums = np.concatenate([levels[d][h] for d, h in enumerate(hits)])
-    favg = _averages(sums, depth, J, e)
+    nodes = np.concatenate(hits)
+    index = nodes - np.left_shift(1, depth)
+    favg = sums.averages(nodes)
     size = np.left_shift(1, J - depth)
-    lo = index * size
-    cells, owner, _ = _cube_cells(lo, size)
+    cells, owner, _ = _cube_cells(index * size, size)
     good = absf.values.copy()
     bad = np.zeros(absf.n_cells)
     good[cells] = favg[owner]

@@ -50,6 +50,8 @@ __all__ = [
     "chi_kernel",
     "chi_sums_depth",
     "interval_sums",
+    "dd_interval_sums",
+    "two_sum_err",
     "heap_subtree_sums",
     "node_mask",
     "ancestor_max",
@@ -159,12 +161,55 @@ def interval_sums(values):
     n = values.shape[0]
     J = n.bit_length() - 1
     heap = np.empty(2 * n)
+    heap[0] = 0.0
     heap[n:] = values
     for d in range(J - 1, -1, -1):
         lo = 1 << d
         below = heap[2 * lo : 4 * lo]
         heap[lo : 2 * lo] = below[0::2] + below[1::2]
     return heap
+
+
+def two_sum_err(a, b, s):
+    """(a + b) - s exactly, for s = fl(a + b) finite (Knuth's TwoSum)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+def dd_interval_sums(values):
+    """Double-double heaps ``hi``, ``lo`` and ``exact`` of the cell sums.
+
+    ``hi`` is :func:`interval_sums` bit for bit.  A parent's rounding error
+    e = (a + b) - fl(a + b) is exact (the error-free TwoSum of Ogita, Rump
+    and Oishi, *Accurate sum and dot product*), and ``lo`` accumulates the
+    errors of the node's subtree in float: lo = fl(fl(lo_a + lo_b) + e).
+    ``exact`` is true where both of those additions were exact at the node
+    and throughout its subtree, so the exact sum is hi + lo there.  Elsewhere
+    lo is still within about (h + 1)**2 2**-106 sum|values| of the exact
+    tail, for a node of height h.  A sum that overflows has hi = inf, lo NaN
+    and ``exact`` false, at the node and above it.
+    """
+    n = values.shape[0]
+    lo = np.zeros(2 * n)
+    exact = np.ones(2 * n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = interval_sums(values)
+        for d in range(n.bit_length() - 2, -1, -1):
+            p = 1 << d
+            e = two_sum_err(hi[2 * p : 4 * p : 2], hi[2 * p + 1 : 4 * p : 2], hi[p : 2 * p])
+            if 2 * p == n:            # parents of the cells: lo is e itself
+                lo[p : 2 * p] = e
+                exact[p : 2 * p] = e == e
+                continue
+            la, lb = lo[2 * p : 4 * p : 2], lo[2 * p + 1 : 4 * p : 2]
+            t = la + lb
+            v = lo[p : 2 * p]
+            np.add(t, e, out=v)
+            ok = exact[p : 2 * p]
+            np.logical_and(exact[2 * p : 4 * p : 2], exact[2 * p + 1 : 4 * p : 2], out=ok)
+            ok &= two_sum_err(la, lb, t) == 0.0
+            ok &= two_sum_err(t, e, v) == 0.0
+    return hi, lo, exact
 
 
 def heap_subtree_sums(vals, J):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom.cz import cz_decompose, weak11_certify
+from sparsedom import cz, kernels
+from sparsedom.cz import CZDecomposition, cz_decompose, weak11_certify
 from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, average, cells_of,
-                              lp_norm, weak_l1_quasinorm)
+                              check_finite, lp_norm, weak_l1_quasinorm)
 from sparsedom.generate import (SIGNAL_KINDS, generate_signal,
                                 generate_sparse_collection)
 from sparsedom.haar import (HaarMultiplier, haar_transform, inverse_haar_transform,
@@ -221,6 +223,189 @@ def _reference_weak11(op, f: Signal, K: float = 4.0, seed: int = 0,
     }
 
 
+# ---------------------------------------------------------------------------
+# The integer reference: the Python-int cz_decompose and verify, kept verbatim
+# from before the double-double heap (``self`` of verify is any
+# CZDecomposition, so tampered ones can be checked too).
+# ---------------------------------------------------------------------------
+
+def _exact_ints(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python ints c (an object array) and one exponent e with
+    values[i] == c[i] * 2**e exactly."""
+    mant, expo = np.frexp(values)
+    mant = (mant * 2.0 ** 53).astype(np.int64)     # |mant| < 2**53: exact
+    expo = expo.astype(np.int64) - 53
+    nonzero = mant != 0
+    e = int(expo[nonzero].min()) if nonzero.any() else 0
+    shift = np.where(nonzero, expo - e, 0)
+    return mant.astype(object) << shift.astype(object), e
+
+
+def _cuts(num: int, den: int, J: int, e: int) -> np.ndarray:
+    """For d = 0 .. J, the largest integer sum, in units of 2**e, whose
+    average over a depth-d interval is <= num/den: a node's average exceeds
+    alpha = num/den iff its exact sum exceeds its depth's cut."""
+    cuts = []
+    for d in range(J + 1):
+        x = num << (J - d)
+        cuts.append((x << -e) // den if e <= 0 else x // (den << e))
+    return np.array(cuts, dtype=object)
+
+
+def _averages(sums: np.ndarray, depth: np.ndarray, J: int, e: int) -> np.ndarray:
+    """float(sum * 2**e / 2**(J-d)) of integer node sums, correctly rounded
+    (int true division rounds correctly)."""
+    out = [float(s << k) if k >= 0 else s / (1 << -k)
+           for s, k in zip(sums, (e - J + depth).tolist())]
+    return np.array(out, dtype=np.float64)
+
+
+def _align(x: int, ex: int, y: int, ey: int) -> tuple[int, int]:
+    """x * 2**ex and y * 2**ey as integers in the units of the smaller one."""
+    e = min(ex, ey)
+    return x << (ex - e), y << (ey - e)
+
+
+def _cube_cells(lo: np.ndarray, size: np.ndarray) -> tuple:
+    """The cells of every cube, cube by cube, the cube owning each and the
+    position where each cube's cells start."""
+    owner = np.repeat(np.arange(lo.size), size)
+    start = np.cumsum(size) - size
+    return np.arange(int(size.sum())) + np.repeat(lo - start, size), owner, start
+
+
+def _integer_verify(self) -> dict:
+    """Exact verification of the decomposition invariants.
+
+    The exact object has cube averages avg_Q = (exact cell sum) / m and
+    bad parts |f| - avg_Q on each cube.  The stored signals must render
+    it: good is float(avg_Q) on the cubes and |f| outside bitwise, the
+    bad vector vanishes off the cubes, and on each cube the stored bad
+    values b_i satisfy the rendering bound
+    |sum b_i| <= m |avg_Q - float(avg_Q)| + sum ulp(b_i) / 2.  Level
+    decisions, measures and L^1 sums are exact integer statements.
+    """
+    f = self.source_abs.values
+    J, n = self.source_abs.depth_J, self.source_abs.n_cells
+    alpha = float(self.level_alpha)
+    num, den = alpha.as_integer_ratio()
+    good, bad = self.good.values, self.bad
+    depth = np.array([Q.depth for Q in self.bad_cubes], dtype=np.int64)
+    lo = np.array([Q.cell_range(J)[0] for Q in self.bad_cubes], dtype=np.int64)
+    size = np.left_shift(1, J - depth)
+    hi = lo + size
+
+    ints, ev = _exact_ints(f)
+    prefix = np.cumsum(np.concatenate(([0], ints)))
+    cut = _cuts(num, den, J, ev)
+    root_is_bad = self.bad_cubes == (ROOT,) and prefix[n] > cut[0]
+
+    cover = np.cumsum(np.bincount(lo, minlength=n + 1)
+                      - np.bincount(hi, minlength=n + 1))[:n]
+    covered = cover > 0
+    disjoint_ok = not np.any(cover > 1)
+    cells, owner, start = _cube_cells(lo, size)
+
+    sums = prefix[hi] - prefix[lo]
+    favg = _averages(sums, depth, J, ev)
+    split_ok = bool(np.all(good[cells] == favg[owner])
+                    and np.all(good[~covered] == f[~covered]))
+    support_ok = not np.any(bad[~covered] != 0.0)
+
+    # rendering bound, doubled: 2|sum b| <= 2|m avg - m float(avg)| + sum ulp
+    b = bad[cells]
+    ulp = np.where(b == 0.0, 0.0, np.abs(np.spacing(b)))
+    rend, er = _exact_ints(np.concatenate([b, ulp, favg]))
+    L = b.size
+    end = start + size
+    bpre = np.cumsum(np.concatenate(([0], rend[:L])))
+    upre = np.cumsum(np.concatenate(([0], rend[L:2 * L])))
+    e0 = min(ev, er)
+    m = size.astype(object)
+    err = np.abs((sums << (ev - e0)) - ((m * rend[2 * L:]) << (er - e0)))
+    lhs = (2 * np.abs(bpre[end] - bpre[start])) << (er - e0)
+    cancel_ok = not np.any(lhs > 2 * err + ((upre[end] - upre[start]) << (er - e0)))
+
+    maximal_ok = linf_ok = measure_ok = True
+    if not root_is_bad:
+        if np.any(depth == 0):
+            maximal_ok = False
+        else:
+            plo = lo & ~(2 * size - 1)
+            maximal_ok = bool(np.all(sums > cut[depth]) and np.all(
+                prefix[plo + 2 * size] - prefix[plo] <= cut[depth - 1]))
+        # dyadic parent bound: avg_Q <= 2 alpha
+        if np.any(sums > _cuts(2 * num, den, J, ev)[depth]):
+            linf_ok = False
+        if np.any(np.abs(f[~covered]) > alpha):
+            linf_ok = False        # uncovered cells sit under the level
+        # sum |Q| alpha <= ||f||_1, times n
+        lhs, rhs = _align(int(size.sum()) * num, 0, prefix[n] * den, ev)
+        measure_ok = lhs <= rhs
+    gints, eg = _exact_ints(good)
+    lhs, rhs = _align(np.sum(gints) * 10**9, eg, prefix[n] * (10**9 + 1), ev)
+    good_l1_ok = lhs <= rhs
+    return {
+        "split_ok": bool(split_ok),
+        "cancellation_ok": bool(cancel_ok),
+        "support_ok": bool(support_ok),
+        "cube_measure_ok": bool(measure_ok),
+        "good_linf_ok": bool(linf_ok),
+        "good_l1_ok": bool(good_l1_ok),
+        "cubes_disjoint_ok": bool(disjoint_ok),
+        "cubes_maximal_ok": bool(maximal_ok),
+    }
+
+
+def _integer_cz_decompose(f: Signal, alpha: float) -> CZDecomposition:
+    """Split |f| = good + sum of bad parts at level alpha.
+
+    Bad cubes are the maximal dyadic intervals with average of |f| above
+    alpha (equivalently, of the level set {M|f| > alpha}); the good part is
+    |f| off their union and the cube average on each of them, so every bad
+    part integrates to zero.  Averages are compared with alpha exactly, on
+    an integer heap of the cell sums.  If alpha is at most the root average
+    the root itself is the single bad cube.
+    """
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be finite and > 0")
+    check_finite(f)
+    absf = Signal(np.abs(f.values))
+    J = f.depth_J
+    num, den = float(alpha).as_integer_ratio()
+    ints, e = _exact_ints(absf.values)
+    levels = [ints]                     # levels[k]: the 2**(J-k) sums at depth J-k
+    for _ in range(J):
+        levels.append(levels[-1][0::2] + levels[-1][1::2])
+    levels.reverse()
+    cut = _cuts(num, den, J, e)
+
+    # maximal nodes above the level, depth by depth under the nodes not yet bad
+    hits = [np.zeros(0, dtype=np.int64)] * (J + 1)
+    if levels[0][0] > cut[0]:
+        hits[0] = np.zeros(1, dtype=np.int64)
+    else:
+        alive = np.zeros(1, dtype=np.int64)
+        for d in range(1, J + 1):
+            alive = np.repeat(2 * alive, 2)
+            alive[1::2] += 1
+            above = levels[d][alive] > cut[d]
+            hits[d], alive = alive[above], alive[~above]
+    depth = np.repeat(np.arange(J + 1), [h.size for h in hits])
+    index = np.concatenate(hits)
+    sums = np.concatenate([levels[d][h] for d, h in enumerate(hits)])
+    favg = _averages(sums, depth, J, e)
+    size = np.left_shift(1, J - depth)
+    lo = index * size
+    cells, owner, _ = _cube_cells(lo, size)
+    good = absf.values.copy()
+    bad = np.zeros(absf.n_cells)
+    good[cells] = favg[owner]
+    bad[cells] = absf.values[cells] - favg[owner]
+    cubes = tuple(map(DyadicInterval, depth.tolist(), index.tolist()))
+    return CZDecomposition(alpha, Signal(good), cubes, bad, absf)
+
+
 def I(d, i):
     return DyadicInterval(d, i)
 
@@ -344,7 +529,7 @@ class TestWeak11Certify:
 
 
 # ---------------------------------------------------------------------------
-# The integer heap and the per-depth scan against the references
+# The decomposition and the per-depth scan against the references
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -387,6 +572,14 @@ def _same_floats(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+EXTREME_CELLS = [
+    [1e300, 1e-300, 5e-324, 0.0, 1.0, 2.0, 1e300, 3.0],
+    [np.finfo(float).max, 0.0, 0.0, 0.0],
+    [5e-324, 1e-310, 0.0, 5e-324],
+    [1e-300] * 8,
+]
+
+
 class TestCZMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(f=hard_signals(), level=st.one_of(
@@ -413,12 +606,7 @@ class TestCZMatchesReference:
         assert all(checks.values()), checks
 
 
-    @pytest.mark.parametrize("cells", [
-        [1e300, 1e-300, 5e-324, 0.0, 1.0, 2.0, 1e300, 3.0],
-        [np.finfo(float).max, 0.0, 0.0, 0.0],
-        [5e-324, 1e-310, 0.0, 5e-324],
-        [1e-300] * 8,
-    ])
+    @pytest.mark.parametrize("cells", EXTREME_CELLS)
     def test_extreme_cells(self, cells):
         f = Signal(np.array(cells))
         for alpha in (1e-320, 1e-300, 1.0, 1e299, float(np.mean(cells))):
@@ -430,6 +618,165 @@ class TestCZMatchesReference:
             for Q, part in ref.bad_parts.items():
                 assert _same_floats(dec.bad_parts[Q].values, part.values)
             assert dec.verify() == ref.verify()
+
+
+DBL_MAX = float(np.finfo(float).max)
+CZ_KINDS = SIGNAL_KINDS + ("zero", "constant", "integers", "point_mass",
+                          "subnormal", "dbl_max")
+CZ_LEVELS = ("scale", "tie", "below_tie", "above_tie", "overflow_edge")
+
+
+def _exact_average(vals, node: int) -> Fraction:
+    """The exact average of |vals| on a heap node."""
+    d = node.bit_length() - 1
+    m = vals.size >> d
+    i = node - (1 << d)
+    return sum(map(Fraction, np.abs(vals[i * m:(i + 1) * m]).tolist()), Fraction(0)) / m
+
+
+def _hard_case(seed: int, J: int, kind: str, level: str):
+    """A hard input and a level at or next to a tie.
+
+    Signals: every generator kind plus zero, constant, small-integer (exact
+    averages), point-mass, subnormal and DBL_MAX-sized cells, optionally
+    spread over the dynamic range 1e-150 .. 1e150 and with random signs.
+    Levels: a scale of the root average, a node's exact average rounded to
+    float (an exact tie where it is representable) and its two neighbours,
+    or alpha with alpha * 2**(J-d) at DBL_MAX or just past it.
+    """
+    rng = np.random.default_rng(seed)
+    n = 1 << J
+    if kind in SIGNAL_KINDS:
+        vals = generate_signal(kind, J, seed=seed, k=1 + seed % 4).values
+    elif kind == "zero":
+        vals = np.zeros(n)
+    elif kind == "constant":
+        vals = np.full(n, rng.choice([1.0, 0.1, 3.0, 1e-150, 1e150, 5e-324, DBL_MAX]))
+    elif kind == "integers":
+        vals = rng.integers(0, 9, n).astype(float)
+    elif kind == "point_mass":
+        vals = np.zeros(n)
+        vals[rng.integers(n)] = rng.choice([1.0, float(n), 1e-150, 1e150, 5e-324, DBL_MAX])
+    elif kind == "subnormal":
+        vals = rng.integers(0, 1 << 20, n) * 5e-324
+    else:
+        vals = np.where(rng.random(n) < 0.5, rng.random(n) * DBL_MAX, 0.0)
+        vals[rng.integers(n)] = DBL_MAX
+    if rng.random() < 0.3 and np.all(np.abs(vals) <= 1e150):
+        vals = vals * 10.0 ** rng.uniform(-150.0, 150.0, n)
+    if rng.random() < 0.5:
+        vals = vals * rng.choice([-1.0, 1.0], n)
+    node = int(rng.integers(1, 2 * n))
+    with np.errstate(over="ignore"):          # nextafter(DBL_MAX, inf) is inf
+        alpha = _level(rng, vals, J, node, level)
+    return Signal(vals), alpha if 0.0 < alpha < np.inf else 1.0
+
+
+def _level(rng, vals, J, node, level) -> float:
+    if level == "scale":
+        alpha = float(rng.uniform(0.05, 4.0) * _exact_average(vals, 1))
+    elif level == "overflow_edge":
+        k = J - (node.bit_length() - 1) + int(rng.integers(2))
+        edge = np.ldexp(DBL_MAX, -k)          # alpha * 2**k == DBL_MAX
+        alpha = float(rng.choice([edge, np.nextafter(edge, np.inf)]))
+    else:
+        alpha = float(_exact_average(vals, node))
+        if level != "tie":
+            alpha = float(np.nextafter(alpha, 0.0 if level == "below_tie" else np.inf))
+    return alpha
+
+
+def _assert_matches_integer_reference(f, alpha):
+    """Bit-for-bit equality with the integer reference, and no float warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = cz_decompose(f, alpha)
+        checks = dec.verify()
+    ref = _integer_cz_decompose(f, alpha)
+    assert dec.bad_cubes == ref.bad_cubes
+    assert _same_floats(dec.good.values, ref.good.values)
+    assert _same_floats(dec.bad, ref.bad)
+    assert checks == _integer_verify(ref)
+    return dec
+
+
+def _count_exact_path(monkeypatch) -> dict:
+    """Count the nodes sent to the exact path and the nodes the filters were
+    asked to decide (level tests and cube averages)."""
+    counts = {"exact": 0, "decided": 0}
+    exact_sums = cz._exact_sums
+
+    def counted(values, nodes, J):
+        counts["exact"] += len(nodes)
+        return exact_sums(values, nodes, J)
+
+    monkeypatch.setattr(cz, "_exact_sums", counted)
+    for name in ("exceeds", "averages"):
+        def decided(self, nodes, *args, _method=getattr(cz._Sums, name)):
+            counts["decided"] += len(nodes)
+            return _method(self, nodes, *args)
+        monkeypatch.setattr(cz._Sums, name, decided)
+    return counts
+
+
+class TestCZMatchesIntegerReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 8),
+           kind=st.sampled_from(CZ_KINDS), level=st.sampled_from(CZ_LEVELS))
+    @example(seed=0, J=3, kind="dbl_max", level="overflow_edge")
+    @example(seed=1, J=4, kind="integers", level="tie")
+    @example(seed=2, J=5, kind="subnormal", level="tie")
+    def test_hard_inputs_and_near_ties(self, seed, J, kind, level):
+        _assert_matches_integer_reference(*_hard_case(seed, J, kind, level))
+
+    @pytest.mark.parametrize("cells", EXTREME_CELLS)
+    def test_extreme_cells(self, cells):
+        f = Signal(np.array(cells))
+        for alpha in (1e-320, 1e-300, 1.0, 1e299, float(np.mean(cells)), DBL_MAX):
+            _assert_matches_integer_reference(f, alpha)
+
+    def test_level_between_float_and_exact_sum(self):
+        # a float level strictly between a node's pairwise float average and
+        # its exact average: hi alone would decide the node the wrong way
+        f = generate_signal("gaussian_noise", 8, seed=0)
+        vals = np.abs(f.values)
+        hi, exact_sums = kernels.interval_sums(vals), _fraction_sums(vals)
+        for node in range(1, 256):
+            m = 256 >> (node.bit_length() - 1)
+            low, high = sorted([Fraction(hi[node]), exact_sums[node]])
+            alpha = float((low + high) / (2 * m))
+            if low < Fraction(alpha) * m < high:
+                break
+        else:
+            pytest.fail("no level between a float and an exact sum")
+        i = node - (1 << (node.bit_length() - 1))
+        # the node's own cells: their root decides whether the root is a cube
+        _assert_matches_integer_reference(Signal(vals[i * m:(i + 1) * m]), alpha)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.5, 1.2, 2.0])
+    def test_pinned_deep_gaussian(self, seed, scale):
+        f = generate_signal("gaussian_noise", 14, seed=seed)
+        dec = _assert_matches_integer_reference(f, scale * lp_norm(f, 1.0))
+        assert dec.bad_cubes
+
+
+class TestExactPathShare:
+    def test_hard_inputs_and_near_ties(self, monkeypatch):
+        counts = _count_exact_path(monkeypatch)
+        for seed in range(240):
+            kind, level = CZ_KINDS[seed % len(CZ_KINDS)], CZ_LEVELS[seed % len(CZ_LEVELS)]
+            f, alpha = _hard_case(seed, 1 + seed % 10, kind, level)
+            cz_decompose(f, alpha).verify()
+        assert counts["exact"] <= 0.10 * counts["decided"], counts
+
+    def test_gaussian_takes_no_exact_path(self, monkeypatch):
+        counts = _count_exact_path(monkeypatch)
+        for seed in (1, 2, 3):
+            f = generate_signal("gaussian_noise", 14, seed=seed)
+            for scale in (0.5, 1.2, 2.0):
+                cz_decompose(f, scale * lp_norm(f, 1.0)).verify()
+        assert counts["decided"] > 0 and counts["exact"] == 0, counts
 
 
 class TestWeak11MatchesReference:
@@ -520,6 +867,74 @@ class TestVerifyChecksFail:
         assert Q.parent() not in dec.bad_parts
         with pytest.raises(KeyError):
             dec.bad_parts[Q.parent()]
+
+    # Eight cells whose exact sum is a float-grid midpoint, and eight whose
+    # exact sum is a float, each with an inexact double-double tail at the root.
+    MIDPOINT_CELLS = [0.0, 1.1965918816673574e-18, 1.6536201122945418e-15, 0.3140869140625,
+                      4.330032426363983e-18, 1.167113546298665e-31, 0.0,
+                      1.4496567841330613e-16]
+    TIE_CELLS = [5.40274352567539, 3.2950855737364575e-15, 9.182659960105103e-14,
+                 5.242595600221769e-23, 2.455346957857364e-12, 1.3619480607892565e-16,
+                 4.191982785273274e-08, 0.05548095703125]
+
+    @pytest.mark.parametrize("inexact", [False, True])
+    def test_good_cell_on_a_midpoint_cube_fails_split(self, inexact, monkeypatch):
+        # the exact node takes the filter's certain branch, the inexact one
+        # the exact path
+        vals = np.array(self.MIDPOINT_CELLS if inexact else [1.0, 2.0 ** -53])
+        avg = _exact_average(vals, 1)
+        rounded = float(avg)
+        other = float(np.nextafter(rounded, np.inf if Fraction(rounded) < avg else -np.inf))
+        assert Fraction(rounded) + Fraction(other) == 2 * avg     # a midpoint
+        assert kernels.dd_interval_sums(vals)[2][1] != inexact
+        dec = cz_decompose(Signal(vals), rounded / 2)
+        assert dec.bad_cubes == (ROOT,) and dec.good.values[0] == rounded
+        counts = _count_exact_path(monkeypatch)
+        dec.good.values[0] = other
+        checks = dec.verify()
+        assert not checks["split_ok"]
+        assert checks == _integer_verify(dec)
+        assert (counts["exact"] > 0) == inexact
+
+    @pytest.mark.parametrize("parent", ["below_level", "exact_tie", "inexact_tie"])
+    def test_cube_replaced_by_its_parent_fails_maximal(self, parent, monkeypatch):
+        if parent == "below_level":
+            dec = self._dec()[0]
+        else:
+            left = [4.0, 0.0, 0.0, 0.0] if parent == "exact_tie" else self.TIE_CELLS
+            vals = np.zeros(2 * len(left))
+            vals[:len(left)] = left
+            assert kernels.dd_interval_sums(vals)[2][2] == (parent == "exact_tie")
+            dec = cz_decompose(Signal(vals), float(_exact_average(vals, 2)))
+        Q = next(Q for Q in dec.bad_cubes if Q.depth > 1)
+        counts = _count_exact_path(monkeypatch)
+        dec.bad_cubes = tuple(sorted(set(dec.bad_cubes) - {Q} | {Q.parent()}))
+        checks = dec.verify()
+        assert not checks["cubes_maximal_ok"]
+        assert checks == _integer_verify(dec)
+        assert (counts["exact"] > 0) == (parent == "inexact_tie")
+
+    def test_one_ulp_move_in_a_two_cell_cube_matches_reference(self, monkeypatch):
+        # some moves land exactly on the bound: those take the exact path
+        counts = _count_exact_path(monkeypatch)
+        verdicts, moves = set(), 0
+        for seed in range(4):
+            f = generate_signal("gaussian_noise", 7, seed=seed)
+            dec = cz_decompose(f, 1.5 * lp_norm(f, 1.0))
+            for Q in dec.bad_cubes:
+                if Q.depth != 6:
+                    continue
+                lo = Q.cell_range(7)[0]
+                kept = dec.bad[lo]
+                for to in (np.inf, -np.inf):
+                    dec.bad[lo] = np.nextafter(kept, to)
+                    ok = dec.verify()["cancellation_ok"]
+                    assert ok == _integer_verify(dec)["cancellation_ok"]
+                    verdicts.add(ok)
+                    moves += 1
+                dec.bad[lo] = kept
+        assert verdicts == {True, False}
+        assert 0 < counts["exact"] < moves
 
 
 class TestNonFinite:

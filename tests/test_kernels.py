@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,54 @@ def test_interval_sums_pyramid():
         B = 1 << (4 - d)
         for i in range(1 << d):
             assert heap[(1 << d) + i] == pytest.approx(np.sum(vals[i * B:(i + 1) * B]), abs=1e-12)
+
+
+def test_interval_sums_entry_zero_is_zero():
+    # np.empty may hand back a freed buffer of the same size full of NaN
+    for _ in range(3):
+        junk = np.full(32, np.nan)
+        del junk
+        assert kernels.interval_sums(np.ones(16))[0] == 0.0
+
+
+def _fraction_heap(vals):
+    n = vals.size
+    heap = [Fraction(0)] * (2 * n)
+    heap[n:] = map(Fraction, vals.tolist())
+    for k in range(n - 1, 0, -1):
+        heap[k] = heap[2 * k] + heap[2 * k + 1]
+    return heap
+
+
+@pytest.mark.parametrize("J", [1, 3, 6, 9])
+def test_dd_interval_sums_tail_is_exact_or_bounded(J):
+    rng = np.random.default_rng(J)
+    n = 1 << J
+    inexact = 0
+    for vals in (np.abs(rng.standard_normal(n)), rng.standard_normal(n),
+                 rng.integers(0, 9, n) * 0.25,
+                 rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n),
+                 rng.integers(0, 1 << 20, n) * 5e-324):
+        hi, lo, exact = kernels.dd_interval_sums(vals)
+        assert hi.tobytes() == kernels.interval_sums(vals).tobytes()
+        assert lo[0] == 0.0 and np.all(lo[n:] == 0.0) and np.all(exact[n:])
+        exact_sums, abs_sums = _fraction_heap(vals), _fraction_heap(np.abs(vals))
+        for node in range(1, n):
+            h = J - (node.bit_length() - 1)
+            tail = exact_sums[node] - Fraction(hi[node]) - Fraction(lo[node])
+            if exact[node]:
+                assert tail == 0
+            else:
+                assert abs(tail) <= Fraction(1.1 * (h + 1) ** 2 * 2.0 ** -106) * abs_sums[node]
+        inexact += n - 1 - int(exact[1:n].sum())
+    assert inexact > 0 or J < 6
+
+
+def test_dd_interval_sums_overflow():
+    vals = np.array([np.finfo(float).max, np.finfo(float).max, 1.0, 2.0])
+    hi, lo, exact = kernels.dd_interval_sums(vals)
+    assert hi[2] == np.inf and np.isnan(lo[2]) and not exact[2] and not exact[1]
+    assert hi[3] == 3.0 and exact[3]
 
 
 def test_heap_subtree_sums():
