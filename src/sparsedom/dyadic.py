@@ -91,6 +91,14 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
+def depth_index(nodes) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, index) int arrays of an array of heap nodes, one pass each:
+    the inverse of :attr:`DyadicInterval.node` without building intervals."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    depth = (np.frexp(nodes)[1] - 1).astype(np.intp)
+    return depth, nodes - np.left_shift(1, depth)
+
+
 class Signal:
     """Real signal, piecewise constant on the 2**J cells of [0, 1)."""
 

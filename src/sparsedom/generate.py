@@ -90,27 +90,21 @@ def generate_weight(kind: str, J: int, seed: int = 0, t: float = 4.0,
 
 def generate_multiplier(J: int, seed: int = 0, n_intervals: int = 128,
                         signs_only: bool = False) -> HaarMultiplier:
-    """Random finite interval family with coefficients in [-1, 1]."""
+    """Random finite interval family with coefficients in [-1, 1].
+
+    The nodes are drawn first, then one coefficient per node in node order;
+    a vector draw takes the same values as that many scalar draws."""
     rng = np.random.default_rng(seed)
     pool = np.arange(1, 1 << J)
     take = min(n_intervals, pool.shape[0])
-    nodes = rng.choice(pool, size=take, replace=False)
-    eps = {}
-    for node in sorted(int(x) for x in nodes):
-        d = node.bit_length() - 1
-        I = DyadicInterval(d, node - (1 << d))
-        eps[I] = float(rng.choice([-1.0, 1.0])) if signs_only \
-            else float(rng.uniform(-1.0, 1.0))
-    return HaarMultiplier.from_dict(eps)
+    nodes = np.sort(rng.choice(pool, size=take, replace=False))
+    eps = rng.choice([-1.0, 1.0], size=take) if signs_only else rng.uniform(-1.0, 1.0, size=take)
+    return HaarMultiplier.from_nodes(nodes, eps)
 
 
 def full_multiplier(J: int, eps: float = 1.0) -> HaarMultiplier:
     """Every interval of depth < J with the constant coefficient eps."""
-    out = {}
-    for d in range(J):
-        for i in range(1 << d):
-            out[DyadicInterval(d, i)] = eps
-    return HaarMultiplier.from_dict(out)
+    return HaarMultiplier.from_nodes(np.arange(1, 1 << J), np.full((1 << J) - 1, float(eps)))
 
 
 def generate_sparse_collection(J: int, seed: int = 0,

@@ -10,8 +10,6 @@ transform of that map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -101,34 +99,64 @@ def htilde(I: DyadicInterval, depth_J: int) -> Signal:
     return Signal(h.values * I.length**0.5)
 
 
-@dataclass(frozen=True)
 class HaarMultiplier:
-    """Finite family of intervals with coefficients eps_I, |eps_I| <= 1."""
+    """Finite family of intervals with coefficients eps_I, |eps_I| <= 1.
 
-    intervals: tuple[DyadicInterval, ...]
-    coefficients: tuple[float, ...]
+    Held as two read-only arrays in T's own order, which need not be node
+    order: ``nodes`` (heap nodes, int) and ``eps`` (float64).
+    :attr:`intervals` and :attr:`coefficients` are tuples built on access.
+    """
 
-    def __post_init__(self):
-        if len(self.intervals) != len(self.coefficients):
+    def __init__(self, intervals, coefficients):
+        intervals, coefficients = tuple(intervals), tuple(coefficients)
+        if len(intervals) != len(coefficients):
             raise ValueError("intervals and coefficients must align")
-        if len(set(self.intervals)) != len(self.intervals):
+        self._set(np.fromiter((I.node for I in intervals), np.intp, len(intervals)),
+                  np.array(coefficients, dtype=float))
+
+    @classmethod
+    def from_nodes(cls, nodes, eps) -> "HaarMultiplier":
+        """The multiplier with eps[k] at heap node nodes[k], in that order."""
+        nodes, eps = np.array(nodes, dtype=np.intp), np.array(eps, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != eps.shape:
+            raise ValueError("intervals and coefficients must align")
+        T = cls.__new__(cls)
+        T._set(nodes, eps)
+        return T
+
+    def _set(self, nodes, eps):
+        if np.any(nodes < 1):
+            raise ValueError("heap nodes must be >= 1")
+        ordered = np.sort(nodes)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate intervals in multiplier family")
-        for eps in self.coefficients:
-            if abs(eps) > 1.0:
-                raise ValueError(f"|eps_I| <= 1 required, got {eps}")
+        big = np.flatnonzero(np.abs(eps) > 1.0)
+        if big.size:
+            raise ValueError(f"|eps_I| <= 1 required, got {float(eps[big[0]])}")
+        nodes.flags.writeable = eps.flags.writeable = False
+        self.nodes, self.eps = nodes, eps
 
     @classmethod
     def from_dict(cls, eps: dict[DyadicInterval, float]) -> "HaarMultiplier":
-        items = sorted(eps.items())
-        return cls(tuple(I for I, _ in items), tuple(float(e) for _, e in items))
+        nodes = np.fromiter((I.node for I in eps), np.intp, len(eps))
+        order = np.argsort(nodes)
+        return cls.from_nodes(nodes[order], np.array(list(eps.values()), dtype=float)[order])
 
     @classmethod
     def projection(cls, intervals) -> "HaarMultiplier":
-        ivs = tuple(sorted(set(intervals)))
-        return cls(ivs, (1.0,) * len(ivs))
+        nodes = np.unique(np.fromiter((I.node for I in intervals), np.intp))
+        return cls.from_nodes(nodes, np.ones(nodes.size))
+
+    @property
+    def intervals(self) -> tuple[DyadicInterval, ...]:
+        return tuple(map(DyadicInterval.from_node, self.nodes.tolist()))
+
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        return tuple(self.eps.tolist())
 
     def max_depth(self) -> int:
-        return max((I.depth for I in self.intervals), default=0)
+        return int(self.nodes.max(initial=1)).bit_length() - 1
 
     def check_depth(self, depth_J: int) -> None:
         """ValueError unless every interval has a Haar mode at depth_J."""
@@ -138,12 +166,14 @@ class HaarMultiplier:
     def eps_heap(self, depth_J: int) -> np.ndarray:
         self.check_depth(depth_J)
         heap = np.zeros(1 << depth_J)
-        for I, e in zip(self.intervals, self.coefficients):
-            heap[I.node] = e
+        heap[self.nodes] = self.eps
         return heap
 
     def __len__(self):
-        return len(self.intervals)
+        return self.nodes.size
+
+    def __repr__(self):
+        return f"HaarMultiplier(n={len(self)}, max_depth={self.max_depth()})"
 
 
 def multiplied_coefficients(T: HaarMultiplier, coeffs: HaarCoefficients) -> HaarCoefficients:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import DyadicInterval, Signal
+from .dyadic import DyadicInterval, Signal, depth_index
 from .haar import HaarMultiplier
 from .hardy import Weight
 from .sparse import SparseCollection, child_budget_ok
@@ -68,10 +68,10 @@ def read_multiplier(path) -> HaarMultiplier:
 
 
 def write_multiplier(T: HaarMultiplier, path) -> None:
+    depth, index = depth_index(T.nodes)
+    rows = zip(depth.tolist(), index.tolist(), map(repr, T.eps.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for I, e in zip(T.intervals, T.coefficients):
-            w.writerow([I.depth, I.index, repr(e)])
+        csv.writer(fh).writerows(rows)
 
 
 def read_collection(path) -> SparseCollection:

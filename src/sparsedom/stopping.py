@@ -8,7 +8,14 @@ measure) and the domination inequality are all re-verified numerically.
 
 One engine, :func:`_run_family`, runs every stopping time (avg, square,
 weighted, osc, atoms) a generation at a time on heap arrays, with one child
-rule; runs are int node arrays, and intervals are built only for the output.
+rule.  Node arrays run from the multiplier (``T.nodes``, ``T.eps``) through
+the engine to the certificate, which keeps the run's node arrays and one
+array per per-node quantity.  No :class:`DyadicInterval` is built per family
+member: the certificate's ``subfamilies``, ``children`` and
+``per_interval`` are read-only views that build intervals when read, and
+``to_dict`` writes (depth, index) pairs from one pass over all nodes.
+Avg's tilde sizes are the one per-node exception: one interval per
+collection node and signal.
 
 The stopping threshold C only needs to be "large enough"; runs start from
 the given C and double it, a bounded number of times, while an attempt
@@ -18,6 +25,8 @@ fails: an agenda node rejects itself, or a generation's children break the
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,10 +34,10 @@ import numpy as np
 
 from . import kernels
 from .dyadic import (DEFAULT_CHI_M, REL_SLACK, DyadicInterval, Signal, check_finite,
-                     oscillation)
+                     depth_index, oscillation)
 from .haar import HaarMultiplier, haar_transform, tilde_size
 from .maximal import DEFAULT_LAMBDA
-from .sparse import SparseCollection, carleson_constant, child_budget_ok
+from .sparse import SparseCollection, _lengths, carleson_constant, child_budget_ok
 
 __all__ = [
     "DominationCertificate", "dominate_avg", "dominate_square",
@@ -47,12 +56,80 @@ class _RetryNeeded(Exception):
     pass
 
 
-@dataclass
+class _NodeGroups(Mapping):
+    """Read-only view: collection node -> its sub-family (or its children)
+    as a tuple of intervals in node order, built on access.  Iterates the
+    nodes in run order; group k, of the k-th smallest node, is
+    ``items[starts[k]:starts[k + 1]]``."""
+
+    def __init__(self, order, keys, items, starts):
+        self._order, self._keys, self._items, self._starts = order, keys, items, starts
+
+    def _row(self, Q):
+        if isinstance(Q, DyadicInterval):
+            k = int(np.searchsorted(self._keys, Q.node))
+            if k < self._keys.size and self._keys[k] == Q.node:
+                return k
+        return None
+
+    def __getitem__(self, Q):
+        k = self._row(Q)
+        if k is None:
+            raise KeyError(Q)
+        own = self._items[self._starts[k] : self._starts[k + 1]]
+        return tuple(map(DyadicInterval.from_node, own.tolist()))
+
+    def __contains__(self, Q):
+        return self._row(Q) is not None
+
+    def __iter__(self):
+        return map(DyadicInterval.from_node, self._order.tolist())
+
+    def __len__(self):
+        return self._order.size
+
+
+class _PerQ(Sequence):
+    """Read-only view of the per-node records in run order: {"Q": interval,
+    name: value, ...} built on access from the per-Q arrays; a name listed
+    in ``where`` appears only at the nodes its mask marks."""
+
+    def __init__(self, order, columns, where):
+        self._order, self._columns, self._where = order, columns, where
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]
+        entry = {"Q": DyadicInterval.from_node(int(self._order[k]))}
+        for name, column in self._columns.items():
+            if name not in self._where or self._where[name][k]:
+                entry[name] = float(column[k])
+        return entry
+
+    def __len__(self):
+        return self._order.size
+
+
+def _grouped(keys, owners, items):
+    """(grouped, starts): ``items`` grouped by owner, the groups in the order
+    of the sorted ``keys`` and each in listed order; group k is
+    ``grouped[starts[k]:starts[k + 1]]``."""
+    rank = np.searchsorted(keys, owners)
+    counts = np.bincount(rank, minlength=keys.size)
+    return items[np.argsort(rank, kind="stable")], np.append(0, np.cumsum(counts))
+
+
+@dataclass(eq=False)
 class DominationCertificate:
+    """A run and its checks.  ``run`` holds the run's node arrays; ``per_q``
+    holds one array per per-node quantity (``rhs_term``, ``lambda_Q``, then
+    the mode's extras), aligned with ``run.order``, and ``per_q_where`` the
+    mask of a quantity only some nodes have.  ``subfamilies``, ``children``
+    and ``per_interval`` are read-only views over them."""
+
     mode: str
     collection: SparseCollection
-    subfamilies: dict
-    children: dict
     lhs: float
     rhs: float
     realized_constant: float
@@ -60,13 +137,46 @@ class DominationCertificate:
     eta: float
     carleson: float
     checks: dict
-    per_interval: list = field(default_factory=list)
+    run: _Run
+    per_q: dict
+    per_q_where: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
         return all(bool(v) for k, v in self.checks.items() if k.endswith("_ok"))
 
+    @functools.cached_property
+    def _families(self):
+        return _grouped(self.collection.nodes, self.run.owners, self.run.members)
+
+    @functools.cached_property
+    def _children(self):
+        return _grouped(self.collection.nodes, self.run.parents, self.run.kids)
+
+    @property
+    def subfamilies(self) -> Mapping:
+        """Q -> Q's sub-family, a tuple of intervals in node order."""
+        return _NodeGroups(self.run.order, self.collection.nodes, *self._families)
+
+    @property
+    def children(self) -> Mapping:
+        """Q -> Q's children in the run, a tuple of intervals in node order."""
+        return _NodeGroups(self.run.order, self.collection.nodes, *self._children)
+
+    @property
+    def per_interval(self) -> Sequence:
+        """One record per run node, in run order."""
+        return _PerQ(self.run.order, self.per_q, self.per_q_where)
+
     def to_dict(self) -> dict:
+        # every node's (depth, index) pair from one pass; each Q's family and
+        # children are slices of that one list
+        keys = self.collection.nodes
+        family, family_starts = self._families
+        kids, kid_starts = self._children
+        pairs = np.stack(depth_index(np.concatenate((keys, family, kids))), axis=1).tolist()
+        fs = (family_starts + keys.size).tolist()
+        ks = (kid_starts + keys.size + family.size).tolist()
         return {
             "mode": self.mode,
             "C": self.stopping_constant,
@@ -75,18 +185,12 @@ class DominationCertificate:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "realized_constant": self.realized_constant,
-            "n_intervals": sum(len(v) for v in self.subfamilies.values()),
+            "n_intervals": int(family.size),
             "params": self.params,
             "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
                        for k, v in self.checks.items()},
-            "per_Q": [
-                {
-                    "Q": [Q.depth, Q.index],
-                    "family": [[I.depth, I.index] for I in self.subfamilies[Q]],
-                    "children": [[P.depth, P.index] for P in self.children[Q]],
-                }
-                for Q in self.collection
-            ],
+            "per_Q": [{"Q": Q, "family": pairs[f0:f1], "children": pairs[k0:k1]}
+                      for Q, f0, f1, k0, k1 in zip(pairs, fs, fs[1:], ks, ks[1:])],
         }
 
 
@@ -246,14 +350,10 @@ def _with_retries(mode, run, C):
                           f"attempts ({mode} mode)")
 
 
-def _groups(order, owners, items):
-    """(groups, rank): for each node of ``order``, the items it owns, in
-    listed order, as one array each; and each item's owner's position."""
-    sorter = np.argsort(order)
-    rank = sorter[np.searchsorted(order, owners, sorter=sorter)]
-    grouped = items[np.argsort(rank, kind="stable")]
-    ends = np.cumsum(np.bincount(rank, minlength=order.size)).tolist()
-    return [grouped[lo:hi] for lo, hi in zip([0] + ends, ends)], rank
+def _owner_rank(run):
+    """Each member's owner's position in ``run.order``."""
+    sorter = np.argsort(run.order)
+    return sorter[np.searchsorted(run.order, run.owners, sorter=sorter)]
 
 
 def _split(run, values):
@@ -261,40 +361,39 @@ def _split(run, values):
     node order, in run order, and its sum of the heap ``values``, added in
     node order one term at a time as Python's sum adds them (``np.sum``
     adds pairwise)."""
-    families, rank = _groups(run.order, run.owners, run.members)
+    rank = _owner_rank(run)
+    grouped = run.members[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank, minlength=run.order.size)).tolist()
+    families = [grouped[lo:hi] for lo, hi in zip([0] + ends, ends)]
     return families, np.bincount(rank, weights=values[run.members], minlength=run.order.size)
 
 
-def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, params=None):
+def _python_sum(values) -> float:
+    """sum(values), added one term at a time from 0.0 as Python's sum adds."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cumsum(np.append(0.0, values))[-1])
+
+
+def _finalize(mode, T, cf, cg, run, C, rhs_terms, measure=None, params=None):
     """Assemble the certificate and run the structural checks.
 
-    ``nodes`` are T's heap nodes in T's order.  per_q_fn(Q, family,
-    lambda_Q) gives the mode's per-node extras; ``family`` is Q's
-    sub-family as an array of heap nodes in node order.
+    ``rhs_terms`` holds each run node's rhs term, in run order.  The
+    certificate's per-Q arrays are these and each node's lambda_Q; a mode
+    adds its extras to ``cert.per_q`` afterwards.
     """
-    terms = np.array(T.coefficients, dtype=float) * cf.heap[nodes] * cg.heap[nodes]
+    terms = T.eps * cf.heap[T.nodes] * cg.heap[T.nodes]
     by_node = np.zeros(cf.heap.shape[0])
-    by_node[nodes] = terms
-    families, lam = _split(run, by_node)
-    lam = lam.tolist()
-    kids, _ = _groups(run.order, run.parents, run.kids)
-    # intervals for the output only: T's own, and a fresh one for a node
-    # outside T, which only a tampered run holds (partition_ok rejects it)
-    order = [DyadicInterval.from_node(n) for n in run.order.tolist()]
-    family = dict(zip(nodes.tolist(), T.intervals))
-    subfam = {Q: tuple(family.get(n) or DyadicInterval.from_node(n) for n in fam.tolist())
-              for Q, fam in zip(order, families)}
-    child_map = {Q: tuple(map(DyadicInterval.from_node, k.tolist())) for Q, k in zip(order, kids)}
+    by_node[T.nodes] = terms
+    lam = np.bincount(_owner_rank(run), weights=by_node[run.members], minlength=run.order.size)
     collection = SparseCollection.from_nodes(run.order)
-    rhs_terms = [rhs_fn(Q) for Q in order]
-    rhs = float(sum(rhs_terms))
-    # the form in T's order, added one term at a time as Python's sum adds
-    whole = float(np.cumsum(np.append(0.0, terms))[-1])
+    rhs = _python_sum(rhs_terms)
+    # the form in T's order
+    whole = _python_sum(terms)
     lhs = abs(whole)
 
     # exact partition of the input family
-    partition_ok = (run.members.size == nodes.size
-                    and np.array_equal(np.sort(run.members), np.sort(nodes)))
+    partition_ok = (run.members.size == T.nodes.size
+                    and np.array_equal(np.sort(run.members), np.sort(T.nodes)))
 
     # child budget at eta = 1/2 in the run's measure
     budget_ok = child_budget_ok(run.kids, run.parents, measure)
@@ -303,7 +402,7 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
     forest_ok = collection.has_forest(run.kids, run.parents)
 
     # exact reconstruction of the form from the sub-families
-    pieces = sum(lam)
+    pieces = _python_sum(lam)
     recon_ok = abs(pieces - whole) <= REL_SLACK * (1.0 + abs(whole))
 
     realized = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
@@ -319,17 +418,11 @@ def _finalize(mode, T, cf, cg, nodes, run, C, rhs_fn, per_q_fn, measure=None, pa
         "reconstruction_ok": recon_ok,
         "domination_ok": domination_ok,
     }
-    per_interval = []
-    for Q, fam, rhs_term, lam_Q in zip(order, families, rhs_terms, lam):
-        entry = {"Q": Q, "rhs_term": rhs_term, "lambda_Q": lam_Q}
-        if per_q_fn is not None:
-            entry.update(per_q_fn(Q, fam, lam_Q))
-        per_interval.append(entry)
     return DominationCertificate(
-        mode=mode, collection=collection, subfamilies=subfam, children=child_map,
-        lhs=lhs, rhs=rhs, realized_constant=float(realized), stopping_constant=C,
-        eta=0.5, carleson=carleson, checks=checks, per_interval=per_interval,
-        params=params or {},
+        mode=mode, collection=collection, lhs=lhs, rhs=rhs,
+        realized_constant=float(realized), stopping_constant=C, eta=0.5,
+        carleson=carleson, checks=checks, run=run,
+        per_q={"rhs_term": rhs_terms, "lambda_Q": lam}, params=params or {},
     )
 
 
@@ -344,23 +437,22 @@ def _squared(heap, role):
 
 
 def _family_stock(T, f, g, read=None):
-    """Haar coefficients of f and g, T's heap nodes in T's order and the
-    squared coefficients on them: the shared entry of the multiplier modes,
-    which rejects a non-finite signal and a square that overflows.  Heaps
-    filled on demand that the first agenda reads (osc's oscillations) are
-    filled there before the squares are formed, so an oscillation that
-    overflows is reported as such."""
+    """Haar coefficients of f and g and the squared coefficients on T's
+    nodes: the shared entry of the multiplier modes, which rejects a
+    non-finite signal and a square that overflows.  Heaps filled on demand
+    that the first agenda reads (osc's oscillations) are filled there before
+    the squares are formed, so an oscillation that overflows is reported as
+    such."""
     if g.depth_J != f.depth_J:
         raise ValueError("f and g must share a depth")
     T.check_depth(f.depth_J)
     check_finite(f)
     check_finite(g)
     cf, cg = haar_transform(f), haar_transform(g)
-    nodes = np.array([I.node for I in T.intervals], dtype=np.intp)
-    fam_mask = kernels.node_mask(nodes, 1 << f.depth_J)
+    fam_mask = kernels.node_mask(T.nodes, 1 << f.depth_J)
     if read is not None:
         read(kernels.node_mask(kernels.maximal_nodes(fam_mask), fam_mask.shape[0]))
-    return (cf, cg, nodes, _squared(np.where(fam_mask, cf.heap, 0.0), "f"),
+    return (cf, cg, _squared(np.where(fam_mask, cf.heap, 0.0), "f"),
             _squared(np.where(fam_mask, cg.heap, 0.0), "g"))
 
 
@@ -419,38 +511,47 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1 for termination")
-    cf, cg, nodes, _, _ = _family_stock(T, f, g)
+    cf, cg, _, _ = _family_stock(T, f, g)
     (chif, chig), read = _chi_heaps((f, g), M)
     run, final_C = _with_retries(
-        "avg", lambda c: _run_family(nodes, (chif, chig), (None, None), None, c, read=read), C)
+        "avg", lambda c: _run_family(T.nodes, (chif, chig), (None, None), None, c, read=read), C)
+    fa, ga, length = chif[run.order], chig[run.order], _lengths(run.order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_terms = fa * ga * length
+    cert = _finalize("avg", T, cf, cg, run, final_C, rhs_terms,
+                     params={"M": M, "p": 1.0, "q": 1.0})
 
-    def rhs_fn(Q):
-        return float(chif[Q.node]) * float(chig[Q.node]) * Q.length
-
-    def per_q(Q, fam, lam):
-        fa, ga = float(chif[Q.node]), float(chig[Q.node])
-        out = {"f_chi_avg": fa, "g_chi_avg": ga}
-        if fam.size:
-            # tilde_size over the sub-family is its largest chi heap entry:
-            # integrate that member's chi^M afresh
-            tf = tilde_size(f, [DyadicInterval.from_node(int(fam[chif[fam].argmax()]))], M)
-            tg = tilde_size(g, [DyadicInterval.from_node(int(fam[chig[fam].argmax()]))], M)
-            out["tilde_size_f"] = tf
-            out["tilde_size_g"] = tg
-            denom = tf * tg * Q.length
-            out["localization_ratio"] = abs(lam) / denom if denom > 0 else 0.0
-            out["size_control_f"] = tf / (final_C * fa) if fa > 0 else 0.0
-            out["size_control_g"] = tg / (final_C * ga) if ga > 0 else 0.0
-        return out
-
-    cert = _finalize("avg", T, cf, cg, nodes, run, final_C,
-                     rhs_fn, per_q, params={"M": M, "p": 1.0, "q": 1.0})
+    # tilde_size over a sub-family is its largest chi heap entry: integrate
+    # that member's chi^M afresh, at each node whose sub-family is nonempty
+    family, starts = cert._families
+    row = np.searchsorted(cert.collection.nodes, run.order)
+    lo, hi = starts[row], starts[row + 1]
+    owns = hi > lo
+    tf, tg = np.zeros(run.order.size), np.zeros(run.order.size)
+    for k in np.flatnonzero(owns).tolist():
+        own = family[lo[k] : hi[k]]
+        tf[k] = tilde_size(f, [DyadicInterval.from_node(int(own[chif[own].argmax()]))], M)
+        tg[k] = tilde_size(g, [DyadicInterval.from_node(int(own[chig[own].argmax()]))], M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = tf * tg * length
+        extras = {
+            "tilde_size_f": tf, "tilde_size_g": tg,
+            "localization_ratio": _ratio(np.abs(cert.per_q["lambda_Q"]), denom, denom > 0),
+            "size_control_f": _ratio(tf, final_C * fa, fa > 0),
+            "size_control_g": _ratio(tg, final_C * ga, ga > 0),
+        }
+    cert.per_q.update(f_chi_avg=fa, g_chi_avg=ga, **extras)
+    cert.per_q_where.update(dict.fromkeys(extras, owns))
     # selected families obey the size control by construction
-    cert.checks["size_control_ok"] = all(
-        e.get("size_control_f", 0.0) <= 1.0 + REL_SLACK
-        and e.get("size_control_g", 0.0) <= 1.0 + REL_SLACK
-        for e in cert.per_interval)
+    cert.checks["size_control_ok"] = bool(
+        np.all(extras["size_control_f"] <= 1.0 + REL_SLACK)
+        and np.all(extras["size_control_g"] <= 1.0 + REL_SLACK))
     return cert
+
+
+def _ratio(num, den, where):
+    """num / den where ``where`` holds, else 0.0."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=where)
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +563,25 @@ def _lp_values(vals, J, d, index, p, dx):
     profile, for the depth-d intervals I of ``index``."""
     sums = np.sum(kernels.subtree_profile(vals, J, d, index) ** (p / 2.0), axis=1) * dx
     scale = (2.0 ** (-d)) ** (1.0 / p)
-    # Python float powers, as the one-interval formula takes them
-    return np.array([s ** (1.0 / p) / scale for s in sums.tolist()])
+    if scale == 0.0:
+        raise ValueError(f"|I|**(1/p) underflows at depth {d} for p = {p}")
+    # the final powers are np.float_power, which takes libm's pow as Python's
+    # ** does, so each value is the one-interval formula's bit for bit;
+    # np.power's SIMD loops differ from it in the last bit on some machines
+    return np.float_power(sums, 1.0 / p) / scale
 
 
 def _lp_w_values(vals, J, d, index, r, wvals, wI, dx):
     """w(I)**-1/r times the L^r(w) norm of the profile square root; wI is
-    the heap of w-measures."""
+    the heap of w-measures.  A value out of the float range raises
+    ValueError: it would fail every selection test."""
     prof = kernels.subtree_profile(vals, J, d, index) ** (r / 2.0)
-    sums = np.sum(prof * wvals.reshape(1 << d, -1)[index], axis=1) * dx
-    return np.array([s ** (1.0 / r) / m ** (1.0 / r)
-                     for s, m in zip(sums.tolist(), wI[(1 << d) + index].tolist())])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sums = np.sum(prof * wvals.reshape(1 << d, -1)[index], axis=1) * dx
+        values = np.float_power(sums, 1.0 / r) / np.float_power(wI[(1 << d) + index], 1.0 / r)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("the weighted L^r value of the square function overflows")
+    return values
 
 
 def _weak_values(vals, J, d, index, dx):
@@ -494,7 +603,7 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("exponents must be > 0")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
-    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
+    cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
     def nf(vals, d, index):
@@ -507,33 +616,27 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         return _lp_values(vals, J, d, index, 2.0, dx)
 
     heaps, functionals = (full_f, full_g), (nf, ng)
-    first = _first_values(nodes, heaps, functionals)
+    first = _first_values(T.nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "square", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
+        "square", lambda c: _run_family(T.nodes, heaps, functionals, None, c, first), C)
     # every collection node is a family node, so generation 1's heaps hold
     # its values over the whole family; at p = 2 they are the L^2 values too
     Nf, Ng = first
     at = kernels.node_mask(run.order, 1 << J)
     Lf = Nf if p == 2.0 else _value_heap(l2, full_f, at)
     Lg = Ng if q == 2.0 else _value_heap(l2, full_g, at)
-
-    def rhs_fn(Q):
-        return float(Nf[Q.node] * Ng[Q.node] * Q.length)
-
-    max_eps = max((abs(e) for e in T.coefficients), default=0.0)
-
-    def per_q(Q, fam, lam):
-        lam = abs(lam)
-        a2 = float(Lf[Q.node] * Lg[Q.node] * Q.length)
-        return {"lambda_abs": lam, "l2_bound": a2,
-                "cs_ratio": lam / a2 if a2 > 0 else 0.0}
-
-    cert = _finalize("square", T, cf, cg, nodes, run, final_C,
-                     rhs_fn, per_q, params={"p": p, "q": q})
-    cert.checks["cs_ratio_max"] = max((e["cs_ratio"] for e in cert.per_interval),
-                                      default=0.0)
+    length = _lengths(run.order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_terms = Nf[run.order] * Ng[run.order] * length
+        a2 = Lf[run.order] * Lg[run.order] * length
+    cert = _finalize("square", T, cf, cg, run, final_C, rhs_terms, params={"p": p, "q": q})
+    lam = np.abs(cert.per_q["lambda_Q"])
+    cs_ratio = _ratio(lam, a2, a2 > 0)
+    cert.per_q.update(lambda_abs=lam, l2_bound=a2, cs_ratio=cs_ratio)
+    cert.checks["cs_ratio_max"] = float(np.max(cs_ratio, initial=0.0))
+    max_eps = float(np.max(np.abs(T.eps), initial=0.0))
     cert.checks["cs_ok"] = cert.checks["cs_ratio_max"] <= max_eps * (1.0 + REL_SLACK) \
-        if cert.per_interval else True
+        if cs_ratio.size else True
     return cert
 
 
@@ -561,17 +664,18 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError(f"weight depth {weight.depth_J} differs from signal depth {f.depth_J}")
     if np.any(weight.values <= 0):
         raise ValueError("weight must be strictly positive")
-    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g)
+    cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
 
     def norm_w(vals, d, index):
         return _lp_w_values(vals, J, d, index, r, weight.values, weight.heap, dx)
 
     heaps, functionals = (full_f, full_g), (norm_w, norm_w)
-    first = _first_values(nodes, heaps, functionals)
+    first = _first_values(T.nodes, heaps, functionals)
     run, final_C = _with_retries(
         "weighted",
-        lambda c: _run_family(nodes, heaps, functionals, None, c, first, measure=weight.heap), C)
+        lambda c: _run_family(T.nodes, heaps, functionals, None, c, first, measure=weight.heap),
+        C)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
@@ -587,13 +691,14 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         if at.size:
             norms[at] = norm_w(np.where((owned >> d) == 1, full_f, 0.0), d, at - (1 << d))
 
-    def rhs_fn(Q):
-        # omega-sparse chain term: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
-        return float(norms[Q.node]) * float(weight.heap[Q.node]) ** (1.0 / p) * cg_norm
-
-    cert = _finalize("weighted", T, cf, cg, nodes, run, final_C,
-                     rhs_fn, None, measure=weight.heap,
-                     params={"p": p, "r": r})
+    # omega-sparse chain terms: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
+    with np.errstate(over="ignore", invalid="ignore"):
+        wq = np.float_power(weight.heap[run.order], 1.0 / p)
+        rhs_terms = norms[run.order] * wq * cg_norm
+    if not np.all(np.isfinite(wq)):
+        raise ValueError("w(Q)**(1/p) of the weight overflows")
+    cert = _finalize("weighted", T, cf, cg, run, final_C, rhs_terms,
+                     measure=weight.heap, params={"p": p, "r": r})
     # the certified inequality is the pairing bound, not the chain sum
     cert.checks["chain_sum"] = cert.rhs
     cert.rhs = rhs_product
@@ -636,26 +741,23 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
     (osc_f, osc_g), read = _osc_heaps((f, g))
-    cf, cg, nodes, full_f, full_g = _family_stock(T, f, g, read)
+    cf, cg, full_f, full_g = _family_stock(T, f, g, read)
     J, dx = f.depth_J, f.cell_width
 
     def weak(vals, d, index):
         return _weak_values(vals, J, d, index, dx)
 
     heaps, functionals = (full_f, full_g), (weak, weak)
-    first = _first_values(nodes, heaps, functionals)
+    first = _first_values(T.nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "osc", lambda c: _run_family(nodes, heaps, functionals, (osc_f, osc_g), c, first, read),
+        "osc", lambda c: _run_family(T.nodes, heaps, functionals, (osc_f, osc_g), c, first, read),
         C)
-
-    def rhs_fn(Q):
-        return float(osc_f[Q.node]) * float(osc_g[Q.node]) * Q.length
-
-    def per_q(Q, fam, lam):
-        return {"osc_f": float(osc_f[Q.node]), "osc_g": float(osc_g[Q.node])}
-
-    return _finalize("osc", T, cf, cg, nodes, run, final_C,
-                     rhs_fn, per_q, params={})
+    of, og = osc_f[run.order], osc_g[run.order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_terms = of * og * _lengths(run.order)
+    cert = _finalize("osc", T, cf, cg, run, final_C, rhs_terms, params={})
+    cert.per_q.update(osc_f=of, osc_g=og)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,19 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cell", ["1e200", "1e-200"])
+    def test_weighted_value_out_of_float_range(self, tmp_path, capsys, cell):
+        # finite weight cells whose w(I)**(1/r) overflows (or underflows to 0)
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("\n".join([cell] * 64) + "\n")
+        rc = main(["dominate", "--mode", "weighted", "--weight-file", str(wfile),
+                   "--depth", "6", "--seed", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sparsedom: error: the weighted L^r value" in captured.err
+        assert "overflows" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
     @pytest.mark.parametrize("files", [["f"], ["g"], ["f", "g"]])
     def test_dominate_takes_the_depth_of_a_loaded_signal(self, tmp_path, capsys, mode, files):

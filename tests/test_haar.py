@@ -119,6 +119,107 @@ class TestMultiplier:
             assert lp_norm(apply_multiplier(T, f), 2.0) <= lp_norm(fz, 2.0) * (1 + 1e-12)
 
 
+def _dict_generate_multiplier(J, seed=0, n_intervals=128, signs_only=False):
+    """The generator as a dict of intervals, one scalar draw per node."""
+    rng = np.random.default_rng(seed)
+    pool = np.arange(1, 1 << J)
+    nodes = rng.choice(pool, size=min(n_intervals, pool.shape[0]), replace=False)
+    eps = {}
+    for node in sorted(int(x) for x in nodes):
+        eps[DyadicInterval.from_node(node)] = float(rng.choice([-1.0, 1.0])) if signs_only \
+            else float(rng.uniform(-1.0, 1.0))
+    return eps
+
+
+def _sorted_items(eps):
+    items = sorted(eps.items())
+    return tuple(I for I, _ in items), tuple(e for _, e in items)
+
+
+class TestMultiplierArrays:
+    """The node and eps arrays give the intervals and coefficients of the
+    interval-built multiplier, in T's own order."""
+
+    @pytest.mark.parametrize("J", range(1, 11))
+    def test_full_multiplier_matches_dict(self, J):
+        fam = {I(d, i): 1.0 for d in range(J) for i in range(1 << d)}
+        T = full_multiplier(J)
+        assert (T.intervals, T.coefficients) == _sorted_items(fam)
+        assert np.array_equal(T.nodes, np.arange(1, 1 << J)) and T.max_depth() == J - 1
+
+    @pytest.mark.parametrize("J", [1, 3, 6, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("n_intervals, signs_only", [(5, False), (96, False),
+                                                        (128, True), (5000, False)])
+    def test_generate_multiplier_matches_dict(self, J, seed, n_intervals, signs_only):
+        T = generate_multiplier(J, seed=seed, n_intervals=n_intervals, signs_only=signs_only)
+        assert (T.intervals, T.coefficients) == _sorted_items(
+            _dict_generate_multiplier(J, seed, n_intervals, signs_only))
+
+    def test_direct_constructor_keeps_order(self):
+        rng = np.random.default_rng(5)
+        base = [I(d, i) for d in range(5) for i in range(1 << d)]
+        ivs = tuple(base[k] for k in rng.permutation(len(base)))
+        eps = tuple(rng.uniform(-1.0, 1.0, len(ivs)).tolist())
+        T = HaarMultiplier(ivs, eps)
+        assert T.intervals == ivs and T.coefficients == eps
+        assert T.nodes.tolist() == [J.node for J in ivs] and T.eps.tolist() == list(eps)
+        assert not T.nodes.flags.writeable and not T.eps.flags.writeable
+        assert T.max_depth() == 4 and len(T) == len(ivs)
+        heap = T.eps_heap(5)
+        assert all(heap[J.node] == e for J, e in zip(ivs, eps))
+        assert np.count_nonzero(heap) == np.count_nonzero(eps)
+
+    def test_from_dict_sorts_into_node_order(self):
+        rng = np.random.default_rng(6)
+        fam = {I(d, i): float(rng.uniform(-1, 1)) for d in range(6) for i in range(1 << d)
+               if rng.random() < 0.5}
+        shuffled = dict(sorted(fam.items(), key=lambda kv: rng.random()))
+        T = HaarMultiplier.from_dict(shuffled)
+        assert (T.intervals, T.coefficients) == _sorted_items(fam)
+
+    def test_projection(self):
+        T = HaarMultiplier.projection([I(2, 1), ROOT, I(2, 1), I(1, 0)])
+        assert T.intervals == (ROOT, I(1, 0), I(2, 1)) and T.coefficients == (1.0,) * 3
+        assert len(HaarMultiplier.projection([])) == 0
+
+    def test_write_read_cycle(self, tmp_path):
+        from sparsedom.serialize import read_multiplier, write_multiplier
+
+        rng = np.random.default_rng(8)
+        base = [I(d, i) for d in range(7) for i in range(1 << d) if rng.random() < 0.4]
+        ivs = tuple(base[k] for k in rng.permutation(len(base)))
+        eps = tuple(rng.uniform(-1.0, 1.0, len(ivs)).tolist())
+        path = tmp_path / "m.csv"
+        write_multiplier(HaarMultiplier(ivs, eps), path)
+        assert path.read_text().splitlines() == [f"{J.depth},{J.index},{e!r}"
+                                                 for J, e in zip(ivs, eps)]
+        T = read_multiplier(path)
+        assert (T.intervals, T.coefficients) == _sorted_items(dict(zip(ivs, eps)))
+        # a later row for the same interval replaces the earlier one
+        path.write_text("2,1,0.5\n0,0,1.0\n2,1,-0.25\n")
+        T = read_multiplier(path)
+        assert (T.intervals, T.coefficients) == ((ROOT, I(2, 1)), (1.0, -0.25))
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="duplicate intervals in multiplier family"):
+            HaarMultiplier((ROOT, I(1, 0), ROOT), (1.0, 0.5, -0.5))
+        with pytest.raises(ValueError, match="duplicate intervals in multiplier family"):
+            HaarMultiplier.from_nodes([3, 1, 3], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"\|eps_I\| <= 1 required, got -1.5"):
+            HaarMultiplier((ROOT, I(1, 1)), (1.0, -1.5))
+        with pytest.raises(ValueError, match=r"\|eps_I\| <= 1 required, got 2.0"):
+            HaarMultiplier.from_dict({I(1, 0): 2.0})
+        with pytest.raises(ValueError, match="intervals and coefficients must align"):
+            HaarMultiplier((ROOT,), (1.0, 1.0))
+        with pytest.raises(ValueError, match="heap nodes must be >= 1"):
+            HaarMultiplier.from_nodes([0, 1], [1.0, 1.0])
+        T = HaarMultiplier.from_dict({ROOT: 1.0, I(4, 3): 0.5})
+        with pytest.raises(ValueError, match="multiplier interval at depth 4 needs depth < 4"):
+            T.check_depth(4)
+        T.check_depth(5)
+
+
 class TestBilinearForm:
     """Every mode's certificate lhs is |<T f, g>|, the pairing taken in space."""
 

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -1065,6 +1066,163 @@ def test_overflowing_haar_square_outside_family_is_unread():
     for cert in (dominate_avg(T, F, F), dominate_square(T, F, F),
                  dominate_oscillation(T, F, F)):
         assert cert.ok() and cert.lhs == 0.0
+
+
+@pytest.mark.parametrize("cell", [1e200, 1e-200])
+def test_weighted_value_out_of_float_range_rejected(cell):
+    # finite cells whose w(I)**(1/r) overflows (or underflows to 0): the
+    # weighted L^r values are not finite and would fail every selection test
+    J = 6
+    f, g = generate_signal("gaussian_noise", J, seed=0), generate_signal("gaussian_noise", J, seed=1)
+    with pytest.raises(ValueError, match=r"weighted L\^r value of the square function overflows"):
+        dominate_weighted(full_multiplier(J), f, g, Weight(np.full(1 << J, cell)))
+
+
+def test_weighted_chain_weight_power_out_of_float_range_rejected():
+    # constant signals give every stopping value 0, but w(Q)**(1/p) at
+    # p = 1/2 overflows on cells of 1e200
+    J = 6
+    f, w = Signal(np.ones(1 << J)), Weight(np.full(1 << J, 1e200))
+    with pytest.raises(ValueError, match=r"w\(Q\)\*\*\(1/p\) of the weight overflows"):
+        dominate_weighted(full_multiplier(J), f, f, w, p=0.5)
+
+
+def test_square_exponent_too_small_for_depth():
+    # |I|**(1/p) underflows to 0 at depth 6 for p = 0.005 (2**-1200)
+    J = 7
+    f, g = spiky_signal(J, 71), spiky_signal(J, 72)
+    with pytest.raises(ValueError, match=r"\|I\|\*\*\(1/p\) underflows at depth"):
+        dominate_square(full_multiplier(J), f, g, p=0.005, q=0.005)
+
+
+# The per-row formulas the final powers replaced: Python's ** on each row.
+def _python_lp_rows(vals, J, d, index, p, dx):
+    sums = np.sum(kernels.subtree_profile(vals, J, d, index) ** (p / 2.0), axis=1) * dx
+    scale = (2.0 ** (-d)) ** (1.0 / p)
+    return np.array([s ** (1.0 / p) / scale for s in sums.tolist()])
+
+
+def _python_pow(x, e):
+    """x ** e, or inf where the power overflows (Python raises there)."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _python_lp_w_rows(vals, J, d, index, r, wvals, wI, dx):
+    """The weighted rows, with IEEE results where Python's ** or / raises:
+    an overflowing power is inf, x / 0.0 is inf (nan for 0 / 0)."""
+    prof = kernels.subtree_profile(vals, J, d, index) ** (r / 2.0)
+    with np.errstate(over="ignore"):
+        sums = np.sum(prof * wvals.reshape(1 << d, -1)[index], axis=1) * dx
+    rows = []
+    for s, m in zip(sums.tolist(), wI[(1 << d) + index].tolist()):
+        num, den = _python_pow(s, 1.0 / r), _python_pow(m, 1.0 / r)
+        rows.append(num / den if den else (math.nan if num == 0.0 else math.inf))
+    return np.array(rows)
+
+
+def _spread_values(rng, size, center, spread, kind):
+    """Nonnegative values 10**(center +- spread), subnormals or a mix, with
+    zeros sprinkled in."""
+    wide = 10.0 ** (center + rng.uniform(-spread, spread, size))
+    tiny = rng.integers(1, 1 << 30, size) * 5e-324
+    vals = {"wide": wide, "subnormal": tiny, "mixed": np.where(rng.random(size) < 0.5, wide, tiny)}[kind]
+    return np.where(rng.random(size) < 0.25, 0.0, vals)
+
+
+class TestFinalPowersBitwise:
+    """_lp_values and _lp_w_values take their final powers with
+    np.float_power, which equals Python's ** bit for bit (np.power does not
+    on every machine)."""
+
+    EXPONENTS = (0.5, 1.0, 2.0, 1.0 / 0.7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(J=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           center=st.floats(-150.0, 150.0), spread=st.floats(0.0, 20.0),
+           kind=st.sampled_from(["wide", "subnormal", "mixed"]),
+           exponent=st.sampled_from(EXPONENTS))
+    def test_lp_values_equal_python_rows(self, J, seed, center, spread, kind, exponent):
+        rng = np.random.default_rng(seed)
+        vals = _spread_values(rng, 1 << J, center, spread, kind)
+        vals[0] = 0.0
+        p, dx = 1.0 / exponent, 2.0 ** (-J)
+        for d in range(J):
+            index = rng.permutation(1 << d)
+            got = stopping._lp_values(vals, J, d, index, p, dx)
+            want = _python_lp_rows(vals, J, d, index, p, dx)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
+
+    @settings(max_examples=40, deadline=None)
+    @given(J=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           center=st.floats(-150.0, 150.0), spread=st.floats(0.0, 20.0),
+           w_center=st.floats(-170.0, 170.0),
+           kind=st.sampled_from(["wide", "subnormal", "mixed"]),
+           exponent=st.sampled_from(EXPONENTS))
+    # values that overflow, that divide by an underflowed w(I)**2, and
+    # profile times weight products that overflow
+    @example(J=3, seed=0, center=170.0, spread=0.0, w_center=170.0, kind="wide", exponent=0.5)
+    @example(J=5, seed=3, center=100.0, spread=5.0, w_center=140.0, kind="wide", exponent=2.0)
+    @example(J=5, seed=3, center=0.0, spread=5.0, w_center=-170.0, kind="wide", exponent=2.0)
+    def test_lp_w_values_equal_python_rows(self, J, seed, center, spread, w_center, kind,
+                                           exponent):
+        # a value out of the float range raises ValueError
+        rng = np.random.default_rng(seed)
+        vals = _spread_values(rng, 1 << J, center, spread, kind)
+        vals[0] = 0.0
+        w = Weight(10.0 ** (w_center + rng.uniform(-3.0, 3.0, 1 << J)))
+        r, dx = 1.0 / exponent, 2.0 ** (-J)
+        for d in range(J):
+            index = rng.permutation(1 << d)
+            want = _python_lp_w_rows(vals, J, d, index, r, w.values, w.heap, dx)
+            if not np.all(np.isfinite(want)):
+                with pytest.raises(ValueError, match="weighted L\\^r value"):
+                    stopping._lp_w_values(vals, J, d, index, r, w.values, w.heap, dx)
+                continue
+            got = stopping._lp_w_values(vals, J, d, index, r, w.values, w.heap, dx)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
+
+
+def _counting_intervals():
+    """(patch, count): a patch counting every DyadicInterval built while
+    it is active, in count[0]."""
+    count, real = [0], DyadicInterval.__post_init__
+
+    def spy(self):
+        count[0] += 1
+        real(self)
+
+    return mock.patch.object(DyadicInterval, "__post_init__", spy), count
+
+
+@pytest.mark.parametrize("mode", ["avg", "square", "weighted", "osc"])
+def test_no_interval_per_family_member(mode):
+    # the full family of depth < 8 (255 intervals) at C = 1 on point masses:
+    # only avg's tilde sizes build intervals, one per node and signal
+    J = 8
+    T = full_multiplier(J)
+    f = generate_signal("point_masses", J, seed=1, k=8)
+    g = generate_signal("point_masses", J, seed=2, k=8)
+    w = generate_weight("two_level", J, seed=3, t=64.0)
+    run = {"avg": lambda: dominate_avg(T, f, g, C=1.0),
+           "square": lambda: dominate_square(T, f, g, p=1.0, q=1.0, C=1.0),
+           "weighted": lambda: dominate_weighted(T, f, g, w, C=1.0),
+           "osc": lambda: dominate_oscillation(T, f, g, C=1.0)}[mode]
+    patch, count = _counting_intervals()
+    with patch:
+        cert = run()
+        built = count[0]
+        record = cert.to_dict()
+    assert len(cert.collection) > 4
+    assert built <= (2 * len(cert.collection) if mode == "avg" else 0)
+    assert count[0] == built
+    assert record["n_intervals"] == len(T)
+    # a view that is read builds its intervals then
+    with patch:
+        assert sum(len(fam) for fam in cert.subfamilies.values()) == len(T)
+    assert count[0] > built
 
 
 def _reference_lerner(phi, Q0, lam):
