@@ -144,7 +144,7 @@ class HaarMultiplier:
 
     @classmethod
     def projection(cls, intervals) -> "HaarMultiplier":
-        nodes = np.unique(np.fromiter((I.node for I in intervals), np.intp))
+        nodes = kernels.sorted_unique(np.fromiter((I.node for I in intervals), np.intp))
         return cls.from_nodes(nodes, np.ones(nodes.size))
 
     @property

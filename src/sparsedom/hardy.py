@@ -4,17 +4,24 @@ sparse atomic decomposition.
 The atomic decomposition runs the same norm stopping time as the square
 function domination, with a single function and exponent r < p; each node's
 atom collects the Haar modes of its sub-family, so support and cancellation
-are exact and the L2 normalization is met with equality.
+are exact and the L2 normalization is met with equality.  An atom is held as
+arrays (its sub-family's heap nodes, f's coefficients on them and c_Q), never
+as a length-n vector: the Q of one depth are disjoint, so one inverse
+transform per depth of Q gives every atom of that depth on its own block, and
+reconstruction and the atom checks are block reductions on those vectors,
+O(J n) in all.  ``to_dict`` records each atom's (depth, index) pairs and
+coefficients a_I, from which a_Q = c_Q^{-1} sum a_I h_I is rebuilt.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .dyadic import DyadicInterval, Signal, check_finite, lp_norm
+from .dyadic import DyadicInterval, Signal, check_finite, depth_index, lp_norm
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
 from .stopping import (_first_values, _lp_values, _run_family, _split, _squared,
@@ -120,15 +127,52 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
     return float(np.max((wI[hit] * sub[hit]) ** 0.5 / wI[hit] ** (1.0 / p)))
 
 
+class _Atoms(Mapping):
+    """Read-only view of the atoms: Q -> a_Q as a full-length Signal, built
+    on access by one inverse transform of f's coefficients on Q's sub-family,
+    divided by the c_Q the atom was normalized with."""
+
+    def __init__(self, deco: "AtomicDecomposition"):
+        self._deco = deco
+
+    def __getitem__(self, Q):
+        deco = self._deco
+        scale = deco.scales[Q]
+        own = deco.subfamilies[Q]
+        heap = np.zeros_like(deco.haar.heap)
+        heap[own] = deco.haar.heap[own]
+        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, deco.depth_J))
+        return Signal(atom.values / scale)
+
+    def __contains__(self, Q):
+        return Q in self._deco.scales
+
+    def __iter__(self):
+        return iter(self._deco.scales)
+
+    def __len__(self):
+        return len(self._deco.scales)
+
+
 @dataclass
 class AtomicDecomposition:
-    """``subfamilies[Q]`` is Q's sub-family as a sorted array of heap nodes;
-    ``coefficients`` and ``atoms`` skip the nodes with c_Q = 0."""
+    """f = mean + sum over Q of coefficients[Q] * atoms[Q], held as arrays.
+
+    ``subfamilies[Q]`` is Q's sub-family as a sorted array of heap nodes,
+    for every node of the run.  The atom a_Q = scales[Q]^{-1} sum over the
+    sub-family of a_I h_I, with a_I read off ``haar`` (f's coefficients);
+    ``scales[Q]`` is c_Q as the atom was built, and ``coefficients[Q]`` the
+    c_Q of the sum.  Both skip the nodes with c_Q = 0.  :attr:`atoms` builds
+    one length-n Signal per read; :meth:`reconstruct` and :meth:`verify`
+    take one inverse transform per depth of Q instead (:meth:`_render`).
+    """
 
     collection: SparseCollection
     coefficients: dict
-    atoms: dict
     subfamilies: dict
+    scales: dict
+    signal: Signal
+    haar: HaarCoefficients
     mean: float
     depth_J: int
     p: float
@@ -136,16 +180,107 @@ class AtomicDecomposition:
     stopping_constant: float
     checks: dict = field(default_factory=dict)
 
+    @property
+    def atoms(self) -> Mapping:
+        """Q -> a_Q as a full-length Signal (a view, built on access)."""
+        return _Atoms(self)
+
     def ok(self) -> bool:
         return all(bool(v) for k, v in self.checks.items() if k.endswith("_ok"))
 
+    def _render(self):
+        """(out, ok): out = mean + sum of c_Q a_Q and ok the support and
+        moment checks of every atom, in one sweep over the depths of Q.
+
+        One inverse transform per depth d renders every atom of that depth:
+        the Q of one depth are disjoint and each sub-family lies inside its
+        Q, so the transform of their summed coefficients, read as a
+        (2**d, 2**(J-d)) array, holds in row i of Q = (d, i) Q's own
+        transform bit for bit (every other coefficient adds an exact zero)
+        and 0.0 in the rows of no atom.  The depths are added in increasing
+        order: the Q that contain a cell form a chain, and a deeper Q is a
+        later generation of the run, so every cell adds its terms in run
+        order.  ok needs every member inside its Q, each depth's transform
+        0.0 off its atoms' rows, and each atom's |integral| <= 1e-12 (the
+        row's pairwise tree sum, as ``kernels.interval_sums`` adds it, so
+        ``atoms[Q].integral()`` bit for bit) and ||a_Q||_2 <= |Q|^{1/2-1/p}
+        (1 + 1e-12).
+        """
+        J, dx = self.depth_J, self.signal.cell_width
+        n = 1 << J
+        out = np.full(n, self.mean)
+        nodes = np.fromiter((Q.node for Q in self.scales), np.intp, len(self.scales))
+        scale = np.fromiter(self.scales.values(), float, nodes.size)
+        c = np.fromiter((self.coefficients[Q] for Q in self.scales), float, nodes.size)
+        fams = [np.asarray(self.subfamilies[Q], dtype=np.intp) for Q in self.scales]
+        depth = np.frexp(nodes)[1] - 1
+        ok = True
+        for d in kernels.sorted_unique(depth).tolist():
+            at = np.flatnonzero(depth == d)
+            m = np.concatenate([fams[k] for k in at])
+            owner = np.repeat(nodes[at], [fams[k].size for k in at])
+            shift = np.frexp(m)[1] - (d + 1)            # depth(m) - d
+            if m.size and not (0 < m.min() and m.max() < n and shift.min() >= 0
+                               and np.all(m >> shift == owner)):
+                ok = False
+                m = m[(m > 0) & (m < n)]
+            heap = np.zeros(n)
+            heap[m] = self.haar.heap[m]
+            raw = inverse_haar_transform(HaarCoefficients(heap, 0.0, J)).values
+            raw = raw.reshape(1 << d, -1)
+            rows = nodes[at] - (1 << d)
+            off = np.ones(1 << d, dtype=bool)
+            off[rows] = False
+            atoms = raw[rows]
+            atoms /= scale[at][:, None]
+            sums = atoms
+            while sums.shape[1] > 1:
+                sums = sums[:, 0::2] + sums[:, 1::2]
+            norm2 = np.sqrt(np.sum(np.square(atoms), axis=1) * dx)
+            if (raw[off].any() or np.any(np.abs(sums * dx) > 1e-12)
+                    or np.any(norm2 > (2.0 ** -d) ** (0.5 - 1.0 / self.p) * (1.0 + 1e-12))):
+                ok = False
+            atoms *= c[at][:, None]
+            raw[rows] = atoms
+            out += raw.reshape(-1)
+        return out, ok
+
     def reconstruct(self) -> Signal:
-        out = np.full(1 << self.depth_J, self.mean)
-        for Q, c in self.coefficients.items():
-            out += c * self.atoms[Q].values
-        return Signal(out)
+        """mean + sum of c_Q a_Q, one inverse transform per depth of Q."""
+        return Signal(self._render()[0])
+
+    def verify(self) -> dict:
+        """The decomposition's checks, recomputed from its arrays in O(J n):
+        ``atoms_ok`` and the reconstruction are :meth:`_render`'s sweep."""
+        if not self.subfamilies:
+            return {"empty": True}
+        recon, atom_ok = self._render()
+        f = self.signal.values
+        recon_err = float(np.max(np.abs(recon - f)))
+        S = self.collection
+        inner = S.parents > 0
+        sf_norm = hardy_norm(self.haar, self.p)
+        budget_sum = float(sum(c**self.p for c in self.coefficients.values()))
+        return {
+            "reconstruction_error": recon_err,
+            "reconstruction_ok": recon_err < 1e-12 * max(1.0, float(np.max(np.abs(f)))),
+            "child_budget_ok": child_budget_ok(S.nodes[inner], S.parents[inner]),
+            "atoms_ok": atom_ok,
+            "lp_budget": budget_sum,
+            "hardy_norm_p": sf_norm,
+            "lp_budget_ratio": budget_sum / sf_norm**self.p if sf_norm > 0 else 0.0,
+        }
 
     def to_dict(self) -> dict:
+        """The record: each atom as Q, c_Q, its sub-family's (depth, index)
+        pairs and f's coefficients a_I on them, so that a_Q = c_Q^{-1} sum
+        a_I h_I can be rebuilt."""
+        atoms = []
+        for Q in sorted(self.coefficients):
+            fam = self.subfamilies[Q]
+            atoms.append({"Q": [Q.depth, Q.index], "c_Q": self.coefficients[Q],
+                          "family": np.stack(depth_index(fam), axis=1).tolist(),
+                          "a_I": self.haar.heap[fam].tolist()})
         return {
             "p": self.p,
             "r": self.r,
@@ -153,11 +288,7 @@ class AtomicDecomposition:
             "mean": self.mean,
             "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
                        for k, v in self.checks.items()},
-            "atoms": [
-                {"Q": [Q.depth, Q.index], "c_Q": self.coefficients[Q],
-                 "atom_values": self.atoms[Q].values.tolist()}
-                for Q in sorted(self.coefficients)
-            ],
+            "atoms": atoms,
         }
 
 
@@ -172,7 +303,8 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
         a_Q = c_Q^{-1} sum over the sub-family of a_I h_I,
 
     so support, cancellation and the equality ||a_Q||_2 = |Q|^{1/2 - 1/p}
-    hold by construction; nodes with c_Q = 0 are dropped.
+    hold by construction; nodes with c_Q = 0 are dropped.  The checks are
+    :meth:`AtomicDecomposition.verify`'s.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
@@ -185,11 +317,10 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     check_finite(f)
     J = f.depth_J
     coeffs = haar_transform(f)
-    mean = coeffs.mean
     nodes = coeffs.support_nodes()
     if not nodes.size:
-        return AtomicDecomposition(SparseCollection([]), {}, {}, {}, mean, J,
-                                   p, r, C, checks={"empty": True})
+        return AtomicDecomposition(SparseCollection([]), {}, {}, {}, f, coeffs,
+                                   coeffs.mean, J, p, r, C, checks={"empty": True})
     dx = f.cell_width
 
     def n_r(vals, d, index):
@@ -202,43 +333,13 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     # energies add libm squares (np.float_power), as Python's a ** 2 does
     families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
     subfam = dict(zip(map(DyadicInterval.from_node, run.order.tolist()), families))
-
-    coefficients, atoms = {}, {}
-    for (Q, own), e in zip(subfam.items(), energy.tolist()):
+    coefficients = {}
+    for Q, e in zip(subfam, energy.tolist()):
         c_Q = Q.length ** (1.0 / p - 0.5) * e ** 0.5
-        if c_Q == 0.0:
-            continue
-        heap = np.zeros(1 << J)
-        heap[own] = coeffs.heap[own]
-        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, J))
-        coefficients[Q] = c_Q
-        atoms[Q] = Signal(atom.values / c_Q)
-
-    collection = SparseCollection.from_nodes(run.order)
-    deco = AtomicDecomposition(collection, coefficients, atoms, subfam, mean,
+        if c_Q != 0.0:
+            coefficients[Q] = c_Q
+    deco = AtomicDecomposition(SparseCollection.from_nodes(run.order), coefficients,
+                               subfam, dict(coefficients), f, coeffs, coeffs.mean,
                                J, p, r, final_C)
-
-    recon_err = float(np.max(np.abs(deco.reconstruct().values - f.values)))
-    budget_ok = child_budget_ok(run.kids, run.parents)
-    atom_ok = True
-    for Q, atom in atoms.items():
-        lo, hi = Q.cell_range(J)
-        outside = np.concatenate([atom.values[:lo], atom.values[hi:]])
-        norm2 = lp_norm(atom, 2.0)
-        bound = Q.length ** (0.5 - 1.0 / p)
-        if (np.any(outside != 0.0)
-                or abs(atom.integral()) > 1e-12
-                or norm2 > bound * (1.0 + 1e-12)):
-            atom_ok = False
-    sf_norm = hardy_norm(coeffs, p)
-    budget_sum = float(sum(c**p for c in coefficients.values()))
-    deco.checks = {
-        "reconstruction_error": recon_err,
-        "reconstruction_ok": recon_err < 1e-12 * max(1.0, float(np.max(np.abs(f.values)))),
-        "child_budget_ok": budget_ok,
-        "atoms_ok": atom_ok,
-        "lp_budget": budget_sum,
-        "hardy_norm_p": sf_norm,
-        "lp_budget_ratio": budget_sum / sf_norm**p if sf_norm > 0 else 0.0,
-    }
+    deco.checks = deco.verify()
     return deco

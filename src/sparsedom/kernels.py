@@ -34,7 +34,8 @@ collections and the atomic decomposition share the heap helpers
 :func:`node_mask`, :func:`ancestor_max` (one pass down: on a heap holding
 each member's own node, every node's nearest member at or above it),
 :func:`heap_subtree_sums` (one pass up: on a boolean heap, the ancestor
-closure) and :func:`maximal_nodes`.
+closure) and :func:`maximal_nodes`; node arrays are deduplicated by
+:func:`sorted_unique`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "node_mask",
     "ancestor_max",
     "maximal_nodes",
+    "sorted_unique",
 ]
 
 
@@ -248,3 +250,14 @@ def maximal_nodes(mask):
     above = np.zeros_like(mask)
     above[2:] = np.repeat(ancestor_max(mask)[1 : mask.shape[0] >> 1], 2)
     return np.flatnonzero(mask & ~above)
+
+
+def sorted_unique(a):
+    """``np.unique`` of an integer array, by one sort and a mask of the
+    entries that differ from their left neighbour: numpy 2's ``np.unique``
+    hashes integer arrays, about 20x slower than sorting at a few thousand
+    entries."""
+    s = np.sort(a, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .dyadic import DyadicInterval, Signal, depth_index
 from .haar import HaarMultiplier
 from .hardy import Weight
@@ -57,13 +58,19 @@ def read_weight(path) -> Weight:
 
 
 def read_multiplier(path) -> HaarMultiplier:
+    """The multiplier of a (depth, index, eps) CSV file, in node order; a
+    file that lists one interval twice is rejected, as the constructor
+    rejects such a family."""
     eps = {}
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
-            d, i, e = int(row[0]), int(row[1]), float(row[2])
-            eps[DyadicInterval(d, i)] = e
+            I, e = DyadicInterval(int(row[0]), int(row[1])), float(row[2])
+            if I in eps:
+                raise ValueError(f"duplicate intervals in multiplier family: "
+                                 f"({I.depth}, {I.index}) listed twice in {path}")
+            eps[I] = e
     return HaarMultiplier.from_dict(eps)
 
 
@@ -110,7 +117,7 @@ def revalidate_certificate(data: dict) -> bool:
 
     per_q = data["per_Q"]
     members = node_array(e["Q"] for e in per_q)
-    if np.unique(members).size != members.size:
+    if kernels.sorted_unique(members).size != members.size:
         return False
     S = SparseCollection.from_nodes(members)
     flat = [tuple(I) for e in per_q for I in e["family"]]

@@ -70,7 +70,7 @@ class SparseCollection:
         return S
 
     def _set_nodes(self, nodes):
-        self.nodes = np.unique(nodes)
+        self.nodes = kernels.sorted_unique(nodes)
         self.parents = _forest(self.nodes)
 
     @functools.cached_property

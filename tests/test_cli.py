@@ -220,7 +220,22 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["checks"]["reconstruction_ok"]
-        assert all("atom_values" in a for a in payload["atoms"])
+        assert payload["atoms"]
+        for a in payload["atoms"]:
+            assert "atom_values" not in a
+            assert len(a["family"]) == len(a["a_I"]) > 0
+
+    def test_dominate_multiplier_file_with_repeated_interval(self, tmp_path, capsys):
+        mfile = tmp_path / "m.csv"
+        mfile.write_text("2,1,0.5\n0,0,1.0\n2,1,-0.25\n")
+        rc = main(["dominate", "--mode", "square", "--depth", "4", "--seed", "1",
+                   "--multiplier-file", str(mfile)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            f"sparsedom: error: duplicate intervals in multiplier family: "
+            f"(2, 1) listed twice in {mfile}"]
 
     def test_cz_command(self, capsys):
         rc = main(["cz", "--depth", "5", "--seed", "3", "--alpha", "1.5"])

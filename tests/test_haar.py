@@ -196,10 +196,11 @@ class TestMultiplierArrays:
                                                  for J, e in zip(ivs, eps)]
         T = read_multiplier(path)
         assert (T.intervals, T.coefficients) == _sorted_items(dict(zip(ivs, eps)))
-        # a later row for the same interval replaces the earlier one
+        # a repeated interval is rejected, as the constructor rejects it
         path.write_text("2,1,0.5\n0,0,1.0\n2,1,-0.25\n")
-        T = read_multiplier(path)
-        assert (T.intervals, T.coefficients) == ((ROOT, I(2, 1)), (1.0, -0.25))
+        with pytest.raises(ValueError, match=r"duplicate intervals in multiplier family: "
+                                             r"\(2, 1\) listed twice"):
+            read_multiplier(path)
 
     def test_validation_messages(self):
         with pytest.raises(ValueError, match="duplicate intervals in multiplier family"):

@@ -1,11 +1,21 @@
+import json
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsedom import haar, hardy
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal, lp_norm
 from sparsedom.generate import generate_multiplier, generate_signal, generate_weight
-from sparsedom.haar import HaarMultiplier, haar_transform, htilde, multiplied_coefficients
+from sparsedom.haar import (HaarCoefficients, HaarMultiplier, haar_transform, htilde,
+                            inverse_haar_transform, multiplied_coefficients)
 from sparsedom.hardy import (Weight, ap_characteristic, atomic_decompose,
                              cmo_norm, hardy_norm, square_function)
+from sparsedom.sparse import child_budget_ok
+from sparsedom.stopping import (_first_values, _lp_values, _run_family, _split, _squared,
+                                _with_retries)
 
 
 def I(d, i):
@@ -227,6 +237,175 @@ class TestAtomicDecomposition:
             atomic_decompose(f, p=1.5)
         with pytest.raises(ValueError):
             atomic_decompose(f, p=1.0, r=1.0)
+
+
+def _per_atom_reference(f, p, C):
+    """The O(#atoms n) path: one length-n atom per Q from its own inverse
+    transform, a full-vector reconstruction in run order and a full-vector
+    scan of each atom.  Returns (coefficients, atoms, reconstruction, checks)."""
+    r, J = p / 2.0, f.depth_J
+    coeffs = haar_transform(f)
+    nodes = coeffs.support_nodes()
+    if not nodes.size:
+        return {}, {}, np.full(1 << J, coeffs.mean), {"empty": True}
+    dx = f.cell_width
+
+    def n_r(vals, d, index):
+        return _lp_values(vals, J, d, index, r, dx)
+
+    heaps, functionals = (_squared(coeffs.heap, "f"),), (n_r,)
+    first = _first_values(nodes, heaps, functionals)
+    run, _ = _with_retries(
+        "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
+    families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
+    coefficients, atoms = {}, {}
+    for node, own, e in zip(run.order.tolist(), families, energy.tolist()):
+        Q = DyadicInterval.from_node(node)
+        c_Q = Q.length ** (1.0 / p - 0.5) * e ** 0.5
+        if c_Q == 0.0:
+            continue
+        heap = np.zeros(1 << J)
+        heap[own] = coeffs.heap[own]
+        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, J))
+        coefficients[Q] = c_Q
+        atoms[Q] = Signal(atom.values / c_Q)
+    recon = np.full(1 << J, coeffs.mean)
+    for Q, c in coefficients.items():
+        recon += c * atoms[Q].values
+    recon_err = float(np.max(np.abs(recon - f.values)))
+    atom_ok = True
+    for Q, atom in atoms.items():
+        lo, hi = Q.cell_range(J)
+        outside = np.concatenate([atom.values[:lo], atom.values[hi:]])
+        if (np.any(outside != 0.0) or abs(atom.integral()) > 1e-12
+                or lp_norm(atom, 2.0) > Q.length ** (0.5 - 1.0 / p) * (1.0 + 1e-12)):
+            atom_ok = False
+    sf_norm = hardy_norm(coeffs, p)
+    budget_sum = float(sum(c**p for c in coefficients.values()))
+    checks = {
+        "reconstruction_error": recon_err,
+        "reconstruction_ok": recon_err < 1e-12 * max(1.0, float(np.max(np.abs(f.values)))),
+        "child_budget_ok": child_budget_ok(run.kids, run.parents),
+        "atoms_ok": atom_ok,
+        "lp_budget": budget_sum,
+        "hardy_norm_p": sf_norm,
+        "lp_budget_ratio": budget_sum / sf_norm**p if sf_norm > 0 else 0.0,
+    }
+    return coefficients, atoms, recon, checks
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def atom_signals(draw):
+    kind = draw(st.sampled_from(["gaussian_noise", "point_masses", "sparse_haar", "step",
+                                 "zero", "constant"]))
+    J = draw(st.integers(1, 10))
+    if kind == "zero":
+        return Signal(np.zeros(1 << J))
+    if kind == "constant":
+        return Signal(np.full(1 << J, draw(st.floats(-1e3, 1e3, allow_nan=False))))
+    return generate_signal(kind, J, seed=draw(st.integers(0, 2**32 - 1)),
+                           k=draw(st.integers(1, 12)))
+
+
+class TestAtomsPerDepth:
+    """Atoms held as node arrays, checked one depth of Q at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=atom_signals(), p=st.sampled_from([0.5, 1.0]), C=st.sampled_from([1.0, 4.0]))
+    def test_bitwise_equal_to_per_atom_path(self, f, p, C):
+        coefficients, atoms, recon, checks = _per_atom_reference(f, p, C)
+        deco = atomic_decompose(f, p=p, C=C)
+        assert list(deco.coefficients.items()) == list(coefficients.items())
+        assert list(deco.atoms) == list(atoms)
+        for Q, atom in atoms.items():
+            assert np.array_equal(_bits(deco.atoms[Q].values), _bits(atom.values))
+        assert np.array_equal(_bits(deco.reconstruct().values), _bits(recon))
+        assert {k: repr(v) for k, v in deco.checks.items()} == \
+            {k: repr(v) for k, v in checks.items()}
+
+    def test_atoms_view_is_read_only_mapping(self):
+        deco = atomic_decompose(generate_signal("gaussian_noise", 8, seed=3), p=1.0, C=1.0)
+        view = deco.atoms
+        assert isinstance(view, Mapping) and len(view) == len(deco.coefficients)
+        Q = next(iter(deco.coefficients))
+        assert Q in view and I(8, 0) not in view
+        with pytest.raises(TypeError):
+            view[Q] = view[Q]
+        with pytest.raises(KeyError):
+            view[I(8, 0)]
+
+    def test_to_dict_rebuilds_every_atom(self):
+        deco = atomic_decompose(generate_signal("sparse_haar", 9, seed=4, k=20), p=0.5, C=1.0)
+        payload = json.loads(json.dumps(deco.to_dict()))
+        assert [a["Q"] for a in payload["atoms"]] == [[Q.depth, Q.index]
+                                                      for Q in sorted(deco.coefficients)]
+        for a in payload["atoms"]:
+            Q = I(*a["Q"])
+            heap = np.zeros(1 << 9)
+            heap[[I(d, i).node for d, i in a["family"]]] = a["a_I"]
+            atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, 9)).values / a["c_Q"]
+            assert np.array_equal(_bits(atom), _bits(deco.atoms[Q].values))
+
+    @pytest.mark.parametrize("mutation, flipped", [("member_outside", "atoms_ok"),
+                                                   ("member_above", "atoms_ok"),
+                                                   ("member_off_grid", "atoms_ok"),
+                                                   ("members_swapped", "atoms_ok"),
+                                                   ("shifted_mean", "reconstruction_ok"),
+                                                   ("scaled_c", "reconstruction_ok")])
+    def test_verify_flags_a_tampered_decomposition(self, mutation, flipped):
+        deco = atomic_decompose(generate_signal("gaussian_noise", 8, seed=3), p=1.0, C=1.0)
+        assert deco.verify() == deco.checks and deco.ok()
+        Q = next(Q for Q in deco.coefficients if Q.depth > 0)
+        moved = {"member_outside": Q.node ^ 1,     # Q's sibling
+                 "member_above": Q.node >> 1,      # Q's parent
+                 "member_off_grid": 1 << 8}.get(mutation)
+        if moved is not None:
+            fam = deco.subfamilies[Q].copy()
+            fam[-1] = moved
+            deco.subfamilies[Q] = fam
+        elif mutation == "members_swapped":
+            # two atoms of one depth trade a member: every depth's summed
+            # coefficients, and so every rendered block, stay the same
+            Q, R = [P for P in deco.coefficients if P.depth == Q.depth][:2]
+            fq, fr = deco.subfamilies[Q].copy(), deco.subfamilies[R].copy()
+            fq[-1], fr[-1] = fr[-1], fq[-1]
+            deco.subfamilies[Q], deco.subfamilies[R] = fq, fr
+        elif mutation == "shifted_mean":
+            deco.mean += 1e-9
+        else:
+            deco.coefficients[Q] *= 2.0
+        checks = deco.verify()
+        assert checks[flipped] is False
+        # a new mean or a new weight leaves the atoms as they are, and a swap
+        # leaves the sum as it is
+        assert checks["atoms_ok"] is (mutation in ("shifted_mean", "scaled_c"))
+        if mutation == "members_swapped":
+            assert checks["reconstruction_error"] == deco.checks["reconstruction_error"]
+
+    def test_one_inverse_transform_per_depth(self, monkeypatch):
+        calls = []
+        original = haar.inverse_haar_transform
+
+        def spy(coeffs):
+            calls.append(coeffs.depth_J)
+            return original(coeffs)
+
+        monkeypatch.setattr(haar, "inverse_haar_transform", spy)
+        monkeypatch.setattr(hardy, "inverse_haar_transform", spy)
+        deco = atomic_decompose(generate_signal("gaussian_noise", 12, seed=1), p=1.0, C=1.0)
+        depths = {Q.depth for Q in deco.coefficients}
+        assert len(deco.coefficients) > 2 * len(depths)
+        assert 0 < len(calls) <= 2 * len(depths)
+
+    def test_depth_sixteen_record_is_small(self):
+        f = generate_signal("gaussian_noise", 16, seed=1)
+        deco = atomic_decompose(f, p=1.0, C=1.0)
+        assert len(deco.coefficients) == 424 and deco.ok()
+        assert len(json.dumps(deco.to_dict())) < 5_000_000
 
 
 class TestWeightedUniformity:

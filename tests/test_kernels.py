@@ -205,6 +205,29 @@ def test_dd_interval_sums_overflow():
     assert hi[3] == 3.0 and exact[3]
 
 
+@pytest.mark.parametrize("case", ["empty", "one", "all_equal", "unsorted", "wide", "intp"])
+def test_sorted_unique_equals_np_unique(case):
+    rng = np.random.default_rng(3)
+    a = {"empty": np.zeros(0, dtype=np.int64),
+         "one": np.array([7]),
+         "all_equal": np.full(50, 3),
+         "unsorted": rng.integers(-20, 20, 300),
+         "wide": rng.integers(-2**62, 2**62, 1000),
+         "intp": rng.integers(1, 1 << 12, 4000).astype(np.intp)}[case]
+    got, want = kernels.sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_sorted_unique_random_int_arrays():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = rng.integers(-50, 50, rng.integers(0, 40)).reshape(-1)
+        assert np.array_equal(kernels.sorted_unique(a), np.unique(a))
+    grid = rng.integers(0, 9, (6, 7))          # np.unique flattens, so does this
+    assert np.array_equal(kernels.sorted_unique(grid), np.unique(grid))
+
+
 def test_heap_subtree_sums():
     rng = np.random.default_rng(4)
     J = 4
