@@ -247,14 +247,17 @@ def weak_l1_quasinorm(f: Signal, E=None) -> float:
 
 def lp_norm(f: Signal, p: float, I: DyadicInterval | None = None,
             weight=None) -> float:
-    """(integral over I of |f|^p w dx)**(1/p), exact; w defaults to 1."""
+    """(integral over I of |f|^p w dx)**(1/p), exact; w defaults to 1.
+
+    With no I the cells are read whole, not through a mask: the same
+    elements in the same order, so the same sum bit for bit."""
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    mask = cells_of(f, I)
-    vals = np.abs(f.values[mask])
+    cells = slice(None) if I is None else cells_of(f, I)
+    vals = np.abs(f.values[cells])
     if weight is not None:
         w = weight.values if hasattr(weight, "values") else np.asarray(weight, float)
-        vals = vals ** p * w[mask]
+        vals = vals ** p * w[cells]
     else:
         vals = vals ** p
     return float(np.sum(vals) * f.cell_width) ** (1.0 / p)

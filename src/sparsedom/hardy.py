@@ -154,6 +154,33 @@ class _Atoms(Mapping):
         return len(self._deco.scales)
 
 
+def _inside(families, nodes, depth, J):
+    """Per atom j, whether every node of ``families[j]`` lies in the subtree
+    of heap node ``nodes[j]`` (of depth ``depth[j]``) above depth J.
+
+    Member m of atom j is keyed j 2**J + m and atom j's subtree is its
+    ranges [Q << s, (Q + 1) << s), one per depth below Q, shifted alike, so
+    one ``np.searchsorted`` of the keys over every range counts each atom's
+    members inside, and one over the bands [j 2**J, (j + 1) 2**J) finds a
+    node off the grid that lands in another atom's band.  The keys are
+    sorted when every sub-family is in node order, and sorted first only
+    when one is not.
+    """
+    n, k = 1 << J, len(families)
+    sizes = np.fromiter((fam.size for fam in families), np.intp, k)
+    keys = np.concatenate([fam + j * n for j, fam in enumerate(families)]
+                          or [np.zeros(0, dtype=np.intp)])
+    if np.any(keys[1:] < keys[:-1]):
+        keys = np.sort(keys)
+    s = np.arange(J)
+    below = s < (J - depth)[:, None]
+    start = (nodes[:, None] << s) + (np.arange(k) * n)[:, None]
+    stop = np.where(below, start + (1 << s), start)
+    inside = np.searchsorted(keys, stop) - np.searchsorted(keys, start)
+    band = np.diff(np.searchsorted(keys, np.arange(k + 1) * n))
+    return (inside.sum(axis=1) == sizes) & (band == sizes)
+
+
 @dataclass
 class AtomicDecomposition:
     """f = mean + sum over Q of coefficients[Q] * atoms[Q], held as arrays.
@@ -214,15 +241,12 @@ class AtomicDecomposition:
         c = np.fromiter((self.coefficients[Q] for Q in self.scales), float, nodes.size)
         fams = [np.asarray(self.subfamilies[Q], dtype=np.intp) for Q in self.scales]
         depth = np.frexp(nodes)[1] - 1
-        ok = True
+        inside = _inside(fams, nodes, depth, J)
+        ok = bool(inside.all())
         for d in kernels.sorted_unique(depth).tolist():
             at = np.flatnonzero(depth == d)
             m = np.concatenate([fams[k] for k in at])
-            owner = np.repeat(nodes[at], [fams[k].size for k in at])
-            shift = np.frexp(m)[1] - (d + 1)            # depth(m) - d
-            if m.size and not (0 < m.min() and m.max() < n and shift.min() >= 0
-                               and np.all(m >> shift == owner)):
-                ok = False
+            if not inside[at].all():
                 m = m[(m > 0) & (m < n)]
             heap = np.zeros(n)
             heap[m] = self.haar.heap[m]

@@ -10,10 +10,11 @@ The two inner loops that dominate every stopping-time run are
   the rows batched with it, every other node's kept value is the fresh one
   bit for bit; a row is built top down, widened only at the depths it
   adds, in at most about 2 * 2**(J-d0) adds), and
-* integrating |f| against the localization weight chi_I^M (avg integrates
-  only the nodes its stopping runs read, each once per call: the family,
-  the agenda nodes and the paths down to rejected nodes, a depth at a time
-  over the missing indices).
+* integrating |f| against the localization weight chi_I^M (avg decides its
+  stopping tests from certified bounds, :func:`chi_bounds_depth`, and
+  integrates exactly only its agenda nodes, the nodes whose bounds straddle
+  a threshold and the possible tilde-size argmaxes, each once per call, a
+  depth at a time over the missing indices).
 
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
 only on the offset of the cell x from the start of I, so :func:`chi_kernel`
@@ -23,8 +24,12 @@ slice of it, and every chi^M integral a block-wise :func:`dot` with a slice.
 whose row i is the weight of (d, i), and makes one batched :func:`dot` per
 run of consecutive indices: a stacked vector-by-vector ``np.matmul``, which
 numpy runs as one BLAS dot per row, so no row is copied and every row
-equals its one-interval integral bit for bit.  Avg's ``tilde_size`` is read
-off those integrals at the sub-family's largest entry.  Time the layers
+equals its one-interval integral bit for bit.  :func:`chi_bounds_depth`
+brackets a whole row from the same kernel: the near field exactly, by one
+matmul per depth, and the far field by its mass times the kernel's edge
+value, widened by a rounding bound that also covers the BLAS dot, as in the
+filter-then-exact predicates of Shewchuk (1997).  Avg's ``tilde_size`` is
+read off those integrals at the sub-family's largest entry.  Time the layers
 with ``python3 perfbench/run.py``.
 
 Interval-indexed data lives in flat "heap" arrays: the node at (depth d,
@@ -43,13 +48,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "subtree_profile",
     "dot",
     "chi_kernel",
     "chi_sums_depth",
+    "chi_bounds_depth",
+    "CHI_NEAR",
     "interval_sums",
     "dd_interval_sums",
     "two_sum_err",
@@ -101,6 +107,8 @@ def dot(a, b):
     vector-by-vector matmul, which numpy runs as one BLAS dot per row.
     """
     if a.ndim == 1:
+        if a.shape[0] <= DOT_BLOCK:
+            return np.dot(a, b)
         return sum((np.dot(a[lo : lo + DOT_BLOCK], b[lo : lo + DOT_BLOCK])
                     for lo in range(DOT_BLOCK, a.shape[0], DOT_BLOCK)),
                    np.dot(a[:DOT_BLOCK], b[:DOT_BLOCK]))
@@ -130,6 +138,17 @@ def chi_kernel(J, d, M):
     return K
 
 
+def _view(base, start, shape, steps):
+    """Read-only strided view of the contiguous array ``base`` from flat
+    element ``start``, with strides in elements.  ``np.ndarray`` on the
+    buffer, not ``as_strided``, whose array-interface round trip costs a few
+    microseconds a call."""
+    view = np.ndarray(shape, base.dtype, base, start * base.itemsize,
+                      tuple(k * base.itemsize for k in steps))
+    view.flags.writeable = False
+    return view
+
+
 def chi_sums_depth(absf, J, d, M, index=None):
     """2**-J * sum over cells of absf * chi_I^M for depth-d intervals I.
 
@@ -141,8 +160,7 @@ def chi_sums_depth(absf, J, d, M, index=None):
     """
     n = 1 << J
     K = chi_kernel(J, d, M)
-    rows = as_strided(K[n:], (1 << d, n), (-(K.itemsize << (J - d)), K.itemsize),
-                      writeable=False)
+    rows = _view(K, n, (1 << d, n), (-(1 << (J - d)), 1))
     index = np.arange(1 << d) if index is None else np.asarray(index, dtype=np.intp)
     out = np.empty(index.size)
     if not index.size:
@@ -152,6 +170,65 @@ def chi_sums_depth(absf, J, d, M, index=None):
         i = int(index[lo])
         out[lo:hi] = dot(absf, rows[i]) if hi - lo == 1 else dot(rows[i : i + hi - lo], absf)
     return out / n
+
+
+#: Half-width R, in same-depth blocks, of the near field of :func:`chi_bounds_depth`.
+CHI_NEAR = 7
+
+
+def chi_bounds_depth(absf, J, d, M, sums):
+    """Certified (lo, hi) around every value of ``chi_sums_depth(absf, J, d, M)``.
+
+    ``absf`` is >= 0, ``sums`` its depth-d block sums (that row of
+    :func:`interval_sums`), and 2**d > CHI_NEAR + 1 (at smaller d the near
+    field covers the whole row).  The near field of (d, i) is the 2R + 1
+    depth-d blocks around it (R = CHI_NEAR, clipped to the row): one matmul
+    of a (2R + 1, B) strided view of :func:`chi_kernel`, no copy, whose row r
+    is the kernel r - R blocks from I, against the cells as B-cell blocks,
+    then a diagonal sum.  Beyond the window chi^M is at most its largest
+    value there (right of I: the kernel is symmetric about I, and the left
+    side only adds cells farther out), and the far field is the far mass (a
+    prefix and a suffix cumsum of ``sums``) times [0, that value].
+
+    Every term is >= 0, so every float sum here, and the BLAS dot of
+    :func:`chi_sums_depth` in any order, lies within gamma_m = m u / (1 - m u)
+    of its real value (m <= n + 15 terms, u = 2**-53), plus at most 2**-1075
+    per product that underflows (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2.1 and 3.1).  Widening the near value down by 4 (n + 64) u
+    and the near plus far value up by as much, and both by (n + 64) 2**-1072,
+    covers the two sums and the few roundings of the bounds themselves; the
+    final division by n rounds monotonically.  A node whose upper bound is
+    not finite or not normal gets (-inf, inf): only its exact value decides
+    it.
+    """
+    n, m, R = 1 << J, 1 << d, CHI_NEAR
+    if m <= R + 1:
+        raise ValueError(f"the near field covers the whole depth-{d} row")
+    B = 1 << (J - d)
+    K = chi_kernel(J, d, M)
+    window = _view(K, n - R * B, (2 * R + 1, B), (B, 1))
+    Q = np.zeros((2 * R + 1, m + 2 * R))
+    np.matmul(window, absf.reshape(m, B).T, out=Q[:, R : R + m])
+    # row i of the diagonal view is Q[r, i + r] over r: block i + r - R against
+    # the kernel r - R blocks from (d, i), zero off the row
+    near = _view(Q, 0, (m, 2 * R + 1), (1, m + 2 * R + 1)).sum(axis=1)
+    far = np.zeros(m)
+    far[R + 1 :] = np.cumsum(sums[: m - R - 1])
+    far[: m - R - 1] += np.cumsum(sums[:R:-1])[::-1]
+    g, eta = 4.0 * (n + 64) * 2.0**-53, (n + 64) * 2.0**-1072
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = far
+        hi *= K[n + (R + 1) * B :].max()
+        hi += near
+        hi *= (1.0 + g) / n
+        hi += eta / n
+        lo = near
+        lo *= (1.0 - g) / n
+        lo -= eta / n
+        bad = ~(hi >= 2.0**-1022) | (hi == np.inf)
+    if bad.any():
+        lo[bad], hi[bad] = -np.inf, np.inf
+    return lo, hi
 
 
 def interval_sums(values):

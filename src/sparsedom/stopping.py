@@ -238,7 +238,7 @@ def _first_values(nodes, heaps, functionals):
                  for heap, functional in zip(heaps, functionals))
 
 
-def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None, measure=None):
+def _run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None, measure=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
     The stock starts as the boolean heap of ``nodes``.  Each generation
@@ -281,14 +281,15 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None, measu
     ``np.bincount`` adds them in the same order as over the whole run, so
     the verdict is the whole run's bit for bit.
 
-    Heaps filled on demand (:func:`_lazy_heaps`: avg's fixed chi^M heaps,
-    osc's reference heaps) come with ``read(mask)``, which fills them at the
-    nodes of ``mask`` not filled yet and returns those nodes.  The run reads
-    them only where it fills them just before: reference heaps at the
-    agenda before the selection test; fixed heaps at the stock and the
-    agenda before that test, and at the nodes strictly inside an agenda node
-    on the path down to a rejected node before the child rule.  Only the
-    nodes the second fill reached are tested again.
+    Heaps filled on demand (``lazy``, a :class:`_LazyHeaps`: avg's fixed
+    chi^M heaps, osc's reference heaps) are filled at the agenda before the
+    selection test; fixed heaps also at the stock nodes of the depths that
+    bounds would not settle, in the same calls.  Fixed heaps are then read
+    only through ``lazy.test``: at the stock for the selection test, and at
+    the other nodes strictly inside an agenda node on the path down to a
+    rejected node for the child rule.  It settles each test from certified
+    bounds where the outcome is certain and fills the value only where it is
+    not, so every decision is that of the filled heap.
     """
     size = heaps[0].shape[0]
     J = size.bit_length() - 1
@@ -301,13 +302,15 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None, measu
         owner = np.zeros(size, dtype=np.intp)
         owner[agenda] = agenda
         owner = kernels.ancestor_max(owner)
-        if read is not None:
-            at = kernels.node_mask(agenda, size)
-            read(at | stock if fixed else at)
-        passes = np.ones(size, dtype=bool)
+        if lazy is not None:
+            lazy.read(kernels.node_mask(agenda, size), stock if fixed else None)
         bounds = [C * ref[owner] for ref in (values if refs is None else refs)]
-        for V, bound in zip(values, bounds):
-            passes &= V <= bound
+        if fixed:
+            passes = lazy.test(stock, bounds)
+        else:
+            passes = np.ones(size, dtype=bool)
+            for V, bound in zip(values, bounds):
+                passes &= V <= bound
         rejected = stock & ~passes
         if rejected[agenda].any():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
@@ -316,11 +319,8 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, read=None, measu
         selected = stock & passes
         members = np.flatnonzero(selected)
         closure = kernels.heap_subtree_sums(rejected, J)
-        if read is not None and fixed:
-            filled = read(inside & closure)
-            if filled.size:
-                passes[filled] = np.all([V[filled] <= b[filled] for V, b in zip(values, bounds)],
-                                        axis=0)
+        if fixed:
+            passes |= lazy.test(inside & closure & ~stock, bounds)
         kids = kernels.maximal_nodes(~passes & inside & closure)
         if not child_budget_ok(kids, owner[kids], measure):
             raise _RetryNeeded(f"the children break the 1/2 budget at C={C}")
@@ -460,42 +460,149 @@ def _family_stock(T, f, g, read=None):
 # chi^M average stopping time (L^1 averages)
 # ---------------------------------------------------------------------------
 
-def _lazy_heaps(J: int, fills):
-    """(heaps, read): one heap per fill function, NaN until read.
-    ``read(mask)`` fills every heap at the nodes of ``mask`` not filled yet,
-    one ``fill(d, index)`` call per depth and heap for the depth-d nodes
-    2**d + index, and returns those nodes in node order.  The heaps and
-    every attempt of a call share one ``filled`` mask, so each node is
-    filled at most once per heap."""
-    heaps = tuple(np.full(1 << J, np.nan) for _ in fills)
-    filled = np.zeros(1 << J, dtype=bool)
+class _LazyHeaps:
+    """Heaps filled on demand, one per fill function, NaN until filled.
 
-    def read(mask):
-        if filled[1:].all():        # a full family's first read fills every node
-            return np.zeros(0, dtype=np.intp)
-        new = np.flatnonzero(mask & ~filled)
+    ``read(mask)`` fills every heap k at the nodes of the boolean heap
+    ``mask`` not filled in it yet, one ``fills[k](d, index)`` call per depth
+    for the depth-d nodes 2**d + index.  Every attempt of a call shares the
+    ``filled`` masks, so a node is filled at most once per heap.
+
+    With ``bounds`` (``bounds[k](d)``: a certified (lo, hi) around heap k at
+    every depth-d node, or None at a depth it cannot bound), ``lo[k]`` and
+    ``hi[k]`` hold each node's known range: (-inf, inf) until its depth is
+    bounded, the value itself once filled.  They are None until a first
+    depth is bounded, and the heaps stand for both (NaN, which decides
+    nothing, where not filled).  ``test(mask, limits)`` decides
+    heap <= limit from these ranges wherever that is certain and fills only
+    the rest.  A depth is bounded the first time a read or a test meets more
+    than :data:`_BOUND_MIN` of its nodes open, about what the bounds cost in
+    exact rows; below that, or at a depth the bounds cannot cover, the nodes
+    are read exactly, and ``read(mask, stock)`` fills those of ``stock``
+    together with ``mask``, in the same calls.
+    """
+
+    def __init__(self, J: int, fills, bounds=None):
+        size = 1 << J
+        self.heaps = tuple(np.full(size, np.nan) for _ in fills)
+        self.filled = np.zeros((len(fills), size), dtype=bool)
+        self.lo = self.hi = None
+        self._tried = np.zeros((len(fills), J), dtype=bool)
+        self._ranged = np.zeros((len(fills), J), dtype=bool)
+        self._fills, self._bounds, self._J = fills, bounds, J
+
+    def _depth_cuts(self, nodes):
+        return np.searchsorted(nodes, 1 << np.arange(self._J + 1)).tolist()
+
+    def _fill(self, k, mask):
+        new = np.flatnonzero(mask & ~self.filled[k])
         if not new.size:
-            return new
-        filled[new] = True
-        cuts = np.searchsorted(new, 1 << np.arange(J + 1)).tolist()
-        for d, lo, hi in zip(range(J), cuts, cuts[1:]):
+            return
+        heap, cuts = self.heaps[k], self._depth_cuts(new)
+        for d, lo, hi in zip(range(self._J), cuts, cuts[1:]):
             if hi > lo:
-                for heap, fill in zip(heaps, fills):
-                    heap[new[lo:hi]] = fill(d, new[lo:hi] - (1 << d))
-        return new
+                heap[new[lo:hi]] = self._fills[k](d, new[lo:hi] - (1 << d))
+        self.filled[k, new] = True
+        if self.lo is not None:
+            self.lo[k, new] = self.hi[k, new] = heap[new]
 
-    return heaps, read
+    def read(self, mask, stock=None):
+        for k in range(len(self.heaps)):
+            self._fill(k, mask if stock is None else mask | self._bound(k, stock & ~mask))
+
+    def _bound(self, k, mask):
+        """Bound each depth with more than _BOUND_MIN of the nodes of mask
+        open in heap k, once, and return the open nodes at the depths left
+        without bounds: only their values decide them."""
+        exact = mask & ~self.filled[k]
+        if self._bounds is None:
+            return exact
+        cuts = self._depth_cuts(np.flatnonzero(exact))
+        for d, lo, hi in zip(range(self._J), cuts, cuts[1:]):
+            if hi - lo > _BOUND_MIN and not self._tried[k, d]:
+                self._tried[k, d] = True
+                rows = self._bounds[k](d)
+                if rows is not None:
+                    self._ranged[k, d] = True
+                    if self.lo is None:
+                        heaps = np.stack(self.heaps)
+                        self.lo = np.where(self.filled, heaps, -np.inf)
+                        self.hi = np.where(self.filled, heaps, np.inf)
+                    at, free = slice(1 << d, 2 << d), ~self.filled[k, 1 << d : 2 << d]
+                    np.copyto(self.lo[k, at], rows[0], where=free)
+                    np.copyto(self.hi[k, at], rows[1], where=free)
+            if hi > lo and self._ranged[k, d]:
+                exact[1 << d : 2 << d] = False
+        return exact
+
+    def test(self, mask, limits):
+        """Boolean heap of the nodes of ``mask`` where heaps[k] <= limits[k]
+        for every k, each value as filled.  Heap k is tested only where
+        heaps 0..k-1 passed; a node passes when hi <= limit and fails when lo >
+        limit, and is filled first when neither is certain."""
+        passes = mask.copy()
+        for k, limit in enumerate(limits):
+            open_ = passes & ~self.filled[k]
+            self._bound(k, open_)
+            lo, hi = self._range(k)
+            self._fill(k, open_ & ~((hi <= limit) | (lo > limit)))
+            passes &= hi <= limit
+        return passes
+
+    def _range(self, k):
+        """(lo, hi) heaps of heap k."""
+        return (self.heaps[k],) * 2 if self.lo is None else (self.lo[k], self.hi[k])
+
+    def argmax(self, k, family, starts):
+        """For each group ``family[starts[j]:starts[j + 1]]``, its first
+        member with the largest value of heap k (-1 for an empty group).  Only
+        the members whose range reaches the group's largest lower bound can
+        hold it; a lone one is the argmax unread, and where there are several
+        they are filled and compared."""
+        sizes = np.diff(starts)
+        nz = np.flatnonzero(sizes)
+        best = np.full(sizes.size, -1, dtype=np.intp)
+        if not nz.size:
+            return best
+        lo, hi = self._range(k)
+        reach = np.repeat(np.maximum.reduceat(lo[family], starts[nz]), sizes[nz])
+        cand = hi[family] >= reach
+        rivals = cand & np.repeat(np.add.reduceat(cand, starts[nz]) > 1, sizes[nz])
+        self._fill(k, kernels.node_mask(family[rivals], self.filled.shape[1]))
+        vals = np.where(cand, np.where(rivals, self.heaps[k][family], 0.0), -np.inf)
+        top = np.repeat(np.maximum.reduceat(vals, starts[nz]), sizes[nz])
+        hits = np.flatnonzero(vals == top)
+        best[nz] = family[hits[np.searchsorted(hits, starts[nz])]]
+        return best
+
+
+#: Open nodes of one depth above which a read or a test bounds the whole depth.
+_BOUND_MIN = 2 * kernels.CHI_NEAR + 1
 
 
 def _chi_heaps(signals, M: int):
-    """:func:`_lazy_heaps` of |I|**-1 int |s| chi_I^M, one heap per signal
-    s, one :func:`kernels.chi_sums_depth` call per depth and signal."""
+    """:class:`_LazyHeaps` of |I|**-1 int |s| chi_I^M, one heap per signal s:
+    exact values from :func:`kernels.chi_sums_depth`, one call per depth and
+    signal, and certified ranges from :func:`kernels.chi_bounds_depth` at
+    every depth whose row is wider than its near field."""
     J = signals[0].depth_J
 
     def chi(absv):
         return lambda d, index: kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
 
-    return _lazy_heaps(J, [chi(np.abs(s.values)) for s in signals])
+    def bound(absv):
+        sums = functools.cache(lambda: kernels.interval_sums(absv))
+
+        def rows(d):
+            if 1 << d <= kernels.CHI_NEAR + 1:
+                return None
+            lo, hi = kernels.chi_bounds_depth(absv, J, d, M, sums()[1 << d : 2 << d])
+            with np.errstate(over="ignore"):
+                return lo / 2.0 ** (-d), hi / 2.0 ** (-d)
+        return rows
+
+    absvs = [np.abs(s.values) for s in signals]
+    return _LazyHeaps(J, [chi(a) for a in absvs], [bound(a) for a in absvs])
 
 
 def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
@@ -506,15 +613,20 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     stock intervals whose chi-averages of f and g are <= C times its own; its
     children are the maximal dyadic intervals strictly inside it that
     contain a surviving stock interval and break one of the two conditions.
-    The heaps are integrated only at the nodes the runs read, each node once
-    for all C-doubling attempts (:func:`_chi_heaps`, :func:`_lazy_heaps`).
+    Each test is settled from certified bounds where its outcome is certain;
+    a chi-average is integrated only at agenda nodes, where a bound straddles
+    the threshold, and at a sub-family's tilde-size argmax candidates, each
+    node once for all C-doubling attempts (:func:`_chi_heaps`,
+    :class:`_LazyHeaps`).  Decisions and recorded values are those of the
+    fully integrated heaps bit for bit.
     """
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1 for termination")
     cf, cg, _, _ = _family_stock(T, f, g)
-    (chif, chig), read = _chi_heaps((f, g), M)
+    chi = _chi_heaps((f, g), M)
+    chif, chig = chi.heaps
     run, final_C = _with_retries(
-        "avg", lambda c: _run_family(T.nodes, (chif, chig), (None, None), None, c, read=read), C)
+        "avg", lambda c: _run_family(T.nodes, chi.heaps, (None, None), None, c, lazy=chi), C)
     fa, ga, length = chif[run.order], chig[run.order], _lengths(run.order)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = fa * ga * length
@@ -525,13 +637,12 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     # that member's chi^M afresh, at each node whose sub-family is nonempty
     family, starts = cert._families
     row = np.searchsorted(cert.collection.nodes, run.order)
-    lo, hi = starts[row], starts[row + 1]
-    owns = hi > lo
+    best_f, best_g = (chi.argmax(k, family, starts)[row] for k in (0, 1))
+    owns = best_f >= 0
     tf, tg = np.zeros(run.order.size), np.zeros(run.order.size)
     for k in np.flatnonzero(owns).tolist():
-        own = family[lo[k] : hi[k]]
-        tf[k] = tilde_size(f, [DyadicInterval.from_node(int(own[chif[own].argmax()]))], M)
-        tg[k] = tilde_size(g, [DyadicInterval.from_node(int(own[chig[own].argmax()]))], M)
+        tf[k] = tilde_size(f, [DyadicInterval.from_node(int(best_f[k]))], M)
+        tg[k] = tilde_size(g, [DyadicInterval.from_node(int(best_g[k]))], M)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = tf * tg * length
         extras = {
@@ -711,7 +822,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
 
 
 def _osc_heaps(signals):
-    """:func:`_lazy_heaps` of the L^1 oscillations, one heap per signal, one
+    """:class:`_LazyHeaps` of the L^1 oscillations, one heap per signal, one
     batched :func:`oscillation` call per depth and signal.  A value that
     overflows raises ValueError: it would fail every selection test."""
     def osc(s):
@@ -723,7 +834,7 @@ def _osc_heaps(signals):
             return values
         return fill
 
-    return _lazy_heaps(signals[0].depth_J, [osc(s) for s in signals])
+    return _LazyHeaps(signals[0].depth_J, [osc(s) for s in signals])
 
 
 def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
@@ -740,8 +851,9 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
-    (osc_f, osc_g), read = _osc_heaps((f, g))
-    cf, cg, full_f, full_g = _family_stock(T, f, g, read)
+    osc = _osc_heaps((f, g))
+    osc_f, osc_g = osc.heaps
+    cf, cg, full_f, full_g = _family_stock(T, f, g, osc.read)
     J, dx = f.depth_J, f.cell_width
 
     def weak(vals, d, index):
@@ -750,7 +862,7 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     heaps, functionals = (full_f, full_g), (weak, weak)
     first = _first_values(T.nodes, heaps, functionals)
     run, final_C = _with_retries(
-        "osc", lambda c: _run_family(T.nodes, heaps, functionals, (osc_f, osc_g), c, first, read),
+        "osc", lambda c: _run_family(T.nodes, heaps, functionals, osc.heaps, c, first, osc),
         C)
     of, og = osc_f[run.order], osc_g[run.order]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -235,6 +235,21 @@ class TestLpNorm:
         w = np.array([2.0, 2.0, 1.0, 1.0])
         assert lp_norm(f, 1.0, weight=w) == 1.0
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_whole_domain_equals_masked_gather(self, p):
+        # with no interval the cells are read whole; the all-true mask and
+        # boolean gather it replaces give the same sum bit for bit
+        rng = np.random.default_rng(int(10 * p))
+        n = 1 << 12
+        f = Signal(rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n))
+        w = rng.uniform(0.5, 2.0, n)
+        mask = np.ones(n, dtype=bool)
+        plain = float(np.sum(np.abs(f.values[mask]) ** p) * f.cell_width) ** (1.0 / p)
+        weighted = float(np.sum(np.abs(f.values[mask]) ** p * w[mask])
+                         * f.cell_width) ** (1.0 / p)
+        assert lp_norm(f, p) == plain == lp_norm(f, p, ROOT)
+        assert lp_norm(f, p, weight=w) == weighted == lp_norm(f, p, ROOT, weight=w)
+
 
 class TestSignal:
     def test_power_of_two_required(self):

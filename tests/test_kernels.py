@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 from sparsedom import kernels
 from sparsedom.dyadic import DyadicInterval, Signal, chi_weights
+from sparsedom.generate import generate_signal
 
 
 def _direct_chi_row(absf, J, d, M):
@@ -117,6 +120,42 @@ def test_chi_sums_depth_equals_per_interval_dots(J):
             got = kernels.chi_sums_depth(absf, J, d, 8, index)
             assert got.shape == index.shape
             assert np.array_equal(got, _chi_dots(absf, J, d, 8, index)), (d, index)
+
+
+def _bound_test_cells(kind, J, seed):
+    """|f| for the chi^M bound property: the four hard signal kinds, zero and
+    constant signals, cells spanning 1e+-150, the same with one cell at
+    1e300, and cells down in the subnormal range."""
+    n, rng = 1 << J, np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, 0.7)
+    if kind in ("wide", "spike", "tiny"):
+        low, high = (-323.0, -300.0) if kind == "tiny" else (-150.0, 150.0)
+        cells = 10.0 ** rng.uniform(low, high, n)
+        if kind == "spike":
+            cells[rng.integers(n)] = 1e300
+        return cells
+    kw = {"k": 8} if kind == "point_masses" else {"k": 32} if kind == "sparse_haar" else {}
+    return np.abs(generate_signal(kind, J, seed=seed, **kw).values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["point_masses", "sparse_haar", "step", "gaussian_noise",
+                             "zero", "constant", "wide", "spike", "tiny"]),
+       J=st.integers(4, 10), M=st.sampled_from([1, 2, 8]), seed=st.integers(0, 10_000))
+def test_chi_bounds_contain_every_chi_sum(kind, J, M, seed):
+    absf = _bound_test_cells(kind, J, seed)
+    sums = kernels.interval_sums(absf)
+    for d in range(J):
+        if 1 << d <= kernels.CHI_NEAR + 1:
+            with pytest.raises(ValueError):
+                kernels.chi_bounds_depth(absf, J, d, M, sums[1 << d : 2 << d])
+            continue
+        lo, hi = kernels.chi_bounds_depth(absf, J, d, M, sums[1 << d : 2 << d])
+        exact = kernels.chi_sums_depth(absf, J, d, M)
+        assert np.all(lo <= exact) and np.all(exact <= hi), d
 
 
 def test_dot_does_not_depend_on_blas_threads():

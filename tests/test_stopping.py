@@ -100,13 +100,18 @@ class TestDominateAvg:
 
 def _row_heaps(signals, M):
     """Reference chi heaps: whole chi_sums_depth rows of every depth, all
-    integrated before the run, so the read hook has nothing left to fill."""
+    integrated before the run and without bounds, so every test reads the
+    integrals and nothing is left to fill."""
     J = signals[0].depth_J
-    heaps = tuple(np.full(1 << J, np.nan) for _ in signals)
-    for heap, s in zip(heaps, signals):
-        for d in range(J):
-            heap[1 << d : 2 << d] = kernels.chi_sums_depth(np.abs(s.values), J, d, M) / 2.0 ** (-d)
-    return heaps, lambda mask: np.zeros(0, dtype=np.intp)
+
+    def rows(absv):
+        return lambda d, index: kernels.chi_sums_depth(absv, J, d, M)[index] / 2.0 ** (-d)
+
+    heaps = stopping._LazyHeaps(J, [rows(np.abs(s.values)) for s in signals])
+    every = np.ones(1 << J, dtype=bool)
+    every[0] = False
+    heaps.read(every)
+    return heaps
 
 
 def _test_signal(kind, J, seed):
@@ -114,28 +119,39 @@ def _test_signal(kind, J, seed):
         return Signal(np.zeros(1 << J))
     if kind == "constant":
         return Signal(np.full(1 << J, 1.5))
+    if kind in ("wide", "spike"):
+        # cells spanning 1e+-150, and the same with one cell at 1e300
+        rng = np.random.default_rng(seed)
+        cells = rng.standard_normal(1 << J) * 10.0 ** rng.uniform(-150.0, 150.0, 1 << J)
+        if kind == "spike":
+            cells[rng.integers(1 << J)] = 1e300
+        return Signal(cells)
     return generate_signal(kind, J, seed=seed, k=3)
 
 
 def _avg_certificate_json(T, f, g, M, C):
     try:
         return json.dumps(dominate_avg(T, f, g, M=M, C=C).to_dict(), sort_keys=True)
-    except stopping.StoppingFailure as exc:
-        return f"StoppingFailure: {exc}"
+    except (stopping.StoppingFailure, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestAvgChiCacheEquivalence:
-    """The lazily filled chi heaps give the certificate of whole rows."""
+    """The lazily filled chi heaps, read through certified bounds, give the
+    certificate of whole rows; full families at C = 1 are where the bounds
+    decide most tests."""
 
-    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant", "wide", "spike"))
     @settings(max_examples=12, deadline=None)
-    @given(J=st.integers(3, 6), seed=st.integers(0, 10_000),
+    @given(J=st.integers(3, 8), seed=st.integers(0, 10_000), full=st.booleans(),
            n_intervals=st.integers(1, 40), C=st.sampled_from([1.0, 4.0]),
            M=st.sampled_from([1, 8]), signs_only=st.booleans())
-    def test_matches_full_rows(self, kind, J, seed, n_intervals, C, M, signs_only):
+    @example(J=8, seed=1, full=True, n_intervals=1, C=1.0, M=8, signs_only=False)
+    def test_matches_full_rows(self, kind, J, seed, full, n_intervals, C, M, signs_only):
         f = _test_signal(kind, J, seed)
         g = _test_signal(kind, J, seed + 1)
-        T = generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals,
+        T = full_multiplier(J) if full else \
+            generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals,
                                 signs_only=signs_only)
         fast = _avg_certificate_json(T, f, g, M, C)
         with mock.patch.object(stopping, "_chi_heaps", _row_heaps):
@@ -425,7 +441,7 @@ def _reached(generations, measure=None):
     return out
 
 
-def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=None,
+def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None,
                           measure=None, signals=None, agendas=None, weight=None):
     """The old retry policy on the per-interval engines: each attempt runs
     to completion, then the 1/2 budget is applied to the whole run, and a
@@ -439,7 +455,7 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=N
     measure = None if weight is None else weight.heap
     generations = []
     try:
-        run = _reference_run(nodes, heaps, functionals, refs, C, read, signals, generations)
+        run = _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generations)
     finally:
         if agendas is not None:
             agendas.update(_reached(generations, measure))
@@ -448,7 +464,7 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, read=N
     return run
 
 
-def _reference_run(nodes, heaps, functionals, refs, C, read, signals, generations):
+def _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generations):
     """The per-interval engines: the old average recursion on fixed heaps,
     and one functional call per stock member for the other modes.  Memo
     free: every value is evaluated afresh, and the engine's shared
@@ -461,8 +477,8 @@ def _reference_run(nodes, heaps, functionals, refs, C, read, signals, generation
     each generation's agenda nodes and (child, parent) node arrays, as
     :func:`_reference_run_avg` does."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
-    if read is not None:
-        read(np.ones(heaps[0].shape[0], dtype=bool))
+    if lazy is not None:
+        lazy.read(np.ones(heaps[0].shape[0], dtype=bool))
     if all(functional is None for functional in functionals):
         return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C,
                                            generations))
@@ -646,50 +662,71 @@ class TestAvgEngineEquivalence:
 
 
 class TestAvgReadSet:
-    """Avg integrates chi^M exactly at the nodes its runs read (family nodes,
+    """Avg integrates chi^M exactly only at nodes its runs read (family nodes,
     agenda nodes, and the paths strictly inside an agenda node down to its
     rejected nodes, up to the generation that breaks the 1/2 budget), each
-    at most once per signal in one call, C doublings included."""
+    at most once per signal in one call, C doublings included.  Certified
+    bounds settle the other tests: every agenda node is integrated, but not
+    every node read.  Each tilde size is taken at its sub-family's whole-row
+    argmax."""
 
     @staticmethod
     def _integrated(T, f, g, M, C):
-        """The certificate and the (signal, node) pairs integrated in one call."""
-        chi_sums_depth, pairs = kernels.chi_sums_depth, []
+        """The certificate, the (signal, node) pairs integrated in one call
+        (signal 0 is f, the heap the engine fills first) and the (signal,
+        node) pairs whose tilde size was taken."""
+        chi_sums_depth, pairs, signals = kernels.chi_sums_depth, [], {}
+        tilde, argmaxes = stopping.tilde_size, []
 
         def spy(absf, J, d, M, index=None):
             index = np.arange(1 << d) if index is None else np.asarray(index)
-            pairs.extend((id(absf), (1 << d) + i) for i in index.tolist())
+            k = signals.setdefault(id(absf), len(signals))
+            pairs.extend((k, (1 << d) + i) for i in index.tolist())
             return chi_sums_depth(absf, J, d, M, index)
 
-        with mock.patch.object(kernels, "chi_sums_depth", spy):
+        def tilde_spy(s, family, M):
+            argmaxes.extend((int(s is g), I.node) for I in family)
+            return tilde(s, family, M)
+
+        with mock.patch.object(kernels, "chi_sums_depth", spy), \
+                mock.patch.object(stopping, "tilde_size", tilde_spy):
             cert = dominate_avg(T, f, g, M=M, C=C)
-        return cert, pairs
+        return cert, pairs, argmaxes
 
     @staticmethod
-    def _read_set(T, f, g, M, C, final_C):
-        """Family nodes, plus each attempt's agenda nodes and the paths
-        strictly inside them down to rejected nodes, from the old recursion
-        on whole-row heaps, up to the generation whose children break the
-        1/2 budget."""
-        (chif, chig), _ = _row_heaps((f, g), M)
+    def _read_set(T, heaps, C, final_C):
+        """(reads, agendas): family nodes plus each attempt's agenda nodes
+        and the paths strictly inside them down to rejected nodes, and the
+        agenda nodes alone, from the old recursion on whole-row heaps, up to
+        the generation whose children break the 1/2 budget."""
         reads = {I.node for I in T.intervals}
+        first = {Q.node for Q in _maximal_intervals(T.intervals)}
+        agendas = set(first)
         for k in range(round(np.log2(final_C / C)) + 1):
             generations = []
-            _reference_run_avg(list(T.intervals), _HeapAverages(chif), _HeapAverages(chig),
+            _reference_run_avg(list(T.intervals), *map(_HeapAverages, heaps),
                                C * 2.0**k, generations)
             reads |= _reached(generations)
-        return reads
+            for _, kids, parents in generations:
+                if not stopping.child_budget_ok(kids, parents):
+                    break
+                agendas.update(kids.tolist())
+        return reads, agendas
 
     def _check(self, T, f, g, M=8, C=1.0):
-        cert, pairs = self._integrated(T, f, g, M, C)
+        cert, pairs, argmaxes = self._integrated(T, f, g, M, C)
         assert len(pairs) == len(set(pairs)), "a node was integrated twice"
-        by_signal = {}
-        for signal, node in pairs:
-            by_signal.setdefault(signal, set()).add(node)
-        assert len(by_signal) == 2 and len({frozenset(v) for v in by_signal.values()}) == 1
-        nodes = next(iter(by_signal.values()))
-        assert nodes == self._read_set(T, f, g, M, C, cert.stopping_constant)
-        return cert, nodes
+        heaps = _row_heaps((f, g), M).heaps
+        reads, agendas = self._read_set(T, heaps, C, cert.stopping_constant)
+        exact = [{node for k, node in pairs if k == signal} for signal in (0, 1)]
+        for nodes in exact:
+            assert nodes <= reads
+            assert agendas <= nodes
+        families = [np.array([I.node for I in fam], dtype=np.intp)
+                    for fam in cert.subfamilies.values()]
+        assert argmaxes == [(k, int(own[heaps[k][own].argmax()]))
+                            for own in families if own.size for k in (0, 1)]
+        return cert, exact
 
     @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
     @pytest.mark.parametrize("J", [6, 7])
@@ -704,16 +741,25 @@ class TestAvgReadSet:
         J = 10
         f, g = _test_signal(kind, J, 3), _test_signal(kind, J, 4)
         T = generate_multiplier(J, seed=5, n_intervals=96)
-        _, nodes = self._check(T, f, g, C=4.0)
+        _, exact = self._check(T, f, g, C=4.0)
         # fewer nodes than the family's ancestor closure
         closure = kernels.heap_subtree_sums(
             kernels.node_mask([I.node for I in T.intervals], 1 << J), J)
-        assert len(nodes) < np.count_nonzero(closure)
+        assert all(len(nodes) < np.count_nonzero(closure) for nodes in exact)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    def test_full_family_exact_share(self, kind):
+        # the bounds settle all but a few tests: at most 10% of the nodes are
+        # integrated per signal
+        J = 10
+        f, g = _test_signal(kind, J, J), _test_signal(kind, J, J + 1)
+        _, exact = self._check(full_multiplier(J), f, g)
+        assert all(len(nodes) <= 0.1 * ((1 << J) - 1) for nodes in exact)
 
     def test_children_need_not_be_family_members(self):
         T, f, g = _spike_case()
-        cert, nodes = self._check(T, f, g, C=4.0)
-        assert {P.node for P in cert.children[ROOT]} <= nodes
+        cert, exact = self._check(T, f, g, C=4.0)
+        assert all({P.node for P in cert.children[ROOT]} <= nodes for nodes in exact)
 
 
 class TestOscFillSet:
