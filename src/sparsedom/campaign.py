@@ -2,9 +2,10 @@
 
 Every trial owns its inputs and derives its seed from the master seed and
 the trial index, so reports are byte-identical across runs with the same
-config.  Hard invariant failures (any ``*_ok`` check of a certificate, atom
-validity, the CZ and weak (1,1) checks) are recorded per trial and surface
-as a nonzero campaign status; they are never downgraded to warnings.
+config.  A trial's ``hard_ok`` is :func:`~sparsedom.dyadic.checks_ok` of its
+checks dicts: every ``*_ok`` flag of the mode's result, plus Lerner's two
+flags in osc and the sparsity and Carleson flags in spmodel.  A failure
+surfaces as a nonzero campaign status; it is never downgraded to a warning.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cz import cz_decompose, weak11_certify
-from .dyadic import REL_SLACK, ROOT, lp_norm
+from .dyadic import REL_SLACK, ROOT, checks_ok, lp_norm
 from .generate import (SIGNAL_KINDS, generate_multiplier, generate_signal,
                        generate_sparse_collection, generate_weight)
 from .hardy import ap_characteristic, atomic_decompose
@@ -101,14 +102,6 @@ def _trial_seed(seed: int, mode: str, trial: int) -> int:
     return (seed * 1_000_003 + base * 9_973 + trial) % (2**31 - 1)
 
 
-def _domination_record(cert, extra=None):
-    rec = cert.to_dict()
-    rec["hard_ok"] = cert.ok()
-    if extra:
-        rec.update(extra)
-    return rec
-
-
 def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
     J = cfg.depth_J
     s = _trial_seed(cfg.seed, mode, trial)
@@ -117,22 +110,20 @@ def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
     T = generate_multiplier(J, seed=s + 2, n_intervals=cfg.n_intervals)
     if mode == "avg":
         cert = dominate_avg(T, f, g, M=cfg.chi_M, C=cfg.stop_C)
-        rec = _domination_record(cert)
+        rec, checks = cert.to_dict(), (cert.checks,)
     elif mode == "square":
         cert = dominate_square(T, f, g, p=cfg.p, q=cfg.q, C=cfg.stop_C)
-        rec = _domination_record(cert)
+        rec, checks = cert.to_dict(), (cert.checks,)
     elif mode == "weighted":
         kind, kw = WEIGHT_CYCLE[trial % len(WEIGHT_CYCLE)]
         w = generate_weight(kind, J, seed=s + 3, **kw)
         cert = dominate_weighted(T, f, g, w, p=cfg.hardy_p, r=cfg.r, C=cfg.stop_C)
-        rec = _domination_record(cert, {"a2": ap_characteristic(w, 2.0),
-                                        "weight_kind": kind})
+        rec = {**cert.to_dict(), "a2": ap_characteristic(w, 2.0), "weight_kind": kind}
+        checks = (cert.checks,)
     elif mode == "osc":
         cert = dominate_oscillation(T, f, g, C=cfg.stop_C)
         _, lrep = lerner_decompose(f, ROOT, lam=cfg.lam)
-        rec = _domination_record(cert, {"lerner_K": lrep["K"]})
-        rec["hard_ok"] = bool(rec["hard_ok"] and lrep["pointwise_ok"]
-                              and lrep["child_budget_ok"])
+        rec, checks = {**cert.to_dict(), "lerner_K": lrep["K"]}, (cert.checks, lrep)
     elif mode == "atoms":
         deco = atomic_decompose(f, p=cfg.hardy_p, r=cfg.r, C=cfg.stop_C)
         ratio = deco.checks.get("lp_budget_ratio", 0.0)
@@ -140,38 +131,40 @@ def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
             "mode": "atoms", "p": deco.p, "r": deco.r, "C": deco.stopping_constant,
             "n_atoms": len(deco.coefficients),
             "lp_budget_ratio": ratio, "realized_constant": ratio,
-            "hard_ok": deco.ok(),
         }
+        checks = (deco.checks,)
     elif mode == "cz":
         rng = np.random.default_rng(s + 4)
-        alpha = float(rng.uniform(0.5, 2.0)) * max(lp_norm(f, 1.0), 1e-9)
+        l1 = lp_norm(f, 1.0)
+        alpha = float(rng.uniform(0.5, 2.0)) * max(l1, 1e-9)
         dec = cz_decompose(f, alpha)
-        checks = dec.verify()
+        verified = dec.verify()
         rec = {"mode": "cz", "alpha": alpha, "n_bad_cubes": len(dec.bad_cubes),
                "realized_constant": sum(Q.length for Q in dec.bad_cubes) * alpha
-               / max(lp_norm(f, 1.0), 1e-300),
-               "hard_ok": all(checks.values()), **checks}
+               / max(l1, 1e-300), **verified}
+        checks = (verified,)
     elif mode == "weak11":
         S = generate_sparse_collection(J, seed=s + 5)
         report = weak11_certify(lambda x: sparse_operator(S, x), f, K=cfg.weak_K,
                                 seed=s + 6)
         rec = {"mode": "weak11", "n_intervals": len(S),
                "realized_constant": report["weak_quasinorm"],
-               "hard_ok": bool(report["majority_ok"] and report["crosscheck_ok"]),
                "weak_quasinorm": report["weak_quasinorm"],
                "proxy": report["proxy"]}
+        checks = (report,)
     elif mode == "spmodel":
         S = generate_sparse_collection(J, seed=s + 7)
         lam = carleson_constant(S)
         eta = greedy_max_eta(S)
         ok, _ = certify_sparse(S, 0.5, J)
         rec = {"mode": "spmodel", "n_intervals": len(S), "carleson": lam,
-               "greedy_eta": eta, "realized_constant": lam,
-               "hard_ok": bool(ok and lam <= 2.0 * (1.0 + REL_SLACK))}
+               "greedy_eta": eta, "realized_constant": lam}
+        checks = ({"sparse_ok": ok, "carleson_ok": lam <= 2.0 * (1.0 + REL_SLACK)},)
         if J <= 6:
             rec.update(sparse_vs_carleson(S))
     else:  # pragma: no cover
         raise ValueError(mode)
+    rec["hard_ok"] = checks_ok(*checks)
     rec["trial"] = trial
     rec["seed"] = s
     return rec

@@ -37,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .dyadic import (DyadicInterval, ROOT, Signal, check_finite, lp_norm,
-                     weak_l1_quasinorm)
+from .dyadic import (DyadicInterval, NodeMap, ROOT, Signal, check_finite, checks_ok,
+                     lp_norm, weak_l1_quasinorm)
 from .maximal import MaximalKind, maximal
 
 __all__ = ["CZDecomposition", "cz_decompose", "weak11_certify"]
@@ -267,32 +267,6 @@ def _cancellation_ok(sums: _Sums, bad: np.ndarray, favg: np.ndarray,
                                                   nodes[unsure], J)
 
 
-class _BadParts(Mapping):
-    """Read-only view of the bad parts: cube -> full-length Signal, built on
-    access from the one stored vector of bad values."""
-
-    def __init__(self, bad: np.ndarray, cubes: tuple, depth_J: int):
-        self._bad, self._cubes, self._J = bad, cubes, depth_J
-        self._keys = frozenset(cubes)
-
-    def __getitem__(self, Q):
-        if Q not in self._keys:
-            raise KeyError(Q)
-        lo, hi = Q.cell_range(self._J)
-        b = np.zeros_like(self._bad)
-        b[lo:hi] = self._bad[lo:hi]
-        return Signal(b)
-
-    def __contains__(self, Q):
-        return Q in self._keys
-
-    def __iter__(self):
-        return iter(self._cubes)
-
-    def __len__(self):
-        return len(self._cubes)
-
-
 @dataclass
 class CZDecomposition:
     level_alpha: float
@@ -303,8 +277,19 @@ class CZDecomposition:
 
     @property
     def bad_parts(self) -> Mapping:
-        """Bad part of each cube as a Signal (a view over :attr:`bad`)."""
-        return _BadParts(self.bad, self.bad_cubes, self.source_abs.depth_J)
+        """Q -> the bad part of cube Q as a full-length Signal, built on
+        access from the one stored vector :attr:`bad`; iterates
+        :attr:`bad_cubes` in their order."""
+        return NodeMap(self._nodes(), self._bad_part)
+
+    def _bad_part(self, k, Q) -> Signal:
+        lo, hi = Q.cell_range(self.source_abs.depth_J)
+        b = np.zeros_like(self.bad)
+        b[lo:hi] = self.bad[lo:hi]
+        return Signal(b)
+
+    def _nodes(self) -> np.ndarray:
+        return np.fromiter((Q.node for Q in self.bad_cubes), np.int64, len(self.bad_cubes))
 
     def verify(self) -> dict:
         """Exact verification of the decomposition invariants.
@@ -324,8 +309,7 @@ class CZDecomposition:
         J, n = self.source_abs.depth_J, self.source_abs.n_cells
         alpha = float(self.level_alpha)
         good, bad = self.good.values, self.bad
-        nodes = np.fromiter((Q.node for Q in self.bad_cubes), np.int64,
-                            len(self.bad_cubes))
+        nodes = self._nodes()
         h = _height(nodes, J)
         size = np.left_shift(1, h)
         lo = nodes * size - n
@@ -378,7 +362,7 @@ class CZDecomposition:
         }
 
     def ok(self) -> bool:
-        return all(self.verify().values())
+        return checks_ok(self.verify())
 
 
 def cz_decompose(f: Signal, alpha: float) -> CZDecomposition:

@@ -8,6 +8,7 @@ this package runs on the shift-0 grid.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,52 @@ def depth_index(nodes) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.asarray(nodes, dtype=np.intp)
     depth = (np.frexp(nodes)[1] - 1).astype(np.intp)
     return depth, nodes - np.left_shift(1, depth)
+
+
+def checks_ok(*checks) -> bool:
+    """The one pass/fail rule of a run: every ``*_ok`` value of every
+    checks dict holds."""
+    return all(bool(v) for c in checks for k, v in c.items() if k.endswith("_ok"))
+
+
+def plain_checks(checks: dict) -> dict:
+    """A copy of checks with numpy bools as Python bools, for JSON."""
+    return {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
+            for k, v in checks.items()}
+
+
+class NodeMap(Mapping):
+    """Read-only view keyed by dyadic intervals: Q -> ``build(k, Q)``, where
+    k is Q's row in the sorted heap nodes ``order``, built on access.
+    Iterates ``order`` as given, which need not be sorted.  Anything but an
+    interval of ``order`` is not ``in`` the view and raises KeyError."""
+
+    def __init__(self, order, build):
+        self._order = np.asarray(order, dtype=np.intp)
+        self._keys = np.sort(self._order)
+        self._build = build
+
+    def _row(self, Q):
+        if isinstance(Q, DyadicInterval):
+            k = int(np.searchsorted(self._keys, Q.node))
+            if k < self._keys.size and self._keys[k] == Q.node:
+                return k
+        return None
+
+    def __getitem__(self, Q):
+        k = self._row(Q)
+        if k is None:
+            raise KeyError(Q)
+        return self._build(k, Q)
+
+    def __contains__(self, Q):
+        return self._row(Q) is not None
+
+    def __iter__(self):
+        return map(DyadicInterval.from_node, self._order.tolist())
+
+    def __len__(self):
+        return self._order.size
 
 
 class Signal:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dyadic import DyadicInterval, Signal, check_finite, depth_index, lp_norm
+from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, depth_index,
+                     lp_norm, plain_checks)
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
 from .stopping import (_first_values, _lp_values, _run_family, _split, _squared,
@@ -127,33 +128,6 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
     return float(np.max((wI[hit] * sub[hit]) ** 0.5 / wI[hit] ** (1.0 / p)))
 
 
-class _Atoms(Mapping):
-    """Read-only view of the atoms: Q -> a_Q as a full-length Signal, built
-    on access by one inverse transform of f's coefficients on Q's sub-family,
-    divided by the c_Q the atom was normalized with."""
-
-    def __init__(self, deco: "AtomicDecomposition"):
-        self._deco = deco
-
-    def __getitem__(self, Q):
-        deco = self._deco
-        scale = deco.scales[Q]
-        own = deco.subfamilies[Q]
-        heap = np.zeros_like(deco.haar.heap)
-        heap[own] = deco.haar.heap[own]
-        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, deco.depth_J))
-        return Signal(atom.values / scale)
-
-    def __contains__(self, Q):
-        return Q in self._deco.scales
-
-    def __iter__(self):
-        return iter(self._deco.scales)
-
-    def __len__(self):
-        return len(self._deco.scales)
-
-
 def _inside(families, nodes, depth, J):
     """Per atom j, whether every node of ``families[j]`` lies in the subtree
     of heap node ``nodes[j]`` (of depth ``depth[j]``) above depth J.
@@ -209,11 +183,24 @@ class AtomicDecomposition:
 
     @property
     def atoms(self) -> Mapping:
-        """Q -> a_Q as a full-length Signal (a view, built on access)."""
-        return _Atoms(self)
+        """Q -> a_Q as a full-length Signal, built on access by one inverse
+        transform of f's coefficients on Q's sub-family, divided by the c_Q
+        the atom was normalized with; iterates the atoms in run order."""
+        return NodeMap(self._nodes(), self._atom)
+
+    def _atom(self, k, Q) -> Signal:
+        own = self.subfamilies[Q]
+        heap = np.zeros_like(self.haar.heap)
+        heap[own] = self.haar.heap[own]
+        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, self.depth_J))
+        return Signal(atom.values / self.scales[Q])
+
+    def _nodes(self) -> np.ndarray:
+        """The heap nodes of the atoms, in run order."""
+        return np.fromiter((Q.node for Q in self.scales), np.intp, len(self.scales))
 
     def ok(self) -> bool:
-        return all(bool(v) for k, v in self.checks.items() if k.endswith("_ok"))
+        return checks_ok(self.checks)
 
     def _render(self):
         """(out, ok): out = mean + sum of c_Q a_Q and ok the support and
@@ -236,7 +223,7 @@ class AtomicDecomposition:
         J, dx = self.depth_J, self.signal.cell_width
         n = 1 << J
         out = np.full(n, self.mean)
-        nodes = np.fromiter((Q.node for Q in self.scales), np.intp, len(self.scales))
+        nodes = self._nodes()
         scale = np.fromiter(self.scales.values(), float, nodes.size)
         c = np.fromiter((self.coefficients[Q] for Q in self.scales), float, nodes.size)
         fams = [np.asarray(self.subfamilies[Q], dtype=np.intp) for Q in self.scales]
@@ -310,8 +297,7 @@ class AtomicDecomposition:
             "r": self.r,
             "C": self.stopping_constant,
             "mean": self.mean,
-            "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-                       for k, v in self.checks.items()},
+            "checks": plain_checks(self.checks),
             "atoms": atoms,
         }
 

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dyadic import (DEFAULT_CHI_M, REL_SLACK, DyadicInterval, Signal, check_finite,
-                     depth_index, oscillation)
+from .dyadic import (DEFAULT_CHI_M, REL_SLACK, DyadicInterval, NodeMap, Signal,
+                     check_finite, checks_ok, depth_index, oscillation, plain_checks)
 from .haar import HaarMultiplier, haar_transform, tilde_size
 from .maximal import DEFAULT_LAMBDA
 from .sparse import SparseCollection, _lengths, carleson_constant, child_budget_ok
@@ -54,39 +54,6 @@ class StoppingFailure(RuntimeError):
 
 class _RetryNeeded(Exception):
     pass
-
-
-class _NodeGroups(Mapping):
-    """Read-only view: collection node -> its sub-family (or its children)
-    as a tuple of intervals in node order, built on access.  Iterates the
-    nodes in run order; group k, of the k-th smallest node, is
-    ``items[starts[k]:starts[k + 1]]``."""
-
-    def __init__(self, order, keys, items, starts):
-        self._order, self._keys, self._items, self._starts = order, keys, items, starts
-
-    def _row(self, Q):
-        if isinstance(Q, DyadicInterval):
-            k = int(np.searchsorted(self._keys, Q.node))
-            if k < self._keys.size and self._keys[k] == Q.node:
-                return k
-        return None
-
-    def __getitem__(self, Q):
-        k = self._row(Q)
-        if k is None:
-            raise KeyError(Q)
-        own = self._items[self._starts[k] : self._starts[k + 1]]
-        return tuple(map(DyadicInterval.from_node, own.tolist()))
-
-    def __contains__(self, Q):
-        return self._row(Q) is not None
-
-    def __iter__(self):
-        return map(DyadicInterval.from_node, self._order.tolist())
-
-    def __len__(self):
-        return self._order.size
 
 
 class _PerQ(Sequence):
@@ -143,7 +110,7 @@ class DominationCertificate:
     params: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
-        return all(bool(v) for k, v in self.checks.items() if k.endswith("_ok"))
+        return checks_ok(self.checks)
 
     @functools.cached_property
     def _families(self):
@@ -153,15 +120,22 @@ class DominationCertificate:
     def _children(self):
         return _grouped(self.collection.nodes, self.run.parents, self.run.kids)
 
+    def _groups(self, grouped) -> Mapping:
+        items, starts = grouped
+        return NodeMap(self.run.order, lambda k, Q: tuple(
+            map(DyadicInterval.from_node, items[starts[k] : starts[k + 1]].tolist())))
+
     @property
     def subfamilies(self) -> Mapping:
-        """Q -> Q's sub-family, a tuple of intervals in node order."""
-        return _NodeGroups(self.run.order, self.collection.nodes, *self._families)
+        """Q -> Q's sub-family, a tuple of intervals in node order; iterates
+        the collection in run order."""
+        return self._groups(self._families)
 
     @property
     def children(self) -> Mapping:
-        """Q -> Q's children in the run, a tuple of intervals in node order."""
-        return _NodeGroups(self.run.order, self.collection.nodes, *self._children)
+        """Q -> Q's children in the run, a tuple of intervals in node order;
+        iterates the collection in run order."""
+        return self._groups(self._children)
 
     @property
     def per_interval(self) -> Sequence:
@@ -187,8 +161,7 @@ class DominationCertificate:
             "realized_constant": self.realized_constant,
             "n_intervals": int(family.size),
             "params": self.params,
-            "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-                       for k, v in self.checks.items()},
+            "checks": plain_checks(self.checks),
             "per_Q": [{"Q": Q, "family": pairs[f0:f1], "children": pairs[k0:k1]}
                       for Q, f0, f1, k0, k1 in zip(pairs, fs, fs[1:], ks, ks[1:])],
         }

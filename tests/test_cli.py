@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sparsedom import stopping
-from sparsedom.campaign import CampaignConfig, _domination_record, run_campaign
+from sparsedom.campaign import ALL_MODES, CampaignConfig, run_campaign
 from sparsedom.cli import main
-from sparsedom.dyadic import DyadicInterval, Signal
+from sparsedom.cz import CZDecomposition
+from sparsedom.dyadic import DyadicInterval, Signal, checks_ok
 from sparsedom.generate import (full_multiplier, generate_multiplier, generate_signal,
                                 generate_sparse_collection)
 from sparsedom.haar import HaarMultiplier
@@ -147,13 +148,118 @@ class TestCampaign:
         with pytest.raises(ValueError, match="signal_kind"):
             CampaignConfig(signal_kind="bogus").validate()
 
-    def test_hard_ok_reads_every_check(self):
-        f = generate_signal("gaussian_noise", 5, seed=1)
-        g = generate_signal("gaussian_noise", 5, seed=2)
-        cert = dominate_square(generate_multiplier(5, seed=3, n_intervals=12), f, g)
-        assert _domination_record(cert)["hard_ok"] is True
-        cert.checks["cs_ok"] = False
-        assert _domination_record(cert)["hard_ok"] is False
+    # (mode, entry point, the checks dict of its result, the flag to flip, the
+    # CLI command whose exit status reads the same flag, or None)
+    FLIPS = [
+        ("avg", "dominate_avg", lambda r: r.checks, "size_control_ok",
+         ["dominate", "--mode", "avg"]),
+        ("square", "dominate_square", lambda r: r.checks, "cs_ok",
+         ["dominate", "--mode", "square"]),
+        ("weighted", "dominate_weighted", lambda r: r.checks, "domination_ok",
+         ["dominate", "--mode", "weighted"]),
+        ("osc", "dominate_oscillation", lambda r: r.checks, "forest_ok",
+         ["dominate", "--mode", "osc"]),
+        ("osc", "lerner_decompose", lambda r: r[1], "pointwise_ok", None),
+        ("osc", "lerner_decompose", lambda r: r[1], "child_budget_ok", None),
+        ("atoms", "atomic_decompose", lambda r: r.checks, "atoms_ok", ["atoms"]),
+        ("cz", "verify", lambda r: r, "cube_measure_ok", ["cz", "--alpha", "1.0"]),
+        ("weak11", "weak11_certify", lambda r: r, "crosscheck_ok", ["weak11"]),
+        ("spmodel", "certify_sparse", None, "sparse_ok",
+         ["sparse-check", str(DATA / "cli" / "collection_J6.csv")]),
+        ("spmodel", "carleson_constant", None, "carleson_ok", None),
+    ]
+    # the flipped result of an entry point that returns no checks dict
+    REPLACE = {"certify_sparse": lambda r: (False, r[1]),
+               "carleson_constant": lambda r: 2.5}
+
+    @staticmethod
+    def _wrap(monkeypatch, name, after):
+        """Make every call of entry point ``name``, in campaign and in the
+        CLI, return ``after(result)``."""
+        import sparsedom.campaign
+        import sparsedom.cli
+
+        if name == "verify":
+            owners = [CZDecomposition]
+        else:
+            owners = [m for m in (sparsedom.campaign, sparsedom.cli) if hasattr(m, name)]
+        for owner in owners:
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, fn=fn, **kw: after(fn(*a, **kw)))
+
+    def test_hard_ok_reads_every_check(self, monkeypatch, capsys):
+        def run(mode=None):
+            return run_campaign(CampaignConfig(depth_J=5, trials=1, seed=3, n_intervals=12,
+                                               modes=(mode,) if mode else ALL_MODES))
+
+        # unflipped, every record's hard_ok is checks_ok of its result's checks
+        seen = {}
+
+        def keep(name):
+            def after(r):
+                seen[name] = r
+                return r
+            return after
+
+        with monkeypatch.context() as m:
+            for name in {row[1] for row in self.FLIPS}:
+                self._wrap(m, name, keep(name))
+            records, _, ok = run()
+        assert ok and [r["mode"] for r in records] == list(ALL_MODES)
+        for rec in records:
+            checks = [of(seen[name]) for mode, name, of, _, _ in self.FLIPS
+                      if mode == rec["mode"] and of is not None]
+            if rec["mode"] == "spmodel":
+                checks = [{"sparse_ok": seen["certify_sparse"][0],
+                           "carleson_ok": seen["carleson_constant"] <= 2.0}]
+            assert rec["hard_ok"] is checks_ok(*checks) is True, rec["mode"]
+
+        # one flipped flag fails the record, the summary, the campaign and the CLI
+        for mode, name, of, key, command in self.FLIPS:
+            def flip(r, name=name, of=of, key=key):
+                if of is None:
+                    return self.REPLACE[name](r)
+                of(r)[key] = False
+                return r
+
+            with monkeypatch.context() as m:
+                self._wrap(m, name, flip)
+                records, summary, ok = run(mode)
+                assert records[0]["hard_ok"] is False, key
+                assert summary[mode]["failures"] == 1 and ok is False, key
+                if command is not None:
+                    assert main(command + ["--depth", "6", "--seed", "4"]) == 1, key
+        capsys.readouterr()
+
+
+# each CLI command at J <= 6: output bytes and exit status, pinned from the
+# code before the pass/fail rule was unified
+GOLDEN = {
+    "dominate_avg": (0, ["dominate", "--mode", "avg", "--depth", "6", "--seed", "1",
+                         "--n-intervals", "20"]),
+    "dominate_square": (0, ["dominate", "--mode", "square", "--depth", "6", "--seed", "2",
+                            "--n-intervals", "20"]),
+    "dominate_weighted": (0, ["dominate", "--mode", "weighted", "--depth", "6", "--seed", "3",
+                              "--n-intervals", "20"]),
+    "dominate_osc": (0, ["dominate", "--mode", "osc", "--depth", "6", "--seed", "4",
+                         "--n-intervals", "20"]),
+    "atoms": (0, ["atoms", "--depth", "6", "--seed", "5"]),
+    "cz_json": (0, ["cz", "--depth", "6", "--seed", "6", "--alpha", "1.0"]),
+    "cz_csv": (0, ["cz", "--depth", "6", "--seed", "6", "--alpha", "1.0", "--format", "csv"]),
+    "weak11": (0, ["weak11", "--depth", "6", "--seed", "4"]),
+    "haar": (0, ["haar", "--depth", "4", "--seed", "8", "--format", "csv"]),
+    "sparse_check": (0, ["sparse-check", "COLL/collection_J6.csv", "--depth", "6"]),
+    "sparse_check_full": (1, ["sparse-check", "COLL/collection_full_J3.csv", "--depth", "3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden(name, capsys):
+    # re-pin tests/data/cli only for an intended output change, and say so
+    # in CHANGES.md
+    status, argv = GOLDEN[name]
+    assert main([a.replace("COLL", str(DATA / "cli")) for a in argv]) == status
+    assert capsys.readouterr().out.encode() == (DATA / "cli" / f"{name}.out").read_bytes()
 
 
 class TestCli:

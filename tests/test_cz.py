@@ -865,8 +865,15 @@ class TestVerifyChecksFail:
         assert not np.any(part[:lo]) and not np.any(part[hi:])
         assert len(dec.bad_parts) == len(dec.bad_cubes)
         assert Q.parent() not in dec.bad_parts
-        with pytest.raises(KeyError):
-            dec.bad_parts[Q.parent()]
+        for key in (Q.parent(), Q.node, (Q.depth, Q.index)):
+            assert key not in dec.bad_parts
+            with pytest.raises(KeyError):
+                dec.bad_parts[key]
+        # a tampered, out-of-order tuple of cubes is iterated as given and
+        # still resolves
+        dec.bad_cubes = dec.bad_cubes[::-1]
+        assert len(dec.bad_cubes) > 1 and list(dec.bad_parts) == list(dec.bad_cubes)
+        assert np.array_equal(dec.bad_parts[Q].values, part)
 
     # Eight cells whose exact sum is a float-grid midpoint, and eight whose
     # exact sum is a float, each with an inexact double-double tail at the root.

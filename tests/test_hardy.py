@@ -335,8 +335,11 @@ class TestAtomsPerDepth:
         assert Q in view and I(8, 0) not in view
         with pytest.raises(TypeError):
             view[Q] = view[Q]
-        with pytest.raises(KeyError):
-            view[I(8, 0)]
+        assert list(view) == list(deco.scales)
+        for key in (I(8, 0), Q.node, (Q.depth, Q.index)):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
 
     def test_to_dict_rebuilds_every_atom(self):
         deco = atomic_decompose(generate_signal("sparse_haar", 9, seed=4, k=20), p=0.5, C=1.0)

@@ -1271,6 +1271,27 @@ def test_no_interval_per_family_member(mode):
     assert count[0] > built
 
 
+
+def test_node_views_iterate_run_order():
+    # the collection in run order, which here is not node order; a member is
+    # found whatever the order, and anything but a member interval is a
+    # KeyError
+    J = 8
+    f = generate_signal("point_masses", J, seed=0, k=8)
+    g = generate_signal("point_masses", J, seed=1, k=8)
+    cert = dominate_square(full_multiplier(J), f, g, p=1.0, q=1.0, C=1.0)
+    order = [DyadicInterval.from_node(n) for n in cert.run.order.tolist()]
+    assert order != sorted(order)
+    for view in (cert.subfamilies, cert.children):
+        assert list(view) == order and len(view) == len(order)
+        assert all(Q in view for Q in order)
+    assert all(cert.subfamilies[Q][0] == Q for Q in order)
+    Q = order[-1]
+    for key in (Q.node, (Q.depth, Q.index), I(J, 0)):
+        assert key not in cert.subfamilies
+        with pytest.raises(KeyError):
+            cert.subfamilies[key]
+
 def _reference_lerner(phi, Q0, lam):
     """The depth-first walk over interval objects that lerner_decompose replaced."""
     J = phi.depth_J
