@@ -22,7 +22,7 @@ from .dyadic import REL_SLACK, ROOT, checks_ok, lp_norm
 from .generate import (SIGNAL_KINDS, generate_multiplier, generate_signal,
                        generate_sparse_collection, generate_weight)
 from .hardy import ap_characteristic, atomic_decompose
-from .sparse import (carleson_constant, certify_sparse, greedy_max_eta,
+from .sparse import (_lengths, carleson_constant, certify_sparse, greedy_max_eta,
                      sparse_operator, sparse_vs_carleson)
 from .stopping import (dominate_avg, dominate_oscillation, dominate_square,
                        dominate_weighted, lerner_decompose)
@@ -139,8 +139,9 @@ def _run_one(cfg: CampaignConfig, mode: str, trial: int) -> dict:
         alpha = float(rng.uniform(0.5, 2.0)) * max(l1, 1e-9)
         dec = cz_decompose(f, alpha)
         verified = dec.verify()
-        rec = {"mode": "cz", "alpha": alpha, "n_bad_cubes": len(dec.bad_cubes),
-               "realized_constant": sum(Q.length for Q in dec.bad_cubes) * alpha
+        # every partial sum of the lengths 2**-d (d <= J <= 16) is exact
+        rec = {"mode": "cz", "alpha": alpha, "n_bad_cubes": dec.nodes.size,
+               "realized_constant": float(np.sum(_lengths(dec.nodes))) * alpha
                / max(l1, 1e-300), **verified}
         checks = (verified,)
     elif mode == "weak11":

@@ -14,10 +14,10 @@ on their own cells by :func:`_exact_sums`: ``np.frexp`` gives each cell a
 53-bit integer mantissa, and shifting the mantissas to one common exponent
 makes the sum a Python int.  This is the filter-then-exact pattern of
 Shewchuk, *Adaptive precision floating-point arithmetic and fast robust
-geometric predicates*.  The stored good part and the one length-n vector of
-bad values are the float rendering of the exact object, and
-:meth:`CZDecomposition.verify` re-checks them with the same filters in one
-vectorized pass.  Both cost O(J n) for n = 2**J cells.
+geometric predicates*.  The cubes are one sorted array of heap nodes; the
+good part and one length-n vector of bad values render the exact object,
+and :meth:`CZDecomposition.verify` re-checks them with the same filters in
+one vectorized pass, building no interval.  Both cost O(J n), n = 2**J.
 
 The weak (1,1) certifier follows the major-subset characterization of weak
 L^1 (the 1/2-sparse test of Lerner and Nazarov, *Intuitive dyadic calculus:
@@ -30,6 +30,7 @@ them: O(J n) instead of one O(n) pass per interval.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .dyadic import (DyadicInterval, NodeMap, ROOT, Signal, check_finite, checks_ok,
+from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, depth_index,
                      lp_norm, weak_l1_quasinorm)
 from .maximal import MaximalKind, maximal
 
@@ -80,9 +81,7 @@ def _exact_ints(values: np.ndarray) -> tuple[np.ndarray, int]:
 def _exact_sums(values: np.ndarray, nodes: np.ndarray, J: int) -> tuple[np.ndarray, int]:
     """The exact path: each heap node's cell sum as a Python int c[k] times
     one common 2**e, from the node's own cells only."""
-    size = np.left_shift(1, _height(nodes, J))
-    lo = nodes * size - (1 << J)
-    cells, _, start = _cube_cells(lo, size)
+    cells, _, start, size = _cube_cells(nodes, J)
     ints, e = _exact_ints(values[cells])
     prefix = np.cumsum(np.concatenate(([0], ints)))
     return prefix[start + size] - prefix[start], e
@@ -108,12 +107,14 @@ def _align(x: int, ex: int, y: int, ey: int) -> tuple[int, int]:
     return x << (ex - e), y << (ey - e)
 
 
-def _cube_cells(lo: np.ndarray, size: np.ndarray) -> tuple:
-    """The cells of every cube, cube by cube, the cube owning each and the
-    position where each cube's cells start."""
-    owner = np.repeat(np.arange(lo.size), size)
+def _cube_cells(nodes: np.ndarray, J: int) -> tuple:
+    """The cells of every cube (a heap node), cube by cube, the cube owning
+    each, the position where each cube's cells start and each cube's size."""
+    size = np.left_shift(1, _height(nodes, J))
+    owner = np.repeat(np.arange(nodes.size), size)
     start = np.cumsum(size) - size
-    return np.arange(int(size.sum())) + np.repeat(lo - start, size), owner, start
+    lo = nodes * size - (1 << J)
+    return np.arange(int(size.sum())) + np.repeat(lo - start, size), owner, start, size
 
 
 def _times(iv: tuple, k: int) -> tuple:
@@ -221,8 +222,7 @@ def _cancellation_exact(f, bad, favg, nodes, J) -> bool:
     """The rendering bound of :meth:`CZDecomposition.verify` in Python ints,
     on the given cubes' own cells."""
     sums, ev = _exact_sums(f, nodes, J)
-    size = np.left_shift(1, _height(nodes, J))
-    cells, _, start = _cube_cells(nodes * size - (1 << J), size)
+    cells, _, start, size = _cube_cells(nodes, J)
     b = bad[cells]
     ulp = np.where(b == 0.0, 0.0, np.abs(np.spacing(b)))
     rend, er = _exact_ints(np.concatenate([b, ulp, favg]))
@@ -269,27 +269,33 @@ def _cancellation_ok(sums: _Sums, bad: np.ndarray, favg: np.ndarray,
 
 @dataclass
 class CZDecomposition:
+    """|f| = good + bad at one level.  The bad cubes are the read-only heap
+    nodes :attr:`nodes`; every per-cube view is built from them when read."""
+
     level_alpha: float
     good: Signal
-    bad_cubes: tuple
+    nodes: np.ndarray
     bad: np.ndarray        # |f| - good on the cubes, 0 elsewhere: every bad part
     source_abs: Signal
+
+    @functools.cached_property
+    def bad_cubes(self) -> tuple:
+        """The cubes as intervals, in :attr:`nodes` order, built on first read."""
+        depth, index = depth_index(self.nodes)
+        return tuple(map(DyadicInterval, depth.tolist(), index.tolist()))
 
     @property
     def bad_parts(self) -> Mapping:
         """Q -> the bad part of cube Q as a full-length Signal, built on
         access from the one stored vector :attr:`bad`; iterates
-        :attr:`bad_cubes` in their order."""
-        return NodeMap(self._nodes(), self._bad_part)
+        :attr:`nodes` in their order."""
+        return NodeMap(self.nodes, self._bad_part)
 
     def _bad_part(self, k, Q) -> Signal:
         lo, hi = Q.cell_range(self.source_abs.depth_J)
         b = np.zeros_like(self.bad)
         b[lo:hi] = self.bad[lo:hi]
         return Signal(b)
-
-    def _nodes(self) -> np.ndarray:
-        return np.fromiter((Q.node for Q in self.bad_cubes), np.int64, len(self.bad_cubes))
 
     def verify(self) -> dict:
         """Exact verification of the decomposition invariants.
@@ -308,20 +314,16 @@ class CZDecomposition:
         f = self.source_abs.values
         J, n = self.source_abs.depth_J, self.source_abs.n_cells
         alpha = float(self.level_alpha)
-        good, bad = self.good.values, self.bad
-        nodes = self._nodes()
+        good, bad, nodes = self.good.values, self.bad, self.nodes
         h = _height(nodes, J)
-        size = np.left_shift(1, h)
-        lo = nodes * size - n
         sums = _Sums(f)
-        root_is_bad = (self.bad_cubes == (ROOT,)
-                       and bool(sums.exceeds(np.ones(1, dtype=np.int64), J, alpha)[0]))
+        root_is_bad = (nodes.size == 1 and nodes[0] == 1
+                       and bool(sums.exceeds(nodes, J, alpha)[0]))
 
-        cover = np.cumsum(np.bincount(lo, minlength=n + 1)
-                          - np.bincount(lo + size, minlength=n + 1))[:n]
+        cells, owner, _, size = _cube_cells(nodes, J)
+        cover = np.bincount(cells, minlength=n)
         covered = cover > 0
         disjoint_ok = not np.any(cover > 1)
-        cells, owner, _ = _cube_cells(lo, size)
 
         favg = sums.averages(nodes)
         split_ok = bool(np.all(good[cells] == favg[owner])
@@ -395,18 +397,15 @@ def cz_decompose(f: Signal, alpha: float) -> CZDecomposition:
             alive[1::2] += 1
             above = sums.exceeds(alive, J - d, alpha)
             hits[d], alive = alive[above], alive[~above]
-    depth = np.repeat(np.arange(J + 1), [h.size for h in hits])
-    nodes = np.concatenate(hits)
-    index = nodes - np.left_shift(1, depth)
+    nodes = np.concatenate(hits)          # node order: depth by depth, sorted
+    nodes.flags.writeable = False
     favg = sums.averages(nodes)
-    size = np.left_shift(1, J - depth)
-    cells, owner, _ = _cube_cells(index * size, size)
+    cells, owner, _, _ = _cube_cells(nodes, J)
     good = absf.values.copy()
     bad = np.zeros(absf.n_cells)
     good[cells] = favg[owner]
     bad[cells] = absf.values[cells] - favg[owner]
-    cubes = tuple(map(DyadicInterval, depth.tolist(), index.tolist()))
-    return CZDecomposition(alpha, Signal(good), cubes, bad, absf)
+    return CZDecomposition(alpha, Signal(good), nodes, bad, absf)
 
 
 def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,

@@ -199,11 +199,14 @@ def chi_bounds_depth(absf, J, d, M, sums):
     covers the two sums and the few roundings of the bounds themselves; the
     final division by n rounds monotonically.  A node whose upper bound is
     not finite or not normal gets (-inf, inf): only its exact value decides
-    it.
+    it.  A row of zero ``sums`` is a zero signal, every value exactly +0.0,
+    and gets (0, 0) throughout.
     """
     n, m, R = 1 << J, 1 << d, CHI_NEAR
     if m <= R + 1:
         raise ValueError(f"the near field covers the whole depth-{d} row")
+    if not sums.any():
+        return np.zeros(m), np.zeros(m)
     B = 1 << (J - d)
     K = chi_kernel(J, d, M)
     window = _view(K, n - R * B, (2 * R + 1, B), (B, 1))

@@ -63,17 +63,17 @@ def maximal(f: Signal, kind: MaximalKind) -> Signal:
     return Signal(out)
 
 
-def shortest_window_oscillation(sorted_vals: np.ndarray, k: int) -> float:
-    """min over c of the (k+1)-th largest |v - c|, for ascending sorted_vals.
+def shortest_window_oscillation(sorted_vals: np.ndarray, k: int):
+    """min over c of the (k+1)-th largest |v - c|, per last-axis row of ascending sorted_vals.
 
     Equals half the width of the shortest window containing m - k of the
     values; the optimum c is that window's midpoint.
     """
-    m = sorted_vals.shape[0]
+    m = sorted_vals.shape[-1]
     keep = m - k
     if keep <= 1:
-        return 0.0
-    return float(np.min(sorted_vals[keep - 1 :] - sorted_vals[: m - keep + 1])) / 2.0
+        return np.zeros(sorted_vals.shape[:-1])
+    return np.min(sorted_vals[..., keep - 1 :] - sorted_vals[..., : m - keep + 1], axis=-1) / 2.0
 
 
 def local_mean_oscillation(f: Signal, I: DyadicInterval, lam: float) -> float:
@@ -89,4 +89,4 @@ def local_mean_oscillation(f: Signal, I: DyadicInterval, lam: float) -> float:
     lo, hi = I.cell_range(f.depth_J)
     vals = np.sort(f.values[lo:hi])
     k = int(np.floor(lam * vals.shape[0]))
-    return shortest_window_oscillation(vals, k)
+    return float(shortest_window_oscillation(vals, k))

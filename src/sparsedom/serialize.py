@@ -57,20 +57,31 @@ def read_weight(path) -> Weight:
     return Weight(_read_numbers(path))
 
 
+def _csv_rows(path, width: int):
+    """The rows of a CSV file, blank and '#' lines skipped; a row with fewer
+    than ``width`` fields raises ValueError naming the file and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if len(row) < width:
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"{len(row)} field(s), expected {width}")
+            yield row
+
+
 def read_multiplier(path) -> HaarMultiplier:
     """The multiplier of a (depth, index, eps) CSV file, in node order; a
     file that lists one interval twice is rejected, as the constructor
     rejects such a family."""
     eps = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            I, e = DyadicInterval(int(row[0]), int(row[1])), float(row[2])
-            if I in eps:
-                raise ValueError(f"duplicate intervals in multiplier family: "
-                                 f"({I.depth}, {I.index}) listed twice in {path}")
-            eps[I] = e
+    for row in _csv_rows(path, 3):
+        I, e = DyadicInterval(int(row[0]), int(row[1])), float(row[2])
+        if I in eps:
+            raise ValueError(f"duplicate intervals in multiplier family: "
+                             f"({I.depth}, {I.index}) listed twice in {path}")
+        eps[I] = e
     return HaarMultiplier.from_dict(eps)
 
 
@@ -82,13 +93,8 @@ def write_multiplier(T: HaarMultiplier, path) -> None:
 
 
 def read_collection(path) -> SparseCollection:
-    members = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            members.append(DyadicInterval(int(row[0]), int(row[1])))
-    return SparseCollection(members)
+    return SparseCollection([DyadicInterval(int(row[0]), int(row[1]))
+                             for row in _csv_rows(path, 2)])
 
 
 def write_collection(S: SparseCollection, path) -> None:

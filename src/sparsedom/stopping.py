@@ -36,7 +36,7 @@ from . import kernels
 from .dyadic import (DEFAULT_CHI_M, REL_SLACK, DyadicInterval, NodeMap, Signal,
                      check_finite, checks_ok, depth_index, oscillation, plain_checks)
 from .haar import HaarMultiplier, haar_transform, tilde_size
-from .maximal import DEFAULT_LAMBDA
+from .maximal import DEFAULT_LAMBDA, shortest_window_oscillation
 from .sparse import SparseCollection, _lengths, carleson_constant, child_budget_ok
 
 __all__ = [
@@ -531,7 +531,7 @@ class _LazyHeaps:
         member with the largest value of heap k (-1 for an empty group).  Only
         the members whose range reaches the group's largest lower bound can
         hold it; a lone one is the argmax unread, and where there are several
-        they are filled and compared."""
+        those whose range is not one point are filled, and all compared."""
         sizes = np.diff(starts)
         nz = np.flatnonzero(sizes)
         best = np.full(sizes.size, -1, dtype=np.intp)
@@ -541,8 +541,9 @@ class _LazyHeaps:
         reach = np.repeat(np.maximum.reduceat(lo[family], starts[nz]), sizes[nz])
         cand = hi[family] >= reach
         rivals = cand & np.repeat(np.add.reduceat(cand, starts[nz]) > 1, sizes[nz])
-        self._fill(k, kernels.node_mask(family[rivals], self.filled.shape[1]))
-        vals = np.where(cand, np.where(rivals, self.heaps[k][family], 0.0), -np.inf)
+        open_ = rivals & (lo[family] != hi[family])       # NaN: not filled, unbounded
+        self._fill(k, kernels.node_mask(family[open_], self.filled.shape[1]))
+        vals = np.where(cand, np.where(rivals, hi[family], 0.0), -np.inf)
         top = np.repeat(np.maximum.reduceat(vals, starts[nz]), sizes[nz])
         hits = np.flatnonzero(vals == top)
         best[nz] = family[hits[np.searchsorted(hits, starts[nz])]]
@@ -883,9 +884,7 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
         first = firsts[d] = (1 << d) + (Q0.index << (d - Q0.depth))
         row = slice(first, first + blocks.shape[0])
         med[row] = blocks[:, (B - 1) // 2]
-        keep = B - int(np.floor(lam * B))
-        if keep > 1:
-            om[row] = np.min(blocks[:, keep - 1:] - blocks[:, : B - keep + 1], axis=1) / 2.0
+        om[row] = shortest_window_oscillation(blocks, int(np.floor(lam * B)))
 
     # one generation at a time: the raw stopping nodes are the maximal P
     # strictly inside an agenda node Q whose median jumps, each promoted to

@@ -319,6 +319,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "needs depth < 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, width", [
+        (["sparse-check", "FILE", "--depth", "4"], 2),
+        (["dominate", "--mode", "square", "--depth", "4", "--multiplier-file", "FILE"], 3),
+        (["weak11", "--depth", "4", "--collection", "FILE"], 2),
+    ])
+    def test_short_csv_row(self, tmp_path, capsys, command, width):
+        path = tmp_path / "rows.csv"
+        path.write_text("# depth,index\n0,0,1.0\n\n2\n")
+        rc = main([str(path) if arg == "FILE" else arg for arg in command])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"sparsedom: error: {path}, line 4: 1 field(s), expected {width}"]
+
     def test_atoms_command(self, tmp_path):
         out = tmp_path / "atoms.json"
         rc = main(["atoms", "--depth", "5", "--seed", "2", "--p", "1.0",

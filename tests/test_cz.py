@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom import cz, kernels
+from sparsedom import campaign, cz, kernels
 from sparsedom.cz import CZDecomposition, cz_decompose, weak11_certify
 from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, average, cells_of,
                               check_finite, lp_norm, weak_l1_quasinorm)
@@ -402,8 +403,7 @@ def _integer_cz_decompose(f: Signal, alpha: float) -> CZDecomposition:
     bad = np.zeros(absf.n_cells)
     good[cells] = favg[owner]
     bad[cells] = absf.values[cells] - favg[owner]
-    cubes = tuple(map(DyadicInterval, depth.tolist(), index.tolist()))
-    return CZDecomposition(alpha, Signal(good), cubes, bad, absf)
+    return CZDecomposition(alpha, Signal(good), index + np.left_shift(1, depth), bad, absf)
 
 
 def I(d, i):
@@ -693,6 +693,7 @@ def _assert_matches_integer_reference(f, alpha):
         dec = cz_decompose(f, alpha)
         checks = dec.verify()
     ref = _integer_cz_decompose(f, alpha)
+    assert np.array_equal(dec.nodes, ref.nodes)
     assert dec.bad_cubes == ref.bad_cubes
     assert _same_floats(dec.good.values, ref.good.values)
     assert _same_floats(dec.bad, ref.bad)
@@ -807,6 +808,37 @@ class TestWeak11MatchesReference:
             assert repr(got[key]) == repr(want[key]), key
 
 
+class TestNodeArray:
+    """A decomposition is its sorted node array: decomposing, verifying and
+    the bad-part view build no interval; ``bad_cubes`` builds one per cube,
+    once."""
+
+    def test_intervals_only_on_bad_cubes_read(self, monkeypatch):
+        built = []
+        post_init = DyadicInterval.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        f = generate_signal("gaussian_noise", 10, seed=3)
+        cfg = campaign.CampaignConfig(depth_J=10, trials=1, seed=7, modes=("cz",))
+        monkeypatch.setattr(DyadicInterval, "__post_init__", counted)
+        dec = cz_decompose(f, 1.2 * lp_norm(f, 1.0))
+        assert all(dec.verify().values()) and len(dec.bad_parts) == dec.nodes.size > 1
+        assert campaign._run_one(cfg, "cz", 0)["hard_ok"]
+        assert not built
+        Q = DyadicInterval.from_node(int(dec.nodes[0]))
+        lo, hi = Q.cell_range(10)
+        built.clear()
+        assert np.array_equal(dec.bad_parts[Q].values[lo:hi], dec.bad[lo:hi]) and not built
+        cubes = dec.bad_cubes
+        assert len(built) == dec.nodes.size
+        assert dec.bad_cubes is cubes and len(built) == dec.nodes.size
+        assert [Q.node for Q in cubes] == dec.nodes.tolist()
+        assert np.all(np.diff(dec.nodes) > 0) and not dec.nodes.flags.writeable
+
+
 class TestVerifyChecksFail:
     """Each check flips on a decomposition tampered in its own way."""
 
@@ -852,7 +884,7 @@ class TestVerifyChecksFail:
     def test_overlapping_cubes_fail_disjointness(self):
         dec, _, _, _ = self._dec()
         Q = dec.bad_cubes[0]
-        dec.bad_cubes = tuple(sorted(dec.bad_cubes + (Q.left(),)))
+        dec = dataclasses.replace(dec, nodes=np.sort(np.append(dec.nodes, Q.left().node)))
         checks = dec.verify()
         assert not checks["cubes_disjoint_ok"]
         assert not checks["cubes_maximal_ok"]
@@ -869,9 +901,9 @@ class TestVerifyChecksFail:
             assert key not in dec.bad_parts
             with pytest.raises(KeyError):
                 dec.bad_parts[key]
-        # a tampered, out-of-order tuple of cubes is iterated as given and
+        # a tampered, out-of-order node array is iterated as given and
         # still resolves
-        dec.bad_cubes = dec.bad_cubes[::-1]
+        dec = dataclasses.replace(dec, nodes=dec.nodes[::-1])
         assert len(dec.bad_cubes) > 1 and list(dec.bad_parts) == list(dec.bad_cubes)
         assert np.array_equal(dec.bad_parts[Q].values, part)
 
@@ -915,7 +947,8 @@ class TestVerifyChecksFail:
             dec = cz_decompose(Signal(vals), float(_exact_average(vals, 2)))
         Q = next(Q for Q in dec.bad_cubes if Q.depth > 1)
         counts = _count_exact_path(monkeypatch)
-        dec.bad_cubes = tuple(sorted(set(dec.bad_cubes) - {Q} | {Q.parent()}))
+        dec = dataclasses.replace(dec, nodes=np.unique(
+            np.append(dec.nodes[dec.nodes != Q.node], Q.parent().node)))
         checks = dec.verify()
         assert not checks["cubes_maximal_ok"]
         assert checks == _integer_verify(dec)

@@ -747,7 +747,7 @@ class TestAvgReadSet:
             kernels.node_mask([I.node for I in T.intervals], 1 << J), J)
         assert all(len(nodes) < np.count_nonzero(closure) for nodes in exact)
 
-    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero",))
     def test_full_family_exact_share(self, kind):
         # the bounds settle all but a few tests: at most 10% of the nodes are
         # integrated per signal
