@@ -4,13 +4,15 @@ sparse atomic decomposition.
 The atomic decomposition runs the same norm stopping time as the square
 function domination, with a single function and exponent r < p; each node's
 atom collects the Haar modes of its sub-family, so support and cancellation
-are exact and the L2 normalization is met with equality.  An atom is held as
-arrays (its sub-family's heap nodes, f's coefficients on them and c_Q), never
-as a length-n vector: the Q of one depth are disjoint, so one inverse
-transform per depth of Q gives every atom of that depth on its own block, and
-reconstruction and the atom checks are block reductions on those vectors,
-O(J n) in all.  ``to_dict`` records each atom's (depth, index) pairs and
-coefficients a_I, from which a_Q = c_Q^{-1} sum a_I h_I is rebuilt.
+are exact and the L2 normalization is met with equality.  The decomposition
+holds the run's node arrays (``stopping._Run``), f's coefficients and two
+arrays aligned with the run order, ``c`` (c_Q in the sum) and ``scale`` (c_Q
+as the atom was normalized), never an atom as a length-n vector: the Q of one
+depth are disjoint, so one inverse transform per depth of Q gives every atom
+of that depth on its own block, and reconstruction and the atom checks are
+block reductions on those vectors, O(J n) in all.  ``to_dict`` records each
+atom's (depth, index) pairs and coefficients a_I, from which
+a_Q = c_Q^{-1} sum a_I h_I is rebuilt.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, d
                      lp_norm, plain_checks)
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import (_first_values, _lp_values, _run_family, _split, _squared,
-                       _with_retries)
+from .stopping import (_first_values, _grouped, _lp_values, _Run, _run_family, _split,
+                       _squared, _with_retries)
 
 __all__ = [
     "Weight", "ap_characteristic", "square_function", "hardy_norm",
@@ -128,50 +130,26 @@ def cmo_norm(g_or_coeffs, p: float, weight: Weight) -> float:
     return float(np.max((wI[hit] * sub[hit]) ** 0.5 / wI[hit] ** (1.0 / p)))
 
 
-def _inside(families, nodes, depth, J):
-    """Per atom j, whether every node of ``families[j]`` lies in the subtree
-    of heap node ``nodes[j]`` (of depth ``depth[j]``) above depth J.
-
-    Member m of atom j is keyed j 2**J + m and atom j's subtree is its
-    ranges [Q << s, (Q + 1) << s), one per depth below Q, shifted alike, so
-    one ``np.searchsorted`` of the keys over every range counts each atom's
-    members inside, and one over the bands [j 2**J, (j + 1) 2**J) finds a
-    node off the grid that lands in another atom's band.  The keys are
-    sorted when every sub-family is in node order, and sorted first only
-    when one is not.
-    """
-    n, k = 1 << J, len(families)
-    sizes = np.fromiter((fam.size for fam in families), np.intp, k)
-    keys = np.concatenate([fam + j * n for j, fam in enumerate(families)]
-                          or [np.zeros(0, dtype=np.intp)])
-    if np.any(keys[1:] < keys[:-1]):
-        keys = np.sort(keys)
-    s = np.arange(J)
-    below = s < (J - depth)[:, None]
-    start = (nodes[:, None] << s) + (np.arange(k) * n)[:, None]
-    stop = np.where(below, start + (1 << s), start)
-    inside = np.searchsorted(keys, stop) - np.searchsorted(keys, start)
-    band = np.diff(np.searchsorted(keys, np.arange(k + 1) * n))
-    return (inside.sum(axis=1) == sizes) & (band == sizes)
-
-
-@dataclass
+@dataclass(eq=False)
 class AtomicDecomposition:
-    """f = mean + sum over Q of coefficients[Q] * atoms[Q], held as arrays.
+    """f = mean + sum over Q of c_Q a_Q, held as the stopping run's arrays.
 
-    ``subfamilies[Q]`` is Q's sub-family as a sorted array of heap nodes,
-    for every node of the run.  The atom a_Q = scales[Q]^{-1} sum over the
-    sub-family of a_I h_I, with a_I read off ``haar`` (f's coefficients);
-    ``scales[Q]`` is c_Q as the atom was built, and ``coefficients[Q]`` the
-    c_Q of the sum.  Both skip the nodes with c_Q = 0.  :attr:`atoms` builds
-    one length-n Signal per read; :meth:`reconstruct` and :meth:`verify`
-    take one inverse transform per depth of Q instead (:meth:`_render`).
+    ``run`` is the run in heap nodes (``stopping._Run``): ``run.members[k]``
+    is in the sub-family of ``run.owners[k]``.  ``c`` and ``scale`` are
+    aligned with ``run.order``: ``c`` is c_Q, the coefficient in the sum,
+    and ``scale`` the c_Q the atom was normalized with, equal to ``c`` as
+    built; both are 0.0 at a node that carries no atom.  The atom
+    a_Q = scale_Q^{-1} sum over Q's sub-family of a_I h_I, with a_I read off
+    ``haar`` (f's coefficients).  ``coefficients``, ``subfamilies`` and
+    ``atoms`` are read-only views keyed by interval; :attr:`atoms` builds one
+    length-n Signal per read, while :meth:`reconstruct` and :meth:`verify`
+    take one inverse transform per depth of Q (:meth:`_render`).
     """
 
     collection: SparseCollection
-    coefficients: dict
-    subfamilies: dict
-    scales: dict
+    run: _Run
+    c: np.ndarray
+    scale: np.ndarray
     signal: Signal
     haar: HaarCoefficients
     mean: float
@@ -181,23 +159,38 @@ class AtomicDecomposition:
     stopping_constant: float
     checks: dict = field(default_factory=dict)
 
+    def _atom_view(self, build) -> Mapping:
+        """A view over the atoms in run order: Q -> ``build(j, Q)``, with j
+        Q's position in ``run.order``."""
+        at = np.flatnonzero(self.scale)
+        rows = at[np.argsort(self.run.order[at])]
+        return NodeMap(self.run.order[at], lambda k, Q: build(rows[k], Q))
+
+    @property
+    def coefficients(self) -> Mapping:
+        """Q -> c_Q for every atom; iterates the atoms in run order."""
+        return self._atom_view(lambda j, Q: float(self.c[j]))
+
+    @property
+    def subfamilies(self) -> Mapping:
+        """Q -> Q's sub-family as an array of heap nodes in node order, for
+        every node of the run; iterates the run in run order."""
+        family, starts = _grouped(self.collection.nodes, self.run.owners, self.run.members)
+        return NodeMap(self.run.order, lambda k, Q: family[starts[k] : starts[k + 1]])
+
     @property
     def atoms(self) -> Mapping:
         """Q -> a_Q as a full-length Signal, built on access by one inverse
         transform of f's coefficients on Q's sub-family, divided by the c_Q
         the atom was normalized with; iterates the atoms in run order."""
-        return NodeMap(self._nodes(), self._atom)
+        return self._atom_view(self._atom)
 
-    def _atom(self, k, Q) -> Signal:
-        own = self.subfamilies[Q]
+    def _atom(self, j, Q) -> Signal:
+        own = self.run.members[self.run.owners == Q.node]
         heap = np.zeros_like(self.haar.heap)
         heap[own] = self.haar.heap[own]
         atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, self.depth_J))
-        return Signal(atom.values / self.scales[Q])
-
-    def _nodes(self) -> np.ndarray:
-        """The heap nodes of the atoms, in run order."""
-        return np.fromiter((Q.node for Q in self.scales), np.intp, len(self.scales))
+        return Signal(atom.values / self.scale[j])
 
     def ok(self) -> bool:
         return checks_ok(self.checks)
@@ -214,36 +207,38 @@ class AtomicDecomposition:
         and 0.0 in the rows of no atom.  The depths are added in increasing
         order: the Q that contain a cell form a chain, and a deeper Q is a
         later generation of the run, so every cell adds its terms in run
-        order.  ok needs every member inside its Q, each depth's transform
-        0.0 off its atoms' rows, and each atom's |integral| <= 1e-12 (the
-        row's pairwise tree sum, as ``kernels.interval_sums`` adds it, so
-        ``atoms[Q].integral()`` bit for bit) and ||a_Q||_2 <= |Q|^{1/2-1/p}
-        (1 + 1e-12).
+        order.  ok needs every member of an atom on the grid and at or below
+        its owner (``members >> (d_m - d_q) == owners``), each depth's
+        transform 0.0 off its atoms' rows, and each atom's |integral| <=
+        1e-12 (the row's pairwise tree sum, as ``kernels.interval_sums`` adds
+        it, so ``atoms[Q].integral()`` bit for bit) and ||a_Q||_2 <=
+        |Q|^{1/2-1/p} (1 + 1e-12).
         """
         J, dx = self.depth_J, self.signal.cell_width
         n = 1 << J
         out = np.full(n, self.mean)
-        nodes = self._nodes()
-        scale = np.fromiter(self.scales.values(), float, nodes.size)
-        c = np.fromiter((self.coefficients[Q] for Q in self.scales), float, nodes.size)
-        fams = [np.asarray(self.subfamilies[Q], dtype=np.intp) for Q in self.scales]
-        depth = np.frexp(nodes)[1] - 1
-        inside = _inside(fams, nodes, depth, J)
-        ok = bool(inside.all())
-        for d in kernels.sorted_unique(depth).tolist():
-            at = np.flatnonzero(depth == d)
-            m = np.concatenate([fams[k] for k in at])
-            if not inside[at].all():
-                m = m[(m > 0) & (m < n)]
+        run, atom = self.run, self.scale != 0.0
+        depth = depth_index(run.order)[0]
+        m, q = run.members, run.owners
+        if not atom.all():   # the sub-family of a node with c_Q = 0 renders nothing
+            mine = np.isin(q, run.order[atom])
+            m, q = m[mine], q[mine]
+        # bit lengths (depth + 1): a member at or below its owner shifts onto it
+        bm, bq = np.frexp(m)[1], np.frexp(q)[1]
+        grid = (m > 0) & (m < n)
+        ok = bool(np.all(grid & (m >> np.maximum(bm - bq, 0) == q)))
+        for d in kernels.sorted_unique(depth[atom]).tolist():
+            at = np.flatnonzero(atom & (depth == d))
+            own = m[grid & (bq == d + 1)]
             heap = np.zeros(n)
-            heap[m] = self.haar.heap[m]
+            heap[own] = self.haar.heap[own]
             raw = inverse_haar_transform(HaarCoefficients(heap, 0.0, J)).values
             raw = raw.reshape(1 << d, -1)
-            rows = nodes[at] - (1 << d)
+            rows = run.order[at] - (1 << d)
             off = np.ones(1 << d, dtype=bool)
             off[rows] = False
             atoms = raw[rows]
-            atoms /= scale[at][:, None]
+            atoms /= self.scale[at][:, None]
             sums = atoms
             while sums.shape[1] > 1:
                 sums = sums[:, 0::2] + sums[:, 1::2]
@@ -251,7 +246,7 @@ class AtomicDecomposition:
             if (raw[off].any() or np.any(np.abs(sums * dx) > 1e-12)
                     or np.any(norm2 > (2.0 ** -d) ** (0.5 - 1.0 / self.p) * (1.0 + 1e-12))):
                 ok = False
-            atoms *= c[at][:, None]
+            atoms *= self.c[at][:, None]
             raw[rows] = atoms
             out += raw.reshape(-1)
         return out, ok
@@ -263,7 +258,7 @@ class AtomicDecomposition:
     def verify(self) -> dict:
         """The decomposition's checks, recomputed from its arrays in O(J n):
         ``atoms_ok`` and the reconstruction are :meth:`_render`'s sweep."""
-        if not self.subfamilies:
+        if not self.run.order.size:
             return {"empty": True}
         recon, atom_ok = self._render()
         f = self.signal.values
@@ -271,7 +266,7 @@ class AtomicDecomposition:
         S = self.collection
         inner = S.parents > 0
         sf_norm = hardy_norm(self.haar, self.p)
-        budget_sum = float(sum(c**self.p for c in self.coefficients.values()))
+        budget_sum = float(sum(c**self.p for c in self.c.tolist()))
         return {
             "reconstruction_error": recon_err,
             "reconstruction_ok": recon_err < 1e-12 * max(1.0, float(np.max(np.abs(f)))),
@@ -286,12 +281,11 @@ class AtomicDecomposition:
         """The record: each atom as Q, c_Q, its sub-family's (depth, index)
         pairs and f's coefficients a_I on them, so that a_Q = c_Q^{-1} sum
         a_I h_I can be rebuilt."""
-        atoms = []
-        for Q in sorted(self.coefficients):
-            fam = self.subfamilies[Q]
-            atoms.append({"Q": [Q.depth, Q.index], "c_Q": self.coefficients[Q],
-                          "family": np.stack(depth_index(fam), axis=1).tolist(),
-                          "a_I": self.haar.heap[fam].tolist()})
+        fams = self.subfamilies
+        atoms = [{"Q": [Q.depth, Q.index], "c_Q": c,
+                  "family": np.stack(depth_index(fams[Q]), axis=1).tolist(),
+                  "a_I": self.haar.heap[fams[Q]].tolist()}
+                 for Q, c in sorted(self.coefficients.items())]
         return {
             "p": self.p,
             "r": self.r,
@@ -313,7 +307,8 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
         a_Q = c_Q^{-1} sum over the sub-family of a_I h_I,
 
     so support, cancellation and the equality ||a_Q||_2 = |Q|^{1/2 - 1/p}
-    hold by construction; nodes with c_Q = 0 are dropped.  The checks are
+    hold by construction; a node with c_Q = 0 carries no atom, and a
+    constant f gives an empty run.  The checks are
     :meth:`AtomicDecomposition.verify`'s.
     """
     if not 0.0 < p <= 1.0:
@@ -328,9 +323,6 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     J = f.depth_J
     coeffs = haar_transform(f)
     nodes = coeffs.support_nodes()
-    if not nodes.size:
-        return AtomicDecomposition(SparseCollection([]), {}, {}, {}, f, coeffs,
-                                   coeffs.mean, J, p, r, C, checks={"empty": True})
     dx = f.cell_width
 
     def n_r(vals, d, index):
@@ -340,16 +332,11 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     first = _first_values(nodes, heaps, functionals)
     run, final_C = _with_retries(
         "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
-    # energies add libm squares (np.float_power), as Python's a ** 2 does
-    families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
-    subfam = dict(zip(map(DyadicInterval.from_node, run.order.tolist()), families))
-    coefficients = {}
-    for Q, e in zip(subfam, energy.tolist()):
-        c_Q = Q.length ** (1.0 / p - 0.5) * e ** 0.5
-        if c_Q != 0.0:
-            coefficients[Q] = c_Q
-    deco = AtomicDecomposition(SparseCollection.from_nodes(run.order), coefficients,
-                               subfam, dict(coefficients), f, coeffs, coeffs.mean,
-                               J, p, r, final_C)
+    # libm powers (np.float_power), as Python's a ** 2, |Q| ** e and e ** 0.5
+    energy = _split(run, np.float_power(coeffs.heap, 2.0))[1]
+    length = np.ldexp(1.0, -depth_index(run.order)[0])
+    c = np.float_power(length, 1.0 / p - 0.5) * np.float_power(energy, 0.5)
+    deco = AtomicDecomposition(SparseCollection.from_nodes(run.order), run, c, c.copy(),
+                               f, coeffs, coeffs.mean, J, p, r, final_C)
     deco.checks = deco.verify()
     return deco

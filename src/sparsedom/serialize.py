@@ -58,17 +58,22 @@ def read_weight(path) -> Weight:
 
 
 def _csv_rows(path, width: int):
-    """The rows of a CSV file, blank and '#' lines skipped; a row with fewer
-    than ``width`` fields raises ValueError naming the file and the line."""
+    """(interval, *values) for each (depth, index, *values) row of a CSV
+    file, blank and '#' lines skipped, with the ``width - 2`` values as
+    floats; a row that is short, has a field that is not a number or names
+    no dyadic interval raises ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
-            if len(row) < width:
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"{len(row)} field(s), expected {width}")
-            yield row
+            try:
+                if len(row) < width:
+                    raise ValueError(f"{len(row)} field(s), expected {width}")
+                out = (DyadicInterval(int(row[0]), int(row[1])), *map(float, row[2:width]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            yield out
 
 
 def read_multiplier(path) -> HaarMultiplier:
@@ -76,8 +81,7 @@ def read_multiplier(path) -> HaarMultiplier:
     file that lists one interval twice is rejected, as the constructor
     rejects such a family."""
     eps = {}
-    for row in _csv_rows(path, 3):
-        I, e = DyadicInterval(int(row[0]), int(row[1])), float(row[2])
+    for I, e in _csv_rows(path, 3):
         if I in eps:
             raise ValueError(f"duplicate intervals in multiplier family: "
                              f"({I.depth}, {I.index}) listed twice in {path}")
@@ -93,8 +97,7 @@ def write_multiplier(T: HaarMultiplier, path) -> None:
 
 
 def read_collection(path) -> SparseCollection:
-    return SparseCollection([DyadicInterval(int(row[0]), int(row[1]))
-                             for row in _csv_rows(path, 2)])
+    return SparseCollection([row[0] for row in _csv_rows(path, 2)])
 
 
 def write_collection(S: SparseCollection, path) -> None:

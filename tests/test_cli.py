@@ -333,6 +333,26 @@ class TestCli:
         assert captured.out == "" and captured.err.splitlines() == [
             f"sparsedom: error: {path}, line 4: 1 field(s), expected {width}"]
 
+    @pytest.mark.parametrize("command, row, error", [
+        (["sparse-check", "FILE", "--depth", "4"], "0,x",
+         "invalid literal for int() with base 10: 'x'"),
+        (["sparse-check", "FILE", "--depth", "4"], "3,9", "index 9 out of range at depth 3"),
+        (["dominate", "--mode", "square", "--depth", "4", "--multiplier-file", "FILE"],
+         "0,0,abc", "could not convert string to float: 'abc'"),
+        (["dominate", "--mode", "square", "--depth", "4", "--multiplier-file", "FILE"],
+         "3,9,1.0", "index 9 out of range at depth 3"),
+        (["weak11", "--depth", "4", "--collection", "FILE"], "x,0",
+         "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_bad_csv_field(self, tmp_path, capsys, command, row, error):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"# depth,index\n0,0,1.0\n{row}\n")
+        rc = main([str(path) if arg == "FILE" else arg for arg in command])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"sparsedom: error: {path}, line 3: {error}"]
+
     def test_atoms_command(self, tmp_path):
         out = tmp_path / "atoms.json"
         rc = main(["atoms", "--depth", "5", "--seed", "2", "--p", "1.0",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections.abc import Mapping
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedom import haar, hardy
+from sparsedom import campaign, haar, hardy
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal, lp_norm
 from sparsedom.generate import generate_multiplier, generate_signal, generate_weight
 from sparsedom.haar import (HaarCoefficients, HaarMultiplier, haar_transform, htilde,
@@ -176,6 +177,19 @@ class TestAtomicDecomposition:
         assert len(deco.coefficients) == 0
         assert deco.mean == 0.0
 
+    def test_zero_coefficient_node_carries_no_atom(self):
+        # the square of h_(1,1)'s coefficient underflows: its node stays in
+        # the run with c_Q = 0 and adds nothing beside its sibling's atom
+        heap = np.zeros(16)
+        heap[[I(1, 0).node, I(1, 1).node]] = [1.0, 1e-200]
+        f = inverse_haar_transform(HaarCoefficients(heap, 0.0, 4))
+        deco = atomic_decompose(f, p=1.0)
+        assert list(deco.subfamilies) == [I(1, 0), I(1, 1)]
+        assert list(deco.coefficients) == list(deco.atoms) == [I(1, 0)]
+        _, _, recon, checks = _per_atom_reference(f, 1.0, 4.0)
+        assert deco.checks == checks and deco.ok()
+        assert np.array_equal(deco.reconstruct().values, recon)
+
     def test_mean_reported_and_removed(self):
         f = Signal(np.full(16, 2.5))
         deco = atomic_decompose(f, p=1.0)
@@ -329,17 +343,25 @@ class TestAtomsPerDepth:
 
     def test_atoms_view_is_read_only_mapping(self):
         deco = atomic_decompose(generate_signal("gaussian_noise", 8, seed=3), p=1.0, C=1.0)
-        view = deco.atoms
-        assert isinstance(view, Mapping) and len(view) == len(deco.coefficients)
+        run = deco.run
+        atoms = run.order[deco.scale != 0.0]
         Q = next(iter(deco.coefficients))
-        assert Q in view and I(8, 0) not in view
-        with pytest.raises(TypeError):
-            view[Q] = view[Q]
-        assert list(view) == list(deco.scales)
-        for key in (I(8, 0), Q.node, (Q.depth, Q.index)):
-            assert key not in view
-            with pytest.raises(KeyError):
-                view[key]
+        for view, order in ((deco.atoms, atoms), (deco.coefficients, atoms),
+                            (deco.subfamilies, run.order)):
+            assert isinstance(view, Mapping) and len(view) == order.size
+            assert [P.node for P in view] == order.tolist()
+            assert Q in view and I(8, 0) not in view
+            with pytest.raises(TypeError):
+                view[Q] = view[Q]
+            for key in (I(8, 0), Q.node, (Q.depth, Q.index)):
+                assert key not in view
+                with pytest.raises(KeyError):
+                    view[key]
+        for j, node in enumerate(run.order.tolist()):
+            P = DyadicInterval.from_node(node)
+            assert deco.subfamilies[P].tolist() == sorted(run.members[run.owners == node].tolist())
+            if deco.scale[j]:
+                assert deco.coefficients[P] == deco.c[j]
 
     def test_to_dict_rebuilds_every_atom(self):
         deco = atomic_decompose(generate_signal("sparse_haar", 9, seed=4, k=20), p=0.5, C=1.0)
@@ -363,24 +385,25 @@ class TestAtomsPerDepth:
         deco = atomic_decompose(generate_signal("gaussian_noise", 8, seed=3), p=1.0, C=1.0)
         assert deco.verify() == deco.checks and deco.ok()
         Q = next(Q for Q in deco.coefficients if Q.depth > 0)
+        members, owners = deco.run.members.copy(), deco.run.owners
+        last = {P: np.flatnonzero(owners == P.node)[-1] for P in deco.coefficients}
         moved = {"member_outside": Q.node ^ 1,     # Q's sibling
                  "member_above": Q.node >> 1,      # Q's parent
                  "member_off_grid": 1 << 8}.get(mutation)
         if moved is not None:
-            fam = deco.subfamilies[Q].copy()
-            fam[-1] = moved
-            deco.subfamilies[Q] = fam
+            members[last[Q]] = moved
         elif mutation == "members_swapped":
             # two atoms of one depth trade a member: every depth's summed
             # coefficients, and so every rendered block, stay the same
             Q, R = [P for P in deco.coefficients if P.depth == Q.depth][:2]
-            fq, fr = deco.subfamilies[Q].copy(), deco.subfamilies[R].copy()
-            fq[-1], fr[-1] = fr[-1], fq[-1]
-            deco.subfamilies[Q], deco.subfamilies[R] = fq, fr
-        elif mutation == "shifted_mean":
+            members[[last[Q], last[R]]] = members[[last[R], last[Q]]]
+        if mutation == "shifted_mean":
             deco.mean += 1e-9
+        elif mutation == "scaled_c":
+            deco = dataclasses.replace(deco, c=np.where(deco.run.order == Q.node,
+                                                        2.0 * deco.c, deco.c))
         else:
-            deco.coefficients[Q] *= 2.0
+            deco = dataclasses.replace(deco, run=deco.run._replace(members=members))
         checks = deco.verify()
         assert checks[flipped] is False
         # a new mean or a new weight leaves the atoms as they are, and a swap
@@ -388,6 +411,25 @@ class TestAtomsPerDepth:
         assert checks["atoms_ok"] is (mutation in ("shifted_mean", "scaled_c"))
         if mutation == "members_swapped":
             assert checks["reconstruction_error"] == deco.checks["reconstruction_error"]
+
+    def test_no_interval_is_built(self, monkeypatch):
+        # decomposing, verifying, reconstructing and the campaign's atoms
+        # record work on the run's node arrays alone
+        built = []
+        post_init = DyadicInterval.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        f = generate_signal("gaussian_noise", 12, seed=1)
+        cfg = campaign.CampaignConfig(depth_J=12, trials=1, seed=7, modes=("atoms",))
+        monkeypatch.setattr(DyadicInterval, "__post_init__", counted)
+        deco = atomic_decompose(f, p=1.0, C=1.0)
+        assert deco.verify() == deco.checks and deco.ok() and len(deco.coefficients) > 1
+        assert np.max(np.abs(deco.reconstruct().values - f.values)) < 1e-12
+        assert campaign._run_one(cfg, "atoms", 0)["hard_ok"]
+        assert not built
 
     def test_one_inverse_transform_per_depth(self, monkeypatch):
         calls = []
