@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, depth_index,
-                     lp_norm, weak_l1_quasinorm)
+                     lp_norm)
 from .maximal import MaximalKind, maximal
 
 __all__ = ["CZDecomposition", "cz_decompose", "weak11_certify"]
@@ -420,10 +420,13 @@ def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,
     level-set quasinorm, and the per-level constants lambda |{|op f| >
     lambda}|.  The dyadic sets are scanned one depth at a time: every E of
     depth d has |E| = 2**-d, so one mask M f < K 2**d and one block sum per
-    depth give every count and an approximate integral.  Only the intervals
-    whose block sum is within 1e-9 relative of the largest are summed again
-    over their own E' cells, as a set-by-set scan sums them, so ``proxy`` and
-    ``worst_E`` (the first set reaching it) match that scan bit for bit.
+    depth give every count and an approximate integral (:func:`kernels.row_counts`
+    and :func:`kernels.row_sums`, column by column on narrow rows).  Only the
+    intervals whose block sum is within 1e-9 relative of the largest are
+    summed again over their own E' cells, as a set-by-set scan sums them, so
+    ``proxy`` and ``worst_E`` (the first set reaching it) match that scan bit
+    for bit.  One sort of |op f| gives the levels, the count of cells at or
+    above each and the quasinorm.
     """
     if K <= 0:
         raise ValueError("K must be > 0")
@@ -448,9 +451,9 @@ def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,
         size = 1 << (J - d)
         measure_e = size * dx
         eprime = mf < K / measure_e
-        if np.any(2.0 * eprime.reshape(-1, size).sum(axis=1) * dx < measure_e):
+        if np.any(2.0 * kernels.row_counts(eprime.reshape(-1, size)) * dx < measure_e):
             majority_ok = False
-        approx.append(np.where(eprime, tf, 0.0).reshape(-1, size).sum(axis=1))
+        approx.append(kernels.row_sums(np.where(eprime, tf, 0.0).reshape(-1, size)))
     approx = np.concatenate(approx)     # entry node - 1: the test order
 
     proxy = 0.0
@@ -465,35 +468,43 @@ def weak11_certify(op, f: Signal, K: float = 4.0, seed: int = 0,
             i = node - (1 << d)
             size = 1 << (J - d)
             block = slice(i * size, (i + 1) * size)
-            val = float(np.sum(tf[block][mf[block] < K / (size * dx)]) * dx)
+            val = float(np.sum(np.compress(mf[block] < K / (size * dx), tf[block])) * dx)
             if val > proxy:
                 proxy, worst = val, f"dyadic d={d} i={i}"
 
     rng = np.random.default_rng(seed)
     for t in range(n_random_sets):
         mask = rng.random(n) < rng.uniform(0.1, 0.9)
-        if not mask.any():
+        count = np.count_nonzero(mask)
+        if not count:
             continue
-        measure_e = mask.sum() * dx
+        measure_e = count * dx
         eprime = mask & (mf < K / measure_e)
-        if 2.0 * eprime.sum() * dx < measure_e:
+        if 2.0 * np.count_nonzero(eprime) * dx < measure_e:
             majority_ok = False
-        val = float(np.sum(tf[eprime]) * dx)
+        val = float(np.sum(np.compress(eprime, tf)) * dx)
         if val > proxy:
             proxy, worst = val, f"random #{t}"
 
-    levels = np.unique(tf[tf > 0])
+    # one ascending sort gives the distinct positive levels (the first of
+    # each run of equal values above 0; NaNs sort last), the count of cells
+    # >= each level, and the quasinorm max over cells of |op f| times the
+    # count of cells at or above it, which is lambda |{|op f| >= lambda}|
     srt = np.sort(tf)
-    n_ge = tf.size - np.searchsorted(srt, levels, side="left")
-    weak_constants = [float(lam * k * dx) for lam, k in zip(levels, n_ge)]
-    quasinorm = weak_l1_quasinorm(Signal(tf))
+    first = np.searchsorted(srt, 0.0, side="right")
+    pos = srt[first : np.searchsorted(srt, np.inf, side="right")]
+    start = np.ones(pos.size, dtype=bool)
+    np.not_equal(pos[1:], pos[:-1], out=start[1:])
+    levels = pos[start]
+    n_ge = n - first - np.flatnonzero(start)
+    quasinorm = float(np.max(srt * np.arange(n, 0, -1))) * dx
     return {
         "weak_quasinorm": quasinorm,
         "proxy": proxy,
         "majority_ok": majority_ok,
         "crosscheck_ok": bool(quasinorm <= 2.0 * proxy * (1.0 + 1e-9)) if proxy > 0 else quasinorm == 0.0,
-        "alpha_levels": [float(x) for x in levels],
-        "weak_constants": weak_constants,
+        "alpha_levels": levels.tolist(),
+        "weak_constants": (levels * n_ge * dx).tolist(),
         "worst_E": worst,
         "K": K,
     }

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .dyadic import DyadicInterval, Signal
 
 __all__ = ["MaximalKind", "maximal", "local_mean_oscillation", "DEFAULT_LAMBDA"]
@@ -36,30 +37,35 @@ class MaximalKind:
         return cls("sharp")
 
 
-def _depth_functional_hl(f, d):
-    B = 1 << (f.depth_J - d)
-    return np.abs(f.values).reshape(-1, B).sum(axis=1) / B
+def _depth_functional_hl(absf, B):
+    return kernels.row_sums(absf.reshape(-1, B)) / B
 
 
-def _depth_functional_sharp(f, d):
-    B = 1 << (f.depth_J - d)
-    blocks = f.values.reshape(-1, B)
-    means = blocks.mean(axis=1, keepdims=True)
-    return np.abs(blocks - means).mean(axis=1)
+def _depth_functional_sharp(values, B):
+    blocks = values.reshape(-1, B)
+    means = kernels.row_sums(blocks) / B
+    return kernels.row_sums(np.abs(blocks - means[:, None])) / B
 
 
 def maximal(f: Signal, kind: MaximalKind) -> Signal:
-    """Pointwise sup over dyadic intervals containing x of the local functional."""
+    """Pointwise sup over dyadic intervals containing x of the local functional.
+
+    The functional of every depth-d interval is one row of a block array
+    (:func:`kernels.row_sums`, numpy's ``mean`` bit for bit), and the sup is
+    one top-down pass: a depth-d interval's running max is the max of its
+    parent's and its own value, taken in that order, so every cell gets the
+    maxima of depths 0, 1, ..., J in that order.  hl reads |f| once.
+    """
     if kind.name == "hl":
-        functional = _depth_functional_hl
+        functional, values = _depth_functional_hl, np.abs(f.values)
     elif kind.name == "sharp":
-        functional = _depth_functional_sharp
+        functional, values = _depth_functional_sharp, f.values
     else:
         raise ValueError(f"unknown maximal kind {kind.name!r}")
     J = f.depth_J
-    out = np.full(f.n_cells, -np.inf)
-    for d in range(J + 1):
-        np.maximum(out, np.repeat(functional(f, d), 1 << (J - d)), out=out)
+    out = functional(values, 1 << J)
+    for d in range(1, J + 1):
+        out = np.maximum(out[:, None], functional(values, 1 << (J - d)).reshape(-1, 2)).ravel()
     return Signal(out)
 
 
@@ -73,7 +79,7 @@ def shortest_window_oscillation(sorted_vals: np.ndarray, k: int):
     keep = m - k
     if keep <= 1:
         return np.zeros(sorted_vals.shape[:-1])
-    return np.min(sorted_vals[..., keep - 1 :] - sorted_vals[..., : m - keep + 1], axis=-1) / 2.0
+    return kernels.row_min(sorted_vals[..., keep - 1 :] - sorted_vals[..., : m - keep + 1]) / 2.0
 
 
 def local_mean_oscillation(f: Signal, I: DyadicInterval, lam: float) -> float:

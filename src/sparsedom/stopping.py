@@ -867,57 +867,85 @@ def lerner_decompose(phi: Signal, Q0: DyadicInterval,
     factor two in measure, inside a level set of measure lam |Q|, so the
     1/2 child budget is guaranteed for lam <= 1/8 (promotion doubles the
     bound to 4 lam |Q|); the budget is re-checked either way.
+
+    Medians and oscillations are read off one sorted block array per depth
+    (:func:`kernels.sort_rows`).  Each generation walks the subtrees of its
+    agenda as node arrays, a level at a time, and stops below a node whose
+    child's median jumps: that node is the promoted child, and nothing
+    below it can be a maximal promotion.  The omega sum is added top down,
+    shallow first.  Raises ValueError when phi has a non-finite cell; every
+    flag of the report is a Python bool.
     """
     if not 0.0 < lam < 0.5:
         raise ValueError("lambda must lie in (0, 1/2)")
     J = phi.depth_J
     phi._check(Q0)
+    check_finite(phi)
 
-    # medians and window oscillations of every node below Q0, as heaps
+    # medians and window oscillations of every node below Q0, as heaps; a
+    # sorting network may swap -0.0 and +0.0, which moves no comparison and
+    # no sum below, and the root row, read by the report, is one row, which
+    # numpy sorts itself
     size = 2 << J
     med, om = np.zeros(size), np.zeros(size)
     lo, hi = Q0.cell_range(J)
-    firsts = {}
     for d in range(Q0.depth, J + 1):
         B = 1 << (J - d)
-        blocks = np.sort(phi.values[lo:hi].reshape(-1, B), axis=1)
-        first = firsts[d] = (1 << d) + (Q0.index << (d - Q0.depth))
+        blocks = kernels.sort_rows(phi.values[lo:hi].reshape(-1, B))
+        first = (1 << d) + (Q0.index << (d - Q0.depth))
         row = slice(first, first + blocks.shape[0])
         med[row] = blocks[:, (B - 1) // 2]
         om[row] = shortest_window_oscillation(blocks, int(np.floor(lam * B)))
 
+    def jumps(P, Q):
+        return np.abs(med[P] - med[Q]) > 2.0 * om[Q]
+
+    def children(nodes, owners):
+        kids = np.repeat(nodes * 2, 2)
+        kids[1::2] += 1
+        return kids, np.repeat(owners, 2)
+
     # one generation at a time: the raw stopping nodes are the maximal P
     # strictly inside an agenda node Q whose median jumps, each promoted to
-    # its parent unless that is Q, and the children the maximal promotions
+    # its parent unless that is Q, and the children the maximal promotions.
+    # The walk tests both children of a node at once: a jumping child of Q
+    # is its own promotion; below Q, a node with a jumping child is the
+    # promotion and is not entered, so every promotion found is maximal.
+    leaf = 1 << J                    # the cells, which have no children
     generations = []
     agenda = np.array([Q0.node])
     while agenda.size:
         generations.append(agenda)
-        owner = np.zeros(size, dtype=np.intp)
-        owner[agenda] = agenda
-        owner = kernels.ancestor_max(owner)
-        inside = owner > 0
-        inside[agenda] = False
-        raw = kernels.maximal_nodes(inside & (np.abs(med - med[owner]) > 2.0 * om[owner]))
-        promoted = np.where(raw >> 1 == owner[raw], raw, raw >> 1)
-        agenda = kernels.maximal_nodes(kernels.node_mask(promoted, size))
+        inner = agenda[agenda < leaf]
+        P, Q = children(inner, inner)
+        jump = jumps(P, Q)
+        found = [P[jump]]
+        go = ~jump & (P < leaf)
+        X, Q = P[go], Q[go]
+        while X.size:
+            hit = jumps(2 * X, Q) | jumps(2 * X + 1, Q)
+            found.append(X[hit])
+            go = ~hit & (X < leaf >> 1)
+            X, Q = children(X[go], Q[go])
+        agenda = np.concatenate(found)
     selected = np.concatenate(generations)
     collection = SparseCollection.from_nodes(selected)
     # each node's children are the maximal selected nodes strictly inside it
     budget_ok = child_budget_ok(collection.nodes, collection.parents)
 
-    # sum of omega over the selected Q containing each cell, added depth by
-    # depth, shallow first: the order a depth-first walk adds them in
-    chosen = kernels.node_mask(selected, size)
-    osum = np.zeros(hi - lo)
-    for d, first in firsts.items():
-        row = slice(first, first + (1 << (d - Q0.depth)))
-        osum += np.repeat(np.where(chosen[row], om[row], 0.0), 1 << (J - d))
+    # sum of omega over the selected Q containing each cell, top down from
+    # +0.0, shallow first: the order a depth-first walk adds them in
+    om_sel = np.zeros(size)
+    om_sel[selected] = om[selected]
+    osum = 0.0 + om_sel[Q0.node : Q0.node + 1]
+    for d in range(Q0.depth + 1, J + 1):
+        first = (1 << d) + (Q0.index << (d - Q0.depth))
+        osum = (osum[:, None] + om_sel[first : first + 2 * osum.size].reshape(-1, 2)).ravel()
     dev = np.abs(phi.values[lo:hi] - med[Q0.node])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dev > 0, dev / osum, 0.0)
-    realized_K = float(np.max(ratio)) if ratio.size else 0.0
-    pointwise_ok = bool(np.all((dev == 0.0) | (osum > 0.0))) and np.isfinite(realized_K)
+    realized_K = float(np.max(ratio))
+    pointwise_ok = bool(np.all((dev == 0.0) | (osum > 0.0)) and np.isfinite(realized_K))
 
     report = {
         "lambda": lam,

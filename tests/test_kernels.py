@@ -322,3 +322,64 @@ def test_subtree_profile_integral_identity():
     vals[1:] = rng.standard_normal((1 << J) - 1) ** 2
     prof = kernels.subtree_profile(vals, J, 0, 0)
     assert np.sum(prof) / (1 << J) == pytest.approx(np.sum(vals), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# narrow-row layer: each helper against the numpy call it replaces
+# ---------------------------------------------------------------------------
+
+#: signed zeros, subnormals, the normal limit, +-inf and 1e+-300
+_EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022,
+               np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0, 3.0]
+
+
+@st.composite
+def _row_blocks(draw):
+    """A (rows, width) block array, or one row as a 1-D array, with the row
+    count on either side of kernels.NARROW."""
+    width = draw(st.integers(1, 16))
+    rows = draw(st.sampled_from([0, 1, 2, 7, kernels.NARROW, 9, 33]))
+    cell = st.one_of(st.sampled_from(_EDGE_CELLS),
+                     st.floats(allow_nan=False, allow_subnormal=True))
+    cells = draw(st.lists(cell, min_size=max(rows, 1) * width,
+                          max_size=max(rows, 1) * width))
+    a = np.array(cells, dtype=float)
+    return a if rows == 0 else a.reshape(rows, width)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_row_blocks())
+def test_row_reductions_equal_numpy_bit_for_bit(a):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _bits(kernels.row_sums(a)) == _bits(np.sum(a, axis=-1))
+    assert _bits(kernels.row_min(a)) == _bits(np.min(a, axis=-1))
+    for mask in (a > 0, np.signbit(a), a == a):
+        assert _bits(kernels.row_counts(mask)) == _bits(mask.sum(axis=-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_row_blocks())
+def test_sort_rows_equals_np_sort_up_to_the_sign_of_zero(a):
+    got, want = kernels.sort_rows(a), np.sort(a, axis=-1)
+    assert np.array_equal(got, want)
+    # only a zero may differ, and only in its sign
+    assert _bits(got + 0.0) == _bits(want + 0.0)
+    if a.ndim == 1 or a.shape[0] < kernels.NARROW or a.shape[-1] not in (2, 4):
+        assert _bits(got) == _bits(want)   # numpy's own sort, or a copy
+
+
+def test_narrow_paths_are_taken_and_zero_signs_may_differ():
+    # rows of 2 and 4 with at least NARROW rows go through the networks,
+    # which may return a pair of zeros in another order or with one sign
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0]] * kernels.NARROW)
+    assert kernels._by_columns(zeros) and not kernels._by_columns(zeros[:1])
+    assert not kernels._by_columns(np.zeros((64, kernels.NARROW)))
+    got = kernels.sort_rows(zeros)
+    assert np.array_equal(got, zeros) and np.all(got == 0.0)
+    # a lone row, as Lerner's root row, is numpy's sort bit for bit
+    assert _bits(kernels.sort_rows(zeros[:1])) == _bits(np.sort(zeros[:1], axis=-1))

@@ -15,7 +15,8 @@ from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multipli
                                 generate_signal, generate_weight)
 from sparsedom.haar import HaarMultiplier, haar_transform, htilde, tilde_size
 from sparsedom.hardy import Weight, atomic_decompose
-from sparsedom.maximal import MaximalKind, local_mean_oscillation, maximal
+from sparsedom.maximal import (MaximalKind, local_mean_oscillation, maximal,
+                               shortest_window_oscillation)
 from sparsedom.stopping import (dominate_avg, dominate_oscillation,
                                 dominate_square, dominate_weighted,
                                 lerner_decompose)
@@ -1415,3 +1416,38 @@ class TestLerner:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             lerner_decompose(Signal(np.ones(8)), ROOT, lam=0.75)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_raises(self, bad):
+        vals = np.linspace(-1.0, 1.0, 16)
+        vals[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lerner_decompose(Signal(vals), ROOT)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant", "wide", "spike"))
+    def test_flags_are_python_bools(self, kind):
+        S, rep = lerner_decompose(_test_signal(kind, 7, 11), ROOT)
+        assert type(rep["pointwise_ok"]) is bool and type(rep["child_budget_ok"]) is bool
+        assert all(type(rep[k]) is float for k in ("K", "median_Q0", "omega_Q0"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(J=st.integers(1, 7), seed=st.integers(0, 10_000), depth=st.integers(0, 7),
+           lam=st.sampled_from([0.05, 0.125, 0.3, 0.45]))
+    def test_signed_zeros(self, J, seed, depth, lam):
+        # mostly zeros of both signs: the sorting networks may swap -0.0 and
+        # +0.0, which moves no jump test and no omega sum, and the root row,
+        # which the report reads, is numpy's own sort bit for bit
+        rng = np.random.default_rng(seed)
+        vals = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -2.0], 1 << J)
+        phi = Signal(vals)
+        d = min(depth, J)
+        Q0 = I(d, seed % (1 << d))
+        S, rep = lerner_decompose(phi, Q0, lam=lam)
+        selected, children_map, K = _reference_lerner(phi, Q0, lam)
+        assert list(S) == selected and repr(rep["K"]) == repr(K)
+        assert all(set(S.children(Q)) == set(children_map[Q]) for Q in S)
+        lo, hi = Q0.cell_range(J)
+        root = np.sort(vals[lo:hi])
+        assert repr(rep["median_Q0"]) == repr(float(root[(hi - lo - 1) // 2]))
+        omega = shortest_window_oscillation(root, int(np.floor(lam * (hi - lo))))
+        assert repr(rep["omega_Q0"]) == repr(float(omega))
