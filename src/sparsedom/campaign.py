@@ -72,6 +72,8 @@ class CampaignConfig:
             raise ValueError("hardy_p must lie in (0, 1]")
         if self.r is not None and not 0.0 < self.r < self.hardy_p:
             raise ValueError("need 0 < r < hardy_p")
+        if self.n_intervals < 0:
+            raise ValueError(f"n_intervals must be >= 0, got {self.n_intervals}")
         if self.signal_kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal_kind {self.signal_kind!r}")
         if self.chi_M < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import chi_kernel, interval_sums
+from .kernels import chi_kernel, interval_sums, row_oscillations
 
 #: relative slack used when certifying inequalities in floating point
 REL_SLACK = 1e-9
@@ -114,20 +114,20 @@ def plain_checks(checks: dict) -> dict:
 
 class NodeMap(Mapping):
     """Read-only view keyed by dyadic intervals: Q -> ``build(k, Q)``, where
-    k is Q's row in the sorted heap nodes ``order``, built on access.
+    k is Q's position in the heap nodes ``order``, built on access.
     Iterates ``order`` as given, which need not be sorted.  Anything but an
     interval of ``order`` is not ``in`` the view and raises KeyError."""
 
     def __init__(self, order, build):
         self._order = np.asarray(order, dtype=np.intp)
-        self._keys = np.sort(self._order)
+        self._sorter = np.argsort(self._order)
         self._build = build
 
     def _row(self, Q):
         if isinstance(Q, DyadicInterval):
-            k = int(np.searchsorted(self._keys, Q.node))
-            if k < self._keys.size and self._keys[k] == Q.node:
-                return k
+            k = int(np.searchsorted(self._order, Q.node, sorter=self._sorter))
+            if k < self._order.size and self._order[self._sorter[k]] == Q.node:
+                return int(self._sorter[k])
         return None
 
     def __getitem__(self, Q):
@@ -254,8 +254,9 @@ def oscillation(f: Signal, I):
 
     I is one DyadicInterval, or an int array of heap nodes of one depth, for
     which one value per node comes back as an array.  Either way the blocks
-    are rows of ``f.values.reshape(2**depth, -1)`` and each value takes two
-    row means, so an interval's value is its one-row call bit for bit.
+    are rows of ``f.values.reshape(2**depth, -1)`` and each value is
+    :func:`kernels.row_oscillations` of its row, so an interval's value is
+    its one-row call bit for bit.
     """
     one = isinstance(I, DyadicInterval)
     nodes = np.array([I.node]) if one else np.asarray(I, dtype=np.intp)
@@ -267,8 +268,7 @@ def oscillation(f: Signal, I):
     index = nodes - (1 << depth)
     if np.any((index < 0) | (index >= 1 << depth)):
         raise ValueError("heap nodes must share one depth")
-    blocks = f.values.reshape(1 << depth, -1)[index]
-    out = np.mean(np.abs(blocks - np.mean(blocks, axis=1)[:, None]), axis=1)
+    out = row_oscillations(f.values.reshape(1 << depth, -1)[index])
     return float(out[0]) if one else out
 
 

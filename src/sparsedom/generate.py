@@ -94,6 +94,8 @@ def generate_multiplier(J: int, seed: int = 0, n_intervals: int = 128,
 
     The nodes are drawn first, then one coefficient per node in node order;
     a vector draw takes the same values as that many scalar draws."""
+    if n_intervals < 0:
+        raise ValueError(f"n_intervals must be >= 0, got {n_intervals}")
     rng = np.random.default_rng(seed)
     pool = np.arange(1, 1 << J)
     take = min(n_intervals, pool.shape[0])

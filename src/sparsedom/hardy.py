@@ -2,9 +2,10 @@
 sparse atomic decomposition.
 
 The atomic decomposition runs the same norm stopping time as the square
-function domination, with a single function and exponent r < p; each node's
-atom collects the Haar modes of its sub-family, so support and cancellation
-are exact and the L2 normalization is met with equality.  The decomposition
+function domination, entering the engine through ``stopping._stop`` with a
+single function and exponent r < p; each node's atom collects the Haar
+modes of its sub-family, so support and cancellation are exact and the L2
+normalization is met with equality.  The decomposition
 holds the run's node arrays (``stopping._Run``), f's coefficients and two
 arrays aligned with the run order, ``c`` (c_Q in the sum) and ``scale`` (c_Q
 as the atom was normalized), never an atom as a length-n vector: the Q of one
@@ -27,8 +28,7 @@ from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, d
                      lp_norm, plain_checks)
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import (_first_values, _grouped, _lp_values, _Run, _run_family, _split,
-                       _squared, _with_retries)
+from .stopping import _grouped, _hardy_exponents, _lp_values, _owner_sums, _Run, _squared, _stop
 
 __all__ = [
     "Weight", "ap_characteristic", "square_function", "hardy_norm",
@@ -74,11 +74,6 @@ class Weight:
         return f"Weight(J={self.depth_J})"
 
 
-def _depth_means(values, depth_J, d):
-    B = 1 << (depth_J - d)
-    return values.reshape(-1, B).mean(axis=1)
-
-
 def ap_characteristic(w: Weight, p: float) -> float:
     """Muckenhoupt characteristic sup over dyadic Q of (avg w)(avg w^{1-p'})^{p-1}."""
     if p <= 1:
@@ -87,8 +82,8 @@ def ap_characteristic(w: Weight, p: float) -> float:
     dual = w.values**dual_exp
     best = 0.0
     for d in range(w.depth_J + 1):
-        a = _depth_means(w.values, w.depth_J, d)
-        b = _depth_means(dual, w.depth_J, d)
+        a = kernels.row_means(w.values.reshape(1 << d, -1))
+        b = kernels.row_means(dual.reshape(1 << d, -1))
         best = max(best, float(np.max(a * b ** (p - 1.0))))
     return best
 
@@ -141,9 +136,11 @@ class AtomicDecomposition:
     built; both are 0.0 at a node that carries no atom.  The atom
     a_Q = scale_Q^{-1} sum over Q's sub-family of a_I h_I, with a_I read off
     ``haar`` (f's coefficients).  ``coefficients``, ``subfamilies`` and
-    ``atoms`` are read-only views keyed by interval; :attr:`atoms` builds one
-    length-n Signal per read, while :meth:`reconstruct` and :meth:`verify`
-    take one inverse transform per depth of Q (:meth:`_render`).
+    ``atoms`` are read-only views keyed by interval, in run order, that read
+    each Q's group and c_Q at its position in ``run.order``; :attr:`atoms`
+    builds one length-n Signal per read, while :meth:`reconstruct` and
+    :meth:`verify` take one inverse transform per depth of Q
+    (:meth:`_render`).
     """
 
     collection: SparseCollection
@@ -163,8 +160,7 @@ class AtomicDecomposition:
         """A view over the atoms in run order: Q -> ``build(j, Q)``, with j
         Q's position in ``run.order``."""
         at = np.flatnonzero(self.scale)
-        rows = at[np.argsort(self.run.order[at])]
-        return NodeMap(self.run.order[at], lambda k, Q: build(rows[k], Q))
+        return NodeMap(self.run.order[at], lambda k, Q: build(at[k], Q))
 
     @property
     def coefficients(self) -> Mapping:
@@ -175,7 +171,7 @@ class AtomicDecomposition:
     def subfamilies(self) -> Mapping:
         """Q -> Q's sub-family as an array of heap nodes in node order, for
         every node of the run; iterates the run in run order."""
-        family, starts = _grouped(self.collection.nodes, self.run.owners, self.run.members)
+        family, starts = _grouped(self.run.order, self.run.owners, self.run.members)
         return NodeMap(self.run.order, lambda k, Q: family[starts[k] : starts[k + 1]])
 
     @property
@@ -311,14 +307,7 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     constant f gives an empty run.  The checks are
     :meth:`AtomicDecomposition.verify`'s.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if r is None:
-        r = p / 2.0
-    if not 0.0 < r < p:
-        raise ValueError("need 0 < r < p")
-    if C < 1.0:
-        raise ValueError("stopping constant C must be >= 1")
+    r = _hardy_exponents(p, r, C)
     check_finite(f)
     J = f.depth_J
     coeffs = haar_transform(f)
@@ -328,12 +317,9 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     def n_r(vals, d, index):
         return _lp_values(vals, J, d, index, r, dx)
 
-    heaps, functionals = (_squared(coeffs.heap, "f"),), (n_r,)
-    first = _first_values(nodes, heaps, functionals)
-    run, final_C = _with_retries(
-        "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
+    run, final_C, _ = _stop("atoms", nodes, (_squared(coeffs.heap, "f"),), (n_r,), C)
     # libm powers (np.float_power), as Python's a ** 2, |Q| ** e and e ** 0.5
-    energy = _split(run, np.float_power(coeffs.heap, 2.0))[1]
+    energy = _owner_sums(run, np.float_power(coeffs.heap, 2.0))
     length = np.ldexp(1.0, -depth_index(run.order)[0])
     c = np.float_power(length, 1.0 / p - 0.5) * np.float_power(energy, 0.5)
     deco = AtomicDecomposition(SparseCollection.from_nodes(run.order), run, c, c.copy(),

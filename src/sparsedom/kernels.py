@@ -44,7 +44,9 @@ closure) and :func:`maximal_nodes`; node arrays are deduplicated by
 
 Block arrays, one row per same-depth interval and 2**(J-d) cells a row,
 are reduced and sorted along their rows by :func:`row_sums`,
-:func:`row_counts`, :func:`row_min` and :func:`sort_rows`.  numpy runs its
+:func:`row_counts`, :func:`row_min` and :func:`sort_rows`; the block mean
+(:func:`row_means`) and the block L^1 oscillation
+(:func:`row_oscillations`) are row sums over the width.  numpy runs its
 own ``sum``, ``min`` and ``sort`` along an axis once per row, at tens of
 nanoseconds a call, which is most of the time when the rows hold 1 to 4
 cells: at n = 2**14, ``np.min(axis=1)`` over 8192 rows of 2 takes 30 to 50
@@ -56,9 +58,11 @@ one at a time from +0.0; the min and the count are exact; rows of 2 and 4
 cells are sorted by min/max networks.  A network may order -0.0 and +0.0
 differently from ``np.sort`` (it can even give both places the same
 zero), but no other value.  The dyadic maximal function
-(:func:`maximal.maximal`), the weak (1,1) scan (:func:`cz.weak11_certify`)
-and Lerner's medians and oscillations (:func:`stopping.lerner_decompose`,
-through :func:`maximal.shortest_window_oscillation`) use them.
+(:func:`maximal.maximal`), the weak (1,1) scan (:func:`cz.weak11_certify`),
+Lerner's medians and oscillations (:func:`stopping.lerner_decompose`,
+through :func:`maximal.shortest_window_oscillation`), the L^1 oscillation
+(:func:`dyadic.oscillation`) and the A_p characteristic
+(:func:`hardy.ap_characteristic`) use them.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ __all__ = [
     "sorted_unique",
     "NARROW",
     "row_sums",
+    "row_means",
+    "row_oscillations",
     "row_counts",
     "row_min",
     "sort_rows",
@@ -389,6 +395,18 @@ def row_sums(a):
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
+
+
+def row_means(a):
+    """``np.mean(a, axis=-1)`` bit for bit: numpy divides the same sum by
+    the row width."""
+    return row_sums(a) / a.shape[-1]
+
+
+def row_oscillations(a):
+    """The L^1 oscillation of each last-axis row: the mean of |a - the
+    row's mean|."""
+    return row_means(np.abs(a - row_means(a)[..., None]))
 
 
 def row_counts(a):

@@ -37,35 +37,27 @@ class MaximalKind:
         return cls("sharp")
 
 
-def _depth_functional_hl(absf, B):
-    return kernels.row_sums(absf.reshape(-1, B)) / B
-
-
-def _depth_functional_sharp(values, B):
-    blocks = values.reshape(-1, B)
-    means = kernels.row_sums(blocks) / B
-    return kernels.row_sums(np.abs(blocks - means[:, None])) / B
-
-
 def maximal(f: Signal, kind: MaximalKind) -> Signal:
     """Pointwise sup over dyadic intervals containing x of the local functional.
 
     The functional of every depth-d interval is one row of a block array
-    (:func:`kernels.row_sums`, numpy's ``mean`` bit for bit), and the sup is
+    (:func:`kernels.row_means` of |f| for hl, :func:`kernels.row_oscillations`
+    of f for sharp, numpy's ``mean`` bit for bit), and the sup is
     one top-down pass: a depth-d interval's running max is the max of its
     parent's and its own value, taken in that order, so every cell gets the
     maxima of depths 0, 1, ..., J in that order.  hl reads |f| once.
     """
     if kind.name == "hl":
-        functional, values = _depth_functional_hl, np.abs(f.values)
+        functional, values = kernels.row_means, np.abs(f.values)
     elif kind.name == "sharp":
-        functional, values = _depth_functional_sharp, f.values
+        functional, values = kernels.row_oscillations, f.values
     else:
         raise ValueError(f"unknown maximal kind {kind.name!r}")
     J = f.depth_J
-    out = functional(values, 1 << J)
+    out = functional(values.reshape(-1, 1 << J))
     for d in range(1, J + 1):
-        out = np.maximum(out[:, None], functional(values, 1 << (J - d)).reshape(-1, 2)).ravel()
+        rows = functional(values.reshape(-1, 1 << (J - d)))
+        out = np.maximum(out[:, None], rows.reshape(-1, 2)).ravel()
     return Signal(out)
 
 

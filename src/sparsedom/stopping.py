@@ -8,14 +8,16 @@ measure) and the domination inequality are all re-verified numerically.
 
 One engine, :func:`_run_family`, runs every stopping time (avg, square,
 weighted, osc, atoms) a generation at a time on heap arrays, with one child
-rule.  Node arrays run from the multiplier (``T.nodes``, ``T.eps``) through
-the engine to the certificate, which keeps the run's node arrays and one
-array per per-node quantity.  No :class:`DyadicInterval` is built per family
-member: the certificate's ``subfamilies``, ``children`` and
-``per_interval`` are read-only views that build intervals when read, and
-``to_dict`` writes (depth, index) pairs from one pass over all nodes.
-Avg's tilde sizes are the one per-node exception: one interval per
-collection node and signal.
+rule, and every mode enters it through :func:`_stop`, which doubles C.
+Node arrays run from the multiplier (``T.nodes``, ``T.eps``) through the
+engine to the certificate, which keeps the run's node arrays and one array
+per per-node quantity, aligned with the run order.  The run's members and
+children are grouped by their owner's position in the run order, once
+(:func:`_grouped`); no :class:`DyadicInterval` is built per family member:
+the certificate's ``subfamilies`` and ``children`` are read-only views that
+build intervals when read, and ``to_dict`` writes (depth, index) pairs from
+one pass over all nodes.  Avg's tilde sizes are the one per-node exception:
+one interval per collection node and signal.
 
 The stopping threshold C only needs to be "large enough"; runs start from
 the given C and double it, a bounded number of times, while an attempt
@@ -26,7 +28,7 @@ fails: an agenda node rejects itself, or a generation's children break the
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,44 +58,31 @@ class _RetryNeeded(Exception):
     pass
 
 
-class _PerQ(Sequence):
-    """Read-only view of the per-node records in run order: {"Q": interval,
-    name: value, ...} built on access from the per-Q arrays; a name listed
-    in ``where`` appears only at the nodes its mask marks."""
-
-    def __init__(self, order, columns, where):
-        self._order, self._columns, self._where = order, columns, where
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]
-        entry = {"Q": DyadicInterval.from_node(int(self._order[k]))}
-        for name, column in self._columns.items():
-            if name not in self._where or self._where[name][k]:
-                entry[name] = float(column[k])
-        return entry
-
-    def __len__(self):
-        return self._order.size
+def _positions(order, nodes):
+    """Each of ``nodes``' position in ``order``, which holds every one of
+    them and need not be sorted."""
+    sorter = np.argsort(order)
+    return sorter[np.searchsorted(order, nodes, sorter=sorter)]
 
 
-def _grouped(keys, owners, items):
+def _grouped(order, owners, items):
     """(grouped, starts): ``items`` grouped by owner, the groups in the order
-    of the sorted ``keys`` and each in listed order; group k is
+    of ``order`` and each in listed order; the group of ``order[k]`` is
     ``grouped[starts[k]:starts[k + 1]]``."""
-    rank = np.searchsorted(keys, owners)
-    counts = np.bincount(rank, minlength=keys.size)
-    return items[np.argsort(rank, kind="stable")], np.append(0, np.cumsum(counts))
+    at = _positions(order, owners)
+    counts = np.bincount(at, minlength=order.size)
+    return items[np.argsort(at, kind="stable")], np.append(0, np.cumsum(counts))
 
 
 @dataclass(eq=False)
 class DominationCertificate:
     """A run and its checks.  ``run`` holds the run's node arrays; ``per_q``
     holds one array per per-node quantity (``rhs_term``, ``lambda_Q``, then
-    the mode's extras), aligned with ``run.order``, and ``per_q_where`` the
-    mask of a quantity only some nodes have.  ``subfamilies``, ``children``
-    and ``per_interval`` are read-only views over them."""
+    the mode's extras), aligned with ``run.order``.  A quantity that only
+    some nodes have (avg's tilde sizes, at the nodes with a nonempty
+    sub-family) is 0.0 at the others.  ``subfamilies`` and ``children`` are
+    read-only views over the run's groups, keyed by interval and in run
+    order, so position k of a view is position k of every ``per_q`` array."""
 
     mode: str
     collection: SparseCollection
@@ -106,7 +95,6 @@ class DominationCertificate:
     checks: dict
     run: _Run
     per_q: dict
-    per_q_where: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
@@ -114,11 +102,11 @@ class DominationCertificate:
 
     @functools.cached_property
     def _families(self):
-        return _grouped(self.collection.nodes, self.run.owners, self.run.members)
+        return _grouped(self.run.order, self.run.owners, self.run.members)
 
     @functools.cached_property
     def _children(self):
-        return _grouped(self.collection.nodes, self.run.parents, self.run.kids)
+        return _grouped(self.run.order, self.run.parents, self.run.kids)
 
     def _groups(self, grouped) -> Mapping:
         items, starts = grouped
@@ -137,20 +125,15 @@ class DominationCertificate:
         iterates the collection in run order."""
         return self._groups(self._children)
 
-    @property
-    def per_interval(self) -> Sequence:
-        """One record per run node, in run order."""
-        return _PerQ(self.run.order, self.per_q, self.per_q_where)
-
     def to_dict(self) -> dict:
         # every node's (depth, index) pair from one pass; each Q's family and
-        # children are slices of that one list
-        keys = self.collection.nodes
+        # children are slices of that one list, and per_Q lists Q in node order
+        order = self.run.order
         family, family_starts = self._families
         kids, kid_starts = self._children
-        pairs = np.stack(depth_index(np.concatenate((keys, family, kids))), axis=1).tolist()
-        fs = (family_starts + keys.size).tolist()
-        ks = (kid_starts + keys.size + family.size).tolist()
+        pairs = np.stack(depth_index(np.concatenate((order, family, kids))), axis=1).tolist()
+        fs = (family_starts + order.size).tolist()
+        ks = (kid_starts + order.size + family.size).tolist()
         return {
             "mode": self.mode,
             "C": self.stopping_constant,
@@ -162,8 +145,9 @@ class DominationCertificate:
             "n_intervals": int(family.size),
             "params": self.params,
             "checks": plain_checks(self.checks),
-            "per_Q": [{"Q": Q, "family": pairs[f0:f1], "children": pairs[k0:k1]}
-                      for Q, f0, f1, k0, k1 in zip(pairs, fs, fs[1:], ks, ks[1:])],
+            "per_Q": [{"Q": pairs[k], "family": pairs[fs[k] : fs[k + 1]],
+                       "children": pairs[ks[k] : ks[k + 1]]}
+                      for k in np.argsort(order).tolist()],
         }
 
 
@@ -201,30 +185,21 @@ def _stock_values(functional, heap, stock, redo=None, prev=None):
                        stock if redo is None else redo, out)
 
 
-def _first_values(nodes, heaps, functionals):
-    """Generation 1's value heaps: ``heaps[k]`` itself for a fixed heap,
-    else functionals[k] over the stock of ``nodes``.  The stock of
-    generation 1 is always ``nodes``, so every attempt at every C shares
-    them."""
-    stock = kernels.node_mask(nodes, heaps[0].shape[0])
-    return tuple(heap if functional is None else _stock_values(functional, heap, stock)
-                 for heap, functional in zip(heaps, functionals))
-
-
-def _run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None, measure=None):
+def _run_family(nodes, heaps, functionals, refs, C, first, lazy=None, measure=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
     The stock starts as the boolean heap of ``nodes``.  Each generation
-    holds one value heap V_k per condition: ``heaps[k]`` itself when
-    ``functionals[k]`` is None (avg's fixed chi^M averages), else
-    ``functionals[k]`` on the stock nodes over ``np.where(stock, heaps[k],
-    0)``, 0.0 off the stock.  The agenda nodes are disjoint and a
-    functional reads only the stock inside each, so one V_k serves them all.
+    holds one value heap V_k per condition.  With ``functionals`` None the
+    heaps are fixed (avg's chi^M averages) and V_k is ``heaps[k]`` itself;
+    otherwise V_k is ``functionals[k]`` on the stock nodes over
+    ``np.where(stock, heaps[k], 0)``, 0.0 off the stock.  The agenda nodes
+    are disjoint and a functional reads only the stock inside each, so one
+    V_k serves them all.
 
     A node's value depends only on the stock in its own subtree, so the
     functional heaps are never rebuilt whole.  Generation 1's stock is
-    ``nodes`` at every C: its heaps are ``first`` (:func:`_first_values`,
-    computed here when None), which the caller shares across attempts.
+    ``nodes`` at every C: its heaps are ``first``, which :func:`_stop`
+    computes once for all attempts.
     Within an attempt the stock only shrinks, so a later generation
     evaluates only the stock nodes at or above a node the last generation
     selected (one ancestor closure per generation); every other stock node
@@ -266,9 +241,9 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None, measu
     """
     size = heaps[0].shape[0]
     J = size.bit_length() - 1
+    fixed = functionals is None
     stock = kernels.node_mask(nodes, size)
-    values = _first_values(nodes, heaps, functionals) if first is None else first
-    fixed = any(functional is None for functional in functionals)
+    values = first
     agenda = kernels.maximal_nodes(stock)
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
@@ -302,43 +277,42 @@ def _run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None, measu
         rank[agenda] = np.arange(agenda.size)
         agenda = kids[np.argsort(rank[owner[kids]], kind="stable")]
         stock = rejected
-        if agenda.size and any(functional is not None for functional in functionals):
+        if agenda.size and not fixed:
             redo = stock & kernels.heap_subtree_sums(selected, J)
-            values = tuple(V if functional is None else
-                           _stock_values(functional, heap, stock, redo, V)
+            values = tuple(_stock_values(functional, heap, stock, redo, V)
                            for V, heap, functional in zip(values, heaps, functionals))
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _with_retries(mode, run, C):
-    """run(C) from the given C, doubling C while the run raises
-    :class:`_RetryNeeded`; returns the run and its C."""
+def _stop(mode, nodes, heaps, functionals, C, refs=None, lazy=None, measure=None):
+    """(run, C, first): :func:`_run_family` from the given C, doubling C
+    while an attempt raises :class:`_RetryNeeded`, and StoppingFailure once
+    :data:`MAX_DOUBLINGS` doublings have failed too.  ``first`` is
+    generation 1's value heaps, shared by every attempt: ``heaps`` itself
+    when they are fixed, else each functional over the stock of ``nodes``."""
+    if functionals is None:
+        first = heaps
+    else:
+        stock = kernels.node_mask(nodes, heaps[0].shape[0])
+        first = tuple(_stock_values(functional, heap, stock)
+                      for heap, functional in zip(heaps, functionals))
     for attempt in range(MAX_DOUBLINGS + 1):
         attempt_C = float(C) * 2.0**attempt
         try:
-            return run(attempt_C), attempt_C
+            return (_run_family(nodes, heaps, functionals, refs, attempt_C, first, lazy, measure),
+                    attempt_C, first)
         except _RetryNeeded:
             pass
     raise StoppingFailure(f"no admissible C up to {attempt_C} in {MAX_DOUBLINGS + 1} "
                           f"attempts ({mode} mode)")
 
 
-def _owner_rank(run):
-    """Each member's owner's position in ``run.order``."""
-    sorter = np.argsort(run.order)
-    return sorter[np.searchsorted(run.order, run.owners, sorter=sorter)]
-
-
-def _split(run, values):
-    """(families, sums): each run node's sub-family as an array of nodes in
-    node order, in run order, and its sum of the heap ``values``, added in
-    node order one term at a time as Python's sum adds them (``np.sum``
-    adds pairwise)."""
-    rank = _owner_rank(run)
-    grouped = run.members[np.argsort(rank, kind="stable")]
-    ends = np.cumsum(np.bincount(rank, minlength=run.order.size)).tolist()
-    families = [grouped[lo:hi] for lo, hi in zip([0] + ends, ends)]
-    return families, np.bincount(rank, weights=values[run.members], minlength=run.order.size)
+def _owner_sums(run, heap):
+    """Each run node's sum of ``heap`` over its sub-family, in run order,
+    added in node order one term at a time as Python's sum adds them
+    (``np.sum`` adds pairwise)."""
+    return np.bincount(_positions(run.order, run.owners), weights=heap[run.members],
+                       minlength=run.order.size)
 
 
 def _python_sum(values) -> float:
@@ -357,7 +331,7 @@ def _finalize(mode, T, cf, cg, run, C, rhs_terms, measure=None, params=None):
     terms = T.eps * cf.heap[T.nodes] * cg.heap[T.nodes]
     by_node = np.zeros(cf.heap.shape[0])
     by_node[T.nodes] = terms
-    lam = np.bincount(_owner_rank(run), weights=by_node[run.members], minlength=run.order.size)
+    lam = _owner_sums(run, by_node)
     collection = SparseCollection.from_nodes(run.order)
     rhs = _python_sum(rhs_terms)
     # the form in T's order
@@ -599,8 +573,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     cf, cg, _, _ = _family_stock(T, f, g)
     chi = _chi_heaps((f, g), M)
     chif, chig = chi.heaps
-    run, final_C = _with_retries(
-        "avg", lambda c: _run_family(T.nodes, chi.heaps, (None, None), None, c, lazy=chi), C)
+    run, final_C, _ = _stop("avg", T.nodes, chi.heaps, None, C, lazy=chi)
     fa, ga, length = chif[run.order], chig[run.order], _lengths(run.order)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = fa * ga * length
@@ -610,8 +583,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     # tilde_size over a sub-family is its largest chi heap entry: integrate
     # that member's chi^M afresh, at each node whose sub-family is nonempty
     family, starts = cert._families
-    row = np.searchsorted(cert.collection.nodes, run.order)
-    best_f, best_g = (chi.argmax(k, family, starts)[row] for k in (0, 1))
+    best_f, best_g = (chi.argmax(k, family, starts) for k in (0, 1))
     owns = best_f >= 0
     tf, tg = np.zeros(run.order.size), np.zeros(run.order.size)
     for k in np.flatnonzero(owns).tolist():
@@ -626,7 +598,6 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
             "size_control_g": _ratio(tg, final_C * ga, ga > 0),
         }
     cert.per_q.update(f_chi_avg=fa, g_chi_avg=ga, **extras)
-    cert.per_q_where.update(dict.fromkeys(extras, owns))
     # selected families obey the size control by construction
     cert.checks["size_control_ok"] = bool(
         np.all(extras["size_control_f"] <= 1.0 + REL_SLACK)
@@ -700,13 +671,9 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     def l2(vals, d, index):
         return _lp_values(vals, J, d, index, 2.0, dx)
 
-    heaps, functionals = (full_f, full_g), (nf, ng)
-    first = _first_values(T.nodes, heaps, functionals)
-    run, final_C = _with_retries(
-        "square", lambda c: _run_family(T.nodes, heaps, functionals, None, c, first), C)
+    run, final_C, (Nf, Ng) = _stop("square", T.nodes, (full_f, full_g), (nf, ng), C)
     # every collection node is a family node, so generation 1's heaps hold
     # its values over the whole family; at p = 2 they are the L^2 values too
-    Nf, Ng = first
     at = kernels.node_mask(run.order, 1 << J)
     Lf = Nf if p == 2.0 else _value_heap(l2, full_f, at)
     Lg = Ng if q == 2.0 else _value_heap(l2, full_g, at)
@@ -725,6 +692,20 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     return cert
 
 
+def _hardy_exponents(p, r, C):
+    """r, p / 2 when None, once p lies in (0, 1], 0 < r < p and C >= 1;
+    ValueError at the first that fails, in that order."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    if r is None:
+        r = p / 2.0
+    if not 0.0 < r < p:
+        raise ValueError("need 0 < r < p")
+    if C < 1.0:
+        raise ValueError("stopping constant C must be >= 1")
+    return r
+
+
 def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
                       p: float = 1.0, r: float | None = None,
                       C: float = 4.0) -> DominationCertificate:
@@ -737,14 +718,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     """
     from .hardy import cmo_norm, hardy_norm
 
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if r is None:
-        r = p / 2.0
-    if not 0.0 < r < p:
-        raise ValueError("need 0 < r < p")
-    if C < 1.0:
-        raise ValueError("stopping constant C must be >= 1")
+    r = _hardy_exponents(p, r, C)
     if weight.depth_J != f.depth_J:
         raise ValueError(f"weight depth {weight.depth_J} differs from signal depth {f.depth_J}")
     if np.any(weight.values <= 0):
@@ -755,12 +729,8 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     def norm_w(vals, d, index):
         return _lp_w_values(vals, J, d, index, r, weight.values, weight.heap, dx)
 
-    heaps, functionals = (full_f, full_g), (norm_w, norm_w)
-    first = _first_values(T.nodes, heaps, functionals)
-    run, final_C = _with_retries(
-        "weighted",
-        lambda c: _run_family(T.nodes, heaps, functionals, None, c, first, measure=weight.heap),
-        C)
+    run, final_C, _ = _stop("weighted", T.nodes, (full_f, full_g), (norm_w, norm_w), C,
+                            measure=weight.heap)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
@@ -833,11 +803,8 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     def weak(vals, d, index):
         return _weak_values(vals, J, d, index, dx)
 
-    heaps, functionals = (full_f, full_g), (weak, weak)
-    first = _first_values(T.nodes, heaps, functionals)
-    run, final_C = _with_retries(
-        "osc", lambda c: _run_family(T.nodes, heaps, functionals, osc.heaps, c, first, osc),
-        C)
+    run, final_C, _ = _stop("osc", T.nodes, (full_f, full_g), (weak, weak), C,
+                            refs=osc.heaps, lazy=osc)
     of, og = osc_f[run.order], osc_g[run.order]
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = of * og * _lengths(run.order)

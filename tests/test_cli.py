@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedom import stopping
+from sparsedom import campaign, stopping
 from sparsedom.campaign import ALL_MODES, CampaignConfig, run_campaign
 from sparsedom.cli import main
 from sparsedom.cz import CZDecomposition
@@ -79,6 +79,19 @@ class TestCampaign:
             CampaignConfig(depth_J=2).validate()
         with pytest.raises(ValueError):
             CampaignConfig(modes=("nope",)).validate()
+
+    def test_negative_n_intervals_rejected_before_any_trial(self, monkeypatch):
+        with pytest.raises(ValueError, match="n_intervals must be >= 0, got -3"):
+            generate_multiplier(4, seed=1, n_intervals=-3)
+        trials = []
+        monkeypatch.setattr(campaign, "_run_one", lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match="n_intervals must be >= 0, got -3"):
+            run_campaign(CampaignConfig(depth_J=4, trials=1, n_intervals=-3))
+        assert trials == []
+
+    def test_empty_family_certifies_every_mode(self):
+        records, _, ok = run_campaign(CampaignConfig(depth_J=4, trials=1, n_intervals=0))
+        assert ok and {r["mode"] for r in records} == set(ALL_MODES)
 
     def test_unknown_config_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -545,6 +558,15 @@ class TestCli:
         first = capsys.readouterr().out
         rc = main(["haar", "--depth", "3", "--seed", "9"])
         assert first == capsys.readouterr().out
+
+    def test_negative_n_intervals_is_diagnosed(self, tmp_path, capsys):
+        rc = main(["dominate", "--mode", "square", "--depth", "4", "--n-intervals", "-3"])
+        assert rc == 2
+        assert "n_intervals must be >= 0, got -3" in capsys.readouterr().err
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_intervals": -3}))
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert "n_intervals must be >= 0, got -3" in capsys.readouterr().err
 
     def test_invalid_config_is_diagnosed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

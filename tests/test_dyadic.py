@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedom.dyadic import (DyadicInterval, ROOT, Signal, average, chi_weights,
+from sparsedom.dyadic import (DyadicInterval, NodeMap, ROOT, Signal, average, chi_weights,
                               lp_norm, oscillation, weak_l1_quasinorm)
 from sparsedom.exact import exact_average, exact_oscillation, exact_weak_l1
 
@@ -169,6 +169,22 @@ class TestBatchedOscillation:
             oscillation(f, np.array([16]))
         with pytest.raises(ValueError, match="exceeds signal depth"):
             oscillation(f, I(4, 0))
+
+
+def test_node_map_hands_build_positions_in_order():
+    # an unsorted order: build gets each key's position in it, and anything
+    # but an interval of it (before, between or after its nodes, or not an
+    # interval) is not in the view and raises KeyError
+    order = np.array([5, 2, 12, 3, 9, 1])
+    view = NodeMap(order, lambda k, Q: (k, Q))
+    keys = [DyadicInterval.from_node(n) for n in order.tolist()]
+    assert list(view) == keys and len(view) == order.size
+    for k, Q in enumerate(keys):
+        assert Q in view and view[Q] == (k, Q)
+    for key in (I(2, 0), I(3, 6), I(4, 0), 5, (1, 0)):
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
 
 
 class TestLocalizationWeight:

@@ -15,8 +15,7 @@ from sparsedom.haar import (HaarCoefficients, HaarMultiplier, haar_transform, ht
 from sparsedom.hardy import (Weight, ap_characteristic, atomic_decompose,
                              cmo_norm, hardy_norm, square_function)
 from sparsedom.sparse import child_budget_ok
-from sparsedom.stopping import (_first_values, _lp_values, _run_family, _split, _squared,
-                                _with_retries)
+from sparsedom.stopping import _grouped, _lp_values, _squared, _stop
 
 
 def I(d, i):
@@ -67,6 +66,18 @@ class TestApCharacteristic:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             ap_characteristic(Weight(np.ones(4)), 1.0)
+
+    @pytest.mark.parametrize("kind", ["two_level", "dyadic_doubling", "power_like"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_np_mean_blocks(self, kind, p):
+        # the block means are np.mean's bit for bit
+        J = 10
+        w = generate_weight(kind, J, seed=3, t=64.0, delta=0.25)
+        dual = w.values ** (-1.0 / (p - 1.0))
+        want = max(float(np.max(w.values.reshape(1 << d, -1).mean(axis=1)
+                                * dual.reshape(1 << d, -1).mean(axis=1) ** (p - 1.0)))
+                   for d in range(J + 1))
+        assert ap_characteristic(w, p) == want
 
     def test_at_least_one(self):
         for seed in range(5):
@@ -253,6 +264,32 @@ class TestAtomicDecomposition:
             atomic_decompose(f, p=1.0, r=1.0)
 
 
+def test_atom_views_follow_run_positions():
+    # a run whose order is not node order: every view gives each key its own
+    # sub-family, c_Q and atom, and a KeyError for a key it does not hold
+    J = 8
+    f = generate_signal("point_masses", J, seed=0, k=8)
+    deco = atomic_decompose(f, p=1.0, C=1.0)
+    run = deco.run
+    order = [DyadicInterval.from_node(n) for n in run.order.tolist()]
+    assert order != sorted(order) and deco.scale.all()
+    assert list(deco.subfamilies) == list(deco.coefficients) == list(deco.atoms) == order
+    for k, Q in enumerate(order):
+        own = np.sort(run.members[run.owners == Q.node])
+        assert np.array_equal(deco.subfamilies[Q], own)
+        assert deco.coefficients[Q] == deco.c[k]
+        heap = np.zeros(1 << J)
+        heap[own] = deco.haar.heap[own]
+        atom = inverse_haar_transform(HaarCoefficients(heap, 0.0, J)).values / deco.c[k]
+        assert np.array_equal(deco.atoms[Q].values, atom)
+    absent = next(P for P in map(DyadicInterval.from_node, range(1, 1 << J)) if P not in order)
+    for view in (deco.subfamilies, deco.coefficients, deco.atoms):
+        for key in (absent, I(J, 0), absent.node):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+
+
 def _per_atom_reference(f, p, C):
     """The O(#atoms n) path: one length-n atom per Q from its own inverse
     transform, a full-vector reconstruction in run order and a full-vector
@@ -267,14 +304,13 @@ def _per_atom_reference(f, p, C):
     def n_r(vals, d, index):
         return _lp_values(vals, J, d, index, r, dx)
 
-    heaps, functionals = (_squared(coeffs.heap, "f"),), (n_r,)
-    first = _first_values(nodes, heaps, functionals)
-    run, _ = _with_retries(
-        "atoms", lambda c: _run_family(nodes, heaps, functionals, None, c, first), C)
-    families, energy = _split(run, np.float_power(coeffs.heap, 2.0))
+    run, _, _ = _stop("atoms", nodes, (_squared(coeffs.heap, "f"),), (n_r,), C)
+    family, starts = _grouped(run.order, run.owners, run.members)
     coefficients, atoms = {}, {}
-    for node, own, e in zip(run.order.tolist(), families, energy.tolist()):
+    for k, node in enumerate(run.order.tolist()):
+        own = family[starts[k] : starts[k + 1]]
         Q = DyadicInterval.from_node(node)
+        e = sum(np.float_power(coeffs.heap[own], 2.0).tolist())
         c_Q = Q.length ** (1.0 / p - 0.5) * e ** 0.5
         if c_Q == 0.0:
             continue

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
+from test_cz import hard_signals
 
 from sparsedom import kernels
-from sparsedom.dyadic import DyadicInterval, Signal, chi_weights
+from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, oscillation
 from sparsedom.generate import generate_signal
 
 
@@ -371,6 +372,21 @@ def test_sort_rows_equals_np_sort_up_to_the_sign_of_zero(a):
     assert _bits(got + 0.0) == _bits(want + 0.0)
     if a.ndim == 1 or a.shape[0] < kernels.NARROW or a.shape[-1] not in (2, 4):
         assert _bits(got) == _bits(want)   # numpy's own sort, or a copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=hard_signals())
+def test_block_mean_and_oscillation_equal_np_mean(f):
+    # every depth's blocks, narrow and wide; dyadic.oscillation reads the
+    # same rows
+    for d in range(f.depth_J + 1):
+        blocks = f.values.reshape(1 << d, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(blocks, axis=1)
+            osc = np.mean(np.abs(blocks - mean[:, None]), axis=1)
+            assert _bits(kernels.row_means(blocks)) == _bits(mean)
+            assert _bits(kernels.row_oscillations(blocks)) == _bits(osc)
+            assert _bits(oscillation(f, np.arange(1 << d, 2 << d))) == _bits(osc)
 
 
 def test_narrow_paths_are_taken_and_zero_signs_may_differ():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom import hardy, kernels, stopping
+from sparsedom import kernels, stopping
 from sparsedom.dyadic import DyadicInterval, ROOT, Signal, oscillation
 from sparsedom.generate import (SIGNAL_KINDS, full_multiplier, generate_multiplier,
                                 generate_signal, generate_weight)
@@ -37,6 +37,12 @@ def spiky_signal(J, seed):
     spots = rng.choice(1 << J, size=4, replace=False)
     vals[spots] += rng.choice([-1, 1], size=4) * rng.uniform(20, 80, size=4)
     return Signal(vals)
+
+
+def _owning(cert):
+    """Each run node's "has a nonempty sub-family", in run order: the nodes
+    that avg records a tilde size at."""
+    return np.array([bool(fam) for fam in cert.subfamilies.values()], dtype=bool)
 
 
 class TestDominateAvg:
@@ -74,18 +80,17 @@ class TestDominateAvg:
         g = spiky_signal(6, 2)
         T = generate_multiplier(6, seed=3, n_intervals=40)
         cert = dominate_avg(T, f, g)
-        ratios = [e["localization_ratio"] for e in cert.per_interval
-                  if "localization_ratio" in e]
-        assert ratios and max(ratios) < 16.0
+        ratios = cert.per_q["localization_ratio"][_owning(cert)]
+        assert ratios.size and max(ratios) < 16.0
 
     def test_selected_family_size_control(self):
         f = spiky_signal(6, 4)
         g = spiky_signal(6, 5)
         T = generate_multiplier(6, seed=6, n_intervals=50)
         cert = dominate_avg(T, f, g, M=8)
-        for e in cert.per_interval:
-            if "tilde_size_f" in e:
-                assert e["tilde_size_f"] <= cert.stopping_constant * e["f_chi_avg"] * (1 + 1e-9)
+        tf, fa = cert.per_q["tilde_size_f"], cert.per_q["f_chi_avg"]
+        for k in np.flatnonzero(_owning(cert)):
+            assert tf[k] <= cert.stopping_constant * fa[k] * (1 + 1e-9)
 
     def test_rejects_small_c(self):
         T = HaarMultiplier.from_dict({ROOT: 1.0})
@@ -178,12 +183,13 @@ class TestAvgTildeSize:
             cert = dominate_avg(T, f, g, M=M, C=C)
         except stopping.StoppingFailure:
             return
-        for e in cert.per_interval:
-            fam = cert.subfamilies[e["Q"]]
-            assert ("tilde_size_f" in e) == bool(fam)
+        tf, tg = cert.per_q["tilde_size_f"], cert.per_q["tilde_size_g"]
+        for k, fam in enumerate(cert.subfamilies.values()):
             if fam:
-                assert e["tilde_size_f"] == tilde_size(f, fam, M)
-                assert e["tilde_size_g"] == tilde_size(g, fam, M)
+                assert tf[k] == tilde_size(f, fam, M)
+                assert tg[k] == tilde_size(g, fam, M)
+            else:
+                assert tf[k] == tg[k] == 0.0
 
 
 class TestDominateSquare:
@@ -480,7 +486,7 @@ def _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generation
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
     if lazy is not None:
         lazy.read(np.ones(heaps[0].shape[0], dtype=bool))
-    if all(functional is None for functional in functionals):
+    if functionals is None:
         return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C,
                                            generations))
 
@@ -536,8 +542,7 @@ def _family_certificates(T, f, g, weights, C, reference=False):
                 if reference:
                     engine = functools.partial(_reference_run_family, signals=(f, g),
                                                weight=weight)
-                    for module in (stopping, hardy):
-                        stack.enter_context(mock.patch.object(module, "_run_family", engine))
+                    stack.enter_context(mock.patch.object(stopping, "_run_family", engine))
                 cert = run()
             # sub-families in the engine's node order, which sets the rhs sum order
             out[name] = [cert.to_dict(), [[Q.depth, Q.index] for Q in cert.subfamilies]]
@@ -806,10 +811,11 @@ class TestOscFillSet:
         reference, agendas = self._agenda_union(T, f, g, C)
         assert cert.stopping_constant == reference.stopping_constant
         assert by_signal[id(f)] == agendas
-        for e in cert.per_interval:
-            assert e["osc_f"] == oscillation(f, e["Q"])
-            assert e["osc_g"] == oscillation(g, e["Q"])
-            assert e["rhs_term"] == e["osc_f"] * e["osc_g"] * e["Q"].length
+        of, og, rhs = (cert.per_q[k] for k in ("osc_f", "osc_g", "rhs_term"))
+        for k, Q in enumerate(cert.subfamilies):
+            assert of[k] == oscillation(f, Q)
+            assert og[k] == oscillation(g, Q)
+            assert rhs[k] == of[k] * og[k] * Q.length
         return cert, agendas
 
     @pytest.mark.parametrize("kind", SIGNAL_KINDS + ("zero", "constant"))
@@ -917,7 +923,6 @@ class TestIncrementalValues:
             return got
 
         with mock.patch.object(stopping, "_run_family", engine_spy), \
-                mock.patch.object(hardy, "_run_family", engine_spy), \
                 mock.patch.object(stopping, "_value_heap", value_heap_spy), \
                 mock.patch.object(stopping, "_stock_values", stock_values_spy):
             run()
@@ -1005,9 +1010,10 @@ class TestFormSums:
             return float(sum(eps[I] * cf.heap[I.node] * cg.heap[I.node] for I in family))
 
         assert cert.lhs == abs(form(T.intervals))
-        assert len(cert.per_interval) == len(cert.collection) > 1
-        for entry in cert.per_interval:
-            assert entry["lambda_Q"] == form(cert.subfamilies[entry["Q"]])
+        lam = cert.per_q["lambda_Q"]
+        assert lam.size == len(cert.collection) > 1
+        for k, family in enumerate(cert.subfamilies.values()):
+            assert lam[k] == form(family)
         assert structural_ok(cert)
 
 
@@ -1018,13 +1024,13 @@ class TestStructuralChecksFail:
         J = 6
         f, g = spiky_signal(J, 51), spiky_signal(J, 52)
         T = generate_multiplier(J, seed=53, n_intervals=40)
-        real = stopping._with_retries
+        real = stopping._stop
 
         def tampered(*args, **kwargs):
-            run, C = real(*args, **kwargs)
-            return tamper(run, T), C
+            run, C, first = real(*args, **kwargs)
+            return tamper(run, T), C, first
 
-        with mock.patch.object(stopping, "_with_retries", tampered):
+        with mock.patch.object(stopping, "_stop", tampered):
             if mode == "avg":
                 return dominate_avg(T, f, g)
             return dominate_square(T, f, g, p=1.0, q=1.0)
@@ -1287,11 +1293,37 @@ def test_node_views_iterate_run_order():
         assert list(view) == order and len(view) == len(order)
         assert all(Q in view for Q in order)
     assert all(cert.subfamilies[Q][0] == Q for Q in order)
+    # each key's group is its own members and kids, in node order
+    run = cert.run
+    for Q in order:
+        own = np.sort(run.members[run.owners == Q.node]).tolist()
+        kids = np.sort(run.kids[run.parents == Q.node]).tolist()
+        assert cert.subfamilies[Q] == tuple(map(DyadicInterval.from_node, own))
+        assert cert.children[Q] == tuple(map(DyadicInterval.from_node, kids))
     Q = order[-1]
-    for key in (Q.node, (Q.depth, Q.index), I(J, 0)):
-        assert key not in cert.subfamilies
-        with pytest.raises(KeyError):
-            cert.subfamilies[key]
+    absent = next(P for P in map(DyadicInterval.from_node, range(1, 1 << J)) if P not in order)
+    for key in (Q.node, (Q.depth, Q.index), I(J, 0), absent):
+        for view in (cert.subfamilies, cert.children):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+
+
+@pytest.mark.parametrize("mode", ["square", "atoms"])
+def test_owner_sums_equal_python_sums(mode):
+    # wide-range terms, so the sums depend on the order they are added in
+    J = 8
+    f = generate_signal("point_masses", J, seed=0, k=8)
+    g = generate_signal("point_masses", J, seed=1, k=8)
+    run = (dominate_square(full_multiplier(J), f, g, p=1.0, q=1.0, C=1.0).run
+           if mode == "square" else atomic_decompose(f, p=1.0, C=1.0).run)
+    assert run.order.tolist() != sorted(run.order.tolist())
+    rng = np.random.default_rng(2)
+    heap = rng.standard_normal(1 << J) * 10.0 ** rng.uniform(-20.0, 20.0, 1 << J)
+    sums = stopping._owner_sums(run, heap)
+    want = [sum(heap[np.sort(run.members[run.owners == Q])].tolist())
+            for Q in run.order.tolist()]
+    assert sums.tolist() == want
 
 def _reference_lerner(phi, Q0, lam):
     """The depth-first walk over interval objects that lerner_decompose replaced."""
