@@ -39,6 +39,12 @@ WEIGHT_CYCLE = (
 )
 
 
+#: CampaignConfig fields that must be integers (bool is not one), and
+#: those that must be finite numbers (``r`` may also be None).
+_INT_FIELDS = ("depth_J", "trials", "seed", "chi_M", "n_intervals")
+_FLOAT_FIELDS = ("p", "q", "hardy_p", "r", "stop_C", "lam", "weak_K")
+
+
 @dataclass
 class CampaignConfig:
     depth_J: int = 10
@@ -59,6 +65,18 @@ class CampaignConfig:
     out_csv: str | None = None
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "r":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)) \
+                    or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 3 <= self.depth_J <= 16:
             raise ValueError(f"depth_J must lie in [3, 16], got {self.depth_J}")
         if self.trials < 1:

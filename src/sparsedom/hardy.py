@@ -28,7 +28,8 @@ from .dyadic import (DyadicInterval, NodeMap, Signal, check_finite, checks_ok, d
                      lp_norm, plain_checks)
 from .haar import HaarCoefficients, haar_transform, inverse_haar_transform
 from .sparse import SparseCollection, child_budget_ok
-from .stopping import _grouped, _hardy_exponents, _lp_values, _owner_sums, _Run, _squared, _stop
+from .stopping import (_grouped, _hardy_exponents, _lp, _owner_sums, _Run, _squared, _stop,
+                       _StockHeaps)
 
 __all__ = [
     "Weight", "ap_characteristic", "square_function", "hardy_norm",
@@ -312,12 +313,8 @@ def atomic_decompose(f: Signal, p: float, r: float | None = None,
     J = f.depth_J
     coeffs = haar_transform(f)
     nodes = coeffs.support_nodes()
-    dx = f.cell_width
-
-    def n_r(vals, d, index):
-        return _lp_values(vals, J, d, index, r, dx)
-
-    run, final_C, _ = _stop("atoms", nodes, (_squared(coeffs.heap, "f"),), (n_r,), C)
+    heaps = _StockHeaps(nodes, (_squared(coeffs.heap, "f"),), (_lp(J, r, f.cell_width),))
+    run, final_C = _stop("atoms", nodes, heaps, C)
     # libm powers (np.float_power), as Python's a ** 2, |Q| ** e and e ** 0.5
     energy = _owner_sums(run, np.float_power(coeffs.heap, 2.0))
     length = np.ldexp(1.0, -depth_index(run.order)[0])

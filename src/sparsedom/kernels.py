@@ -16,6 +16,13 @@ The two inner loops that dominate every stopping-time run are
   a threshold and the possible tilde-size argmaxes, each once per call, a
   depth at a time over the missing indices).
 
+The square, weighted, osc and atoms stopping times likewise settle their
+tests from :func:`profile_bounds`: every mean of the square root of a
+subtree profile lies between the square roots of the node's own term and
+of the profile's mean, one :func:`heap_subtree_sums` pass for all nodes,
+widened by a rounding bound; rows are computed only at the agenda, the
+recorded nodes and where a bound cannot decide.
+
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends
 only on the offset of the cell x from the start of I, so :func:`chi_kernel`
 computes one cached offset kernel per (J, d, M); every chi^M weight is a
@@ -73,6 +80,9 @@ import numpy as np
 
 __all__ = [
     "subtree_profile",
+    "node_lengths",
+    "profile_bounds",
+    "BOUND_EXP",
     "dot",
     "chi_kernel",
     "chi_sums_depth",
@@ -120,6 +130,63 @@ def subtree_profile(vals, J, d0, index):
             out = np.repeat(out, block.shape[1] // out.shape[1], axis=1)
             out += block * float(1 << d)
     return np.repeat(out, n // out.shape[1], axis=1).reshape(index.shape + (n,))
+
+
+@functools.lru_cache(maxsize=32)
+def node_lengths(J):
+    """Read-only heap of |I| = 2.0**-d at every depth-d node (length 2**J;
+    entry 0 is 1.0)."""
+    lengths = np.ldexp(1.0, 1 - np.frexp(np.arange(1 << J))[1])
+    lengths[0] = 1.0
+    lengths.flags.writeable = False
+    return lengths
+
+
+def profile_bounds(vals, J, slack, floor, ceil, mu=None):
+    """Certified (lo, hi) heaps around any mean of the square root of each
+    node's subtree profile S_I (:func:`subtree_profile` of ``vals``, a
+    nonnegative heap of length 2**J), or None.
+
+    Every cell of I carries I's own term, so every such mean is at least
+    sqrt(vals[I] 2**d_I).  A power mean of exponent at most 2, in Lebesgue
+    measure or in ``mu`` (a heap of measures, mu(I) > 0), and the weak L^1
+    quasinorm over |I| are at most the L^2 mean, sqrt of the mean of S_I
+    (Jensen; weak <= strong): sum over K <= I of vals[K] 2**d_K mu(K) / mu(I),
+    in Lebesgue measure the subtree sum times 2**d_I.  One
+    :func:`heap_subtree_sums` pass (two with ``mu``) serves every node.
+
+    ``lo`` is widened by the factor 1 - ``slack`` and ``hi`` by 1 + ``slack``,
+    the caller's rounding bound for its computation of the mean and of these
+    bounds.  That holds only while every quantity of both stays a normal
+    float with margin, which the caller states as heaps (or scalars) of
+    limits on the squared bounds: a node's mean must lie in [floor, ceil],
+    else it gets (-inf, inf) and only its value decides it, and its top term
+    must reach ``floor``, else its ``lo`` is 0.0 (every mean is >= 0).  A
+    node whose subtree holds only zeros has the mean +0.0 exactly and gets
+    (0, 0) wherever floor <= ceil.  None when a profile could come near
+    overflow: 2**(2J) sum(vals) above 2**BOUND_EXP.
+    """
+    lengths = node_lengths(J)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        sub = heap_subtree_sums(vals, J)
+        if not sub[1] * 2.0 ** (2 * J) <= 2.0**BOUND_EXP:
+            return None
+        top = vals / lengths
+        mean = sub / lengths if mu is None else heap_subtree_sums(top * mu, J) / mu
+        lo = np.sqrt(top)
+        lo *= 1.0 - slack
+        hi = np.sqrt(mean)
+        hi *= 1.0 + slack
+    lo[top < floor] = 0.0
+    open_ = ~((mean >= floor) & (mean <= ceil))
+    lo[open_], hi[open_] = -np.inf, np.inf
+    zero = (sub == 0.0) & np.broadcast_to(floor <= ceil, sub.shape)
+    lo[zero] = hi[zero] = 0.0
+    return lo, hi
+
+
+#: Magnitudes, as powers of two, within which :func:`profile_bounds` decides.
+BOUND_EXP = 960
 
 
 #: Longest vector handed to BLAS in one dot: OpenBLAS runs longer dots on its

@@ -19,6 +19,17 @@ build intervals when read, and ``to_dict`` writes (depth, index) pairs from
 one pass over all nodes.  Avg's tilde sizes are the one per-node exception:
 one interval per collection node and signal.
 
+Every selection test of all five modes is settled from a certified (lo,
+hi) range around its value where the outcome is certain, in the
+filter-then-exact style of Shewchuk's adaptive predicates (1997): avg's
+chi^M averages from :func:`kernels.chi_bounds_depth`, and the square,
+weighted, osc and atoms functionals, each a mean of the square root of a
+subtree profile, from :func:`kernels.profile_bounds` (its top term below,
+Jensen above).  A value is computed exactly only at agenda nodes, at the
+nodes a certificate records, where a range straddles the threshold and
+where no range can be had (:class:`_LazyHeaps`, :class:`_StockHeaps`), so
+decisions and recorded values are those of the exact heaps bit for bit.
+
 The stopping threshold C only needs to be "large enough"; runs start from
 the given C and double it, a bounded number of times, while an attempt
 fails: an agenda node rejects itself, or a generation's children break the
@@ -27,6 +38,7 @@ fails: an agenda node rejects itself, or a generation's children break the
 
 from __future__ import annotations
 
+import copy
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -165,62 +177,43 @@ class _Run(NamedTuple):
     parents: np.ndarray
 
 
-def _value_heap(functional, vals, mask, out=None):
-    """functional(vals, d, index) on the nodes set in mask, one call per
-    depth, written into ``out`` (default: 0.0 everywhere)."""
-    out = np.zeros(mask.shape[0]) if out is None else out
-    for d in range(mask.shape[0].bit_length() - 1):
-        index = np.flatnonzero(mask[1 << d : 2 << d])
-        if index.size:
-            out[(1 << d) + index] = functional(vals, d, index)
-    return out
-
-
-def _stock_values(functional, heap, stock, redo=None, prev=None):
-    """functional's value heap over ``np.where(stock, heap, 0.0)``: 0.0 off
-    the stock, and on it ``functional`` at the nodes of ``redo`` (default:
-    the whole stock); every other stock node keeps its value in ``prev``."""
-    out = np.zeros(stock.shape[0]) if prev is None else np.where(stock, prev, 0.0)
-    return _value_heap(functional, np.where(stock, heap, 0.0),
-                       stock if redo is None else redo, out)
-
-
-def _run_family(nodes, heaps, functionals, refs, C, first, lazy=None, measure=None):
+def _run_family(nodes, heaps, refs, C, measure=None):
     """One attempt at threshold C, level-synchronous over heap arrays.
 
-    The stock starts as the boolean heap of ``nodes``.  Each generation
-    holds one value heap V_k per condition.  With ``functionals`` None the
-    heaps are fixed (avg's chi^M averages) and V_k is ``heaps[k]`` itself;
-    otherwise V_k is ``functionals[k]`` on the stock nodes over
-    ``np.where(stock, heaps[k], 0)``, 0.0 off the stock.  The agenda nodes
-    are disjoint and a functional reads only the stock inside each, so one
-    V_k serves them all.
+    The stock starts as the boolean heap of ``nodes``.  ``heaps`` is a
+    :class:`_LazyHeaps` of one value heap V_k per condition, generation 1's,
+    shared by every attempt: avg's fixed chi^M averages, or a
+    :class:`_StockHeaps` of stopping functionals over the stock, 0.0 off it.
+    The agenda nodes are disjoint and a functional reads only the stock
+    inside each, so one V_k serves them all.  Within an attempt the stock
+    only shrinks, and each later generation's functional heaps are the last
+    one's with the stock nodes at or above a selected node reopened
+    (:meth:`_StockHeaps.restocked`); fixed heaps stay as they are.
 
-    A node's value depends only on the stock in its own subtree, so the
-    functional heaps are never rebuilt whole.  Generation 1's stock is
-    ``nodes`` at every C: its heaps are ``first``, which :func:`_stop`
-    computes once for all attempts.
-    Within an attempt the stock only shrinks, so a later generation
-    evaluates only the stock nodes at or above a node the last generation
-    selected (one ancestor closure per generation); every other stock node
-    keeps its previous value.  Its subtree holds the same stock, so
-    :func:`kernels.subtree_profile`'s rows, which do not depend on the rows
-    computed with them, give the same value bit for bit.
+    Each generation fills its heaps at the agenda first, and with them the
+    stock nodes that no bound covers, in the same calls
+    (:meth:`_LazyHeaps.read`); osc's reference heaps ``refs`` are filled at
+    the agenda too.  Every selection test then goes through
+    :meth:`_LazyHeaps.test`, which settles it from a certified (lo, hi)
+    range where the outcome is certain and fills the value only where it is
+    not, so every decision is that of the filled heap.
 
     Tie policy: a stock node I inside agenda node Q0 is selected when
     V_k[I] <= C * R_k[Q0] for every k (``<=`` selects), and rejected
-    otherwise.  The reference heap R_k is V_k itself, or ``refs[k]`` when
-    given (osc's oscillation heaps of f and g).  Every value equals the
+    otherwise.  The reference heap R_k is V_k itself, or ``refs.heaps[k]``
+    when given (osc's oscillation heaps of f and g).  Every value equals the
     one-interval evaluation bit for bit.  An agenda node in the stock that
     rejects itself means C is too small.
 
     Child rule, the 1/2-sparse stopping rule of Lerner and Nazarov: Q0's
     children are the maximal nodes strictly inside Q0 that fail the test
-    and contain a rejected node.  A functional's value heap vanishes off the
-    stock, so for square, weighted, osc and atoms these are exactly Q0's
-    maximal rejected nodes; avg's fixed heaps can stop at an ancestor of a
-    rejected node that is not in the family.  Sub-families and children are
-    in node order, and the next agenda lists the children in agenda order.
+    and contain a rejected node; the test reads the heaps at the nodes off
+    the stock on the path down to a rejected node.  A functional's value
+    heap is 0.0 off the stock, so for square, weighted, osc and atoms these
+    are exactly Q0's maximal rejected nodes; avg's fixed heaps can stop at
+    an ancestor of a rejected node that is not in the family.  Sub-families
+    and children are in node order, and the next agenda lists the children
+    in agenda order.
 
     The 1/2 child budget (:func:`child_budget_ok`, in ``measure``: a heap,
     default lengths) is judged one generation at a time, as soon as its
@@ -228,37 +221,22 @@ def _run_family(nodes, heaps, functionals, refs, C, first, lazy=None, measure=No
     An agenda node gets all its children in its own generation, and
     ``np.bincount`` adds them in the same order as over the whole run, so
     the verdict is the whole run's bit for bit.
-
-    Heaps filled on demand (``lazy``, a :class:`_LazyHeaps`: avg's fixed
-    chi^M heaps, osc's reference heaps) are filled at the agenda before the
-    selection test; fixed heaps also at the stock nodes of the depths that
-    bounds would not settle, in the same calls.  Fixed heaps are then read
-    only through ``lazy.test``: at the stock for the selection test, and at
-    the other nodes strictly inside an agenda node on the path down to a
-    rejected node for the child rule.  It settles each test from certified
-    bounds where the outcome is certain and fills the value only where it is
-    not, so every decision is that of the filled heap.
     """
-    size = heaps[0].shape[0]
+    size = heaps.heaps[0].shape[0]
     J = size.bit_length() - 1
-    fixed = functionals is None
     stock = kernels.node_mask(nodes, size)
-    values = first
     agenda = kernels.maximal_nodes(stock)
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
         owner = np.zeros(size, dtype=np.intp)
         owner[agenda] = agenda
         owner = kernels.ancestor_max(owner)
-        if lazy is not None:
-            lazy.read(kernels.node_mask(agenda, size), stock if fixed else None)
-        bounds = [C * ref[owner] for ref in (values if refs is None else refs)]
-        if fixed:
-            passes = lazy.test(stock, bounds)
-        else:
-            passes = np.ones(size, dtype=bool)
-            for V, bound in zip(values, bounds):
-                passes &= V <= bound
+        at = kernels.node_mask(agenda, size)
+        heaps.read(at, stock)
+        if refs is not None:
+            refs.read(at)
+        limits = [C * ref[owner] for ref in (heaps if refs is None else refs).heaps]
+        passes = heaps.test(stock, limits)
         rejected = stock & ~passes
         if rejected[agenda].any():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
@@ -267,8 +245,7 @@ def _run_family(nodes, heaps, functionals, refs, C, first, lazy=None, measure=No
         selected = stock & passes
         members = np.flatnonzero(selected)
         closure = kernels.heap_subtree_sums(rejected, J)
-        if fixed:
-            passes |= lazy.test(inside & closure & ~stock, bounds)
+        passes |= heaps.test(inside & closure & ~stock, limits)
         kids = kernels.maximal_nodes(~passes & inside & closure)
         if not child_budget_ok(kids, owner[kids], measure):
             raise _RetryNeeded(f"the children break the 1/2 budget at C={C}")
@@ -277,30 +254,21 @@ def _run_family(nodes, heaps, functionals, refs, C, first, lazy=None, measure=No
         rank[agenda] = np.arange(agenda.size)
         agenda = kids[np.argsort(rank[owner[kids]], kind="stable")]
         stock = rejected
-        if agenda.size and not fixed:
-            redo = stock & kernels.heap_subtree_sums(selected, J)
-            values = tuple(_stock_values(functional, heap, stock, redo, V)
-                           for V, heap, functional in zip(values, heaps, functionals))
+        if agenda.size:
+            heaps = heaps.restocked(stock, selected)
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _stop(mode, nodes, heaps, functionals, C, refs=None, lazy=None, measure=None):
-    """(run, C, first): :func:`_run_family` from the given C, doubling C
-    while an attempt raises :class:`_RetryNeeded`, and StoppingFailure once
-    :data:`MAX_DOUBLINGS` doublings have failed too.  ``first`` is
-    generation 1's value heaps, shared by every attempt: ``heaps`` itself
-    when they are fixed, else each functional over the stock of ``nodes``."""
-    if functionals is None:
-        first = heaps
-    else:
-        stock = kernels.node_mask(nodes, heaps[0].shape[0])
-        first = tuple(_stock_values(functional, heap, stock)
-                      for heap, functional in zip(heaps, functionals))
+def _stop(mode, nodes, heaps, C, refs=None, measure=None):
+    """(run, C): :func:`_run_family` from the given C, doubling C while an
+    attempt raises :class:`_RetryNeeded`, and StoppingFailure once
+    :data:`MAX_DOUBLINGS` doublings have failed too.  Every attempt starts
+    from the same generation-1 ``heaps``, so a node is filled there at most
+    once for all of them."""
     for attempt in range(MAX_DOUBLINGS + 1):
         attempt_C = float(C) * 2.0**attempt
         try:
-            return (_run_family(nodes, heaps, functionals, refs, attempt_C, first, lazy, measure),
-                    attempt_C, first)
+            return _run_family(nodes, heaps, refs, attempt_C, measure), attempt_C
         except _RetryNeeded:
             pass
     raise StoppingFailure(f"no admissible C up to {attempt_C} in {MAX_DOUBLINGS + 1} "
@@ -457,6 +425,19 @@ class _LazyHeaps:
         for k in range(len(self.heaps)):
             self._fill(k, mask if stock is None else mask | self._bound(k, stock & ~mask))
 
+    def restocked(self, stock, selected):
+        """The heaps of the next generation, whose stock is ``stock`` once the
+        boolean heap ``selected`` has left it: fixed heaps do not change."""
+        return self
+
+    def _open_ranges(self):
+        """Allocate ``lo`` and ``hi``, the values where filled and (-inf, inf)
+        elsewhere, unless they are there."""
+        if self.lo is None:
+            heaps = np.stack(self.heaps)
+            self.lo = np.where(self.filled, heaps, -np.inf)
+            self.hi = np.where(self.filled, heaps, np.inf)
+
     def _bound(self, k, mask):
         """Bound each depth with more than _BOUND_MIN of the nodes of mask
         open in heap k, once, and return the open nodes at the depths left
@@ -471,10 +452,7 @@ class _LazyHeaps:
                 rows = self._bounds[k](d)
                 if rows is not None:
                     self._ranged[k, d] = True
-                    if self.lo is None:
-                        heaps = np.stack(self.heaps)
-                        self.lo = np.where(self.filled, heaps, -np.inf)
-                        self.hi = np.where(self.filled, heaps, np.inf)
+                    self._open_ranges()
                     at, free = slice(1 << d, 2 << d), ~self.filled[k, 1 << d : 2 << d]
                     np.copyto(self.lo[k, at], rows[0], where=free)
                     np.copyto(self.hi[k, at], rows[1], where=free)
@@ -528,6 +506,84 @@ class _LazyHeaps:
 _BOUND_MIN = 2 * kernels.CHI_NEAR + 1
 
 
+class _StockHeaps(_LazyHeaps):
+    """Value heaps of stopping functionals over a stock, filled on demand:
+    heap k is ``functionals[k].values`` over ``np.where(stock, heaps[k],
+    0.0)`` at the stock nodes, and 0.0 off the stock.  A node's value
+    depends only on the stock in its own subtree.
+
+    Built on the stock of ``nodes``, generation 1.  Where the open rows are
+    wide (:data:`_BOUND_SPAN`), each heap takes certified ranges from one
+    ``functionals[k].bounds`` pass (:func:`kernels.profile_bounds`).  Every
+    stock node that no range covers is filled at once, heap by heap and a
+    depth at a time, as an exact pass over the whole stock fills it, so a
+    value that raises there raises here, with the same error; the rest is
+    filled only at the agenda and where a range straddles a threshold.
+
+    A later generation (:meth:`restocked`) reopens the stock nodes at or
+    above a selected node and takes their ranges over the new stock; every
+    other node keeps its value or its range, since its subtree holds the
+    same stock, and :func:`kernels.subtree_profile`'s rows do not depend on
+    the rows computed with them, so a value filled later is the fresh one
+    bit for bit.  Open nodes that no range covers are filled with the
+    agenda, in the same calls.  A value that overflows in a later
+    generation would have done so in generation 1: each is at most its
+    value over the larger stock.
+    """
+
+    def __init__(self, nodes, heaps, functionals):
+        J = heaps[0].shape[0].bit_length() - 1
+        super().__init__(J, functionals)
+        self.base, self.functionals = heaps, functionals
+        stock = kernels.node_mask(nodes, 1 << J)
+        self._restock(stock, stock)
+        self.read(np.zeros_like(stock), stock)
+
+    def restocked(self, stock, selected):
+        new = copy.copy(self)
+        new.heaps = tuple(heap.copy() for heap in self.heaps)
+        new.filled = self.filled.copy()
+        if self.lo is not None:
+            new.lo, new.hi = self.lo.copy(), self.hi.copy()
+        new._restock(stock, stock & kernels.heap_subtree_sums(selected, self._J))
+        return new
+
+    def _restock(self, stock, redo):
+        """Set the stock, 0.0 off it, and reopen the nodes of ``redo``."""
+        vals = [np.where(stock, heap, 0.0) for heap in self.base]
+        self._fills = [functools.partial(fn.values, v) for fn, v in zip(self.functionals, vals)]
+        off = ~stock
+        for heap in self.heaps:
+            np.copyto(heap, 0.0, where=off)
+            np.copyto(heap, np.nan, where=redo)
+        self.filled |= off
+        self.filled &= ~redo
+        if self.lo is not None:
+            for ends, value in ((self.lo, -np.inf), (self.hi, np.inf)):
+                np.copyto(ends, 0.0, where=off)
+                np.copyto(ends, value, where=redo)
+        span = sum(np.count_nonzero(redo[1 << d : 2 << d]) * 2.0**-d for d in range(self._J))
+        if span <= _BOUND_SPAN:
+            return
+        for k, (fn, v) in enumerate(zip(self.functionals, vals)):
+            rows = None if fn.bounds is None else fn.bounds(v)
+            if rows is not None:
+                self._open_ranges()
+                np.copyto(self.lo[k], rows[0], where=redo)
+                np.copyto(self.hi[k], rows[1], where=redo)
+
+    def _bound(self, k, mask):
+        """The open nodes of ``mask`` that no range covers."""
+        open_ = mask & ~self.filled[k]
+        return open_ if self.lo is None else open_ & (self.lo[k] == -np.inf)
+
+
+#: Open row cells, in units of 2**J (the sum of |I| over the open nodes),
+#: above which a generation bounds its functional heaps: about what one
+#: bound pass costs in exact row cells.
+_BOUND_SPAN = 2.0
+
+
 def _chi_heaps(signals, M: int):
     """:class:`_LazyHeaps` of |I|**-1 int |s| chi_I^M, one heap per signal s:
     exact values from :func:`kernels.chi_sums_depth`, one call per depth and
@@ -573,7 +629,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     cf, cg, _, _ = _family_stock(T, f, g)
     chi = _chi_heaps((f, g), M)
     chif, chig = chi.heaps
-    run, final_C, _ = _stop("avg", T.nodes, chi.heaps, None, C, lazy=chi)
+    run, final_C = _stop("avg", T.nodes, chi, C)
     fa, ga, length = chif[run.order], chig[run.order], _lengths(run.order)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = fa * ga * length
@@ -646,6 +702,131 @@ def _weak_values(vals, J, d, index, dx):
     return np.max(prof * np.arange(1, prof.shape[1] + 1), axis=1) * dx / 2.0 ** (-d)
 
 
+class _Functional(NamedTuple):
+    """A stopping functional: ``values(vals, d, index)``, its value at the
+    depth-d nodes 2**d + index over the stock heap ``vals``, and
+    ``bounds(vals)``, certified (lo, hi) heaps around the value at every
+    node, or None (:func:`kernels.profile_bounds`); ``bounds`` is None where
+    the functional has none."""
+    values: object
+    bounds: object = None
+
+
+def _slack(J, p):
+    """The relative rounding bound of a functional's value over at most 2**J
+    cells whose final power is 1/p (1 for the weak quasinorm), and of its
+    bounds, or None when it is not small.
+
+    A sum of n nonnegative floats, in any order, is within n u of its real
+    value (u = 2**-53; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 4.2), a product, quotient or square root within u and a
+    pow within a few ulp, numpy's SIMD loops included, as long as nothing
+    overflows or underflows (the callers' limits); the final power 1/p
+    multiplies its argument's relative error by 1/p.  With t = (2**J + 8J
+    + 64) u, which covers the profile sums (at most J terms), the row sum
+    (at most 2**J), the subtree and measure sums of the bounds and every
+    single rounding, the value and each bound lie within a factor
+    (1 + t)**(1/p) (1 + t) of their real values, and 4 t (1/p + 1) covers
+    two such factors while t / p <= 2**-10.
+    """
+    t = ((1 << J) + 8 * J + 64) * 2.0**-53
+    return 4.0 * t * (1.0 / p + 1.0) if t / p <= 2.0**-10 else None
+
+
+def _limits(lo_exp, hi_exp):
+    """(floor, ceil) heaps for :func:`kernels.profile_bounds`: 2**lo_exp and
+    2**hi_exp rounded inward to whole powers, and (inf, 0.0) where lo_exp >
+    hi_exp."""
+    ok = lo_exp <= hi_exp
+    floor = np.ldexp(1.0, np.ceil(np.where(ok, lo_exp, 0.0)).astype(int))
+    ceil = np.ldexp(1.0, np.floor(np.where(ok, hi_exp, 0.0)).astype(int))
+    floor[~ok], ceil[~ok] = np.inf, 0.0
+    return floor, ceil
+
+
+def _by_depth(J, row):
+    """The heap holding row[d] at every depth-d node (entry 0: row[0])."""
+    return np.append(row[0], np.repeat(row, 1 << np.arange(J)))
+
+
+def _lp(J, p, dx):
+    """:func:`_lp_values` at exponent p, with bounds for p <= 2 (Jensen).
+    They decide where the profile mean m, |I| m**(p/2) and |I|**(1/p)
+    sqrt(m) lie within 2**+-BOUND_EXP and |I|**(1/p) reaches 2**-BOUND_EXP:
+    the value's sum, final power and quotient then neither overflow nor
+    underflow, and a depth where |I|**(1/p) underflows is filled exactly,
+    which raises."""
+    def values(vals, d, index):
+        return _lp_values(vals, J, d, index, p, dx)
+
+    slack = _slack(J, p)
+    if p > 2.0 or slack is None:
+        return _Functional(values)
+    return _Functional(values,
+                       lambda vals: kernels.profile_bounds(vals, J, slack, *_lp_limits(J, p)))
+
+
+@functools.lru_cache(maxsize=32)
+def _lp_limits(J, p):
+    """:func:`_lp`'s (floor, ceil) heaps."""
+    d, L = np.arange(J, dtype=float), float(kernels.BOUND_EXP)
+    lo = np.maximum.reduce([np.full(J, -L), 2 * (d / p - L), 2 * (d - L) / p])
+    hi = np.minimum.reduce([np.full(J, L), 2 * (L + d / p), 2 * (L + d) / p])
+    lo[d / p > L] = np.inf
+    return _limits(_by_depth(J, lo), _by_depth(J, hi))
+
+
+def _lp_w(J, r, wvals, wI, dx):
+    """:func:`_lp_w_values` at exponent r < 1, with bounds in the w measure
+    where every w(I) lies within 2**+-BOUND_EXP.  They decide where w(I),
+    w(I)**(1/r), the weighted profile mean m, w(I) m**(r/2) and w(I)**(1/r)
+    sqrt(m) lie within 2**+-BOUND_EXP and m w(I) reaches 2**(J - BOUND_EXP -
+    55), so that a term of the bounds that underflows moves them by less
+    than 2**-60 of themselves; elsewhere the value is filled, and raises
+    when it leaves the float range."""
+    def values(vals, d, index):
+        return _lp_w_values(vals, J, d, index, r, wvals, wI, dx)
+
+    slack, mu, L = _slack(J, r), wI[: 1 << J], float(kernels.BOUND_EXP)
+    if slack is None or not (mu[1:].min() >= 2.0**-L and mu[1] <= 2.0**L):
+        return _Functional(values)
+
+    @functools.cache
+    def limits():
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            den = np.float_power(mu, 1.0 / r)
+            lw, ld = np.log2(mu), np.log2(den)
+        lo = np.maximum.reduce([np.full(mu.shape, -L), 2 * (-L - lw) / r, 2 * (-L - ld),
+                                J - L - 55 - lw])
+        hi = np.minimum.reduce([np.full(mu.shape, L), 2 * (L - lw) / r, 2 * (L - ld)])
+        lo[~((den >= 2.0**-L) & (den <= 2.0**L))] = np.inf
+        return _limits(lo, hi)
+
+    return _Functional(values,
+                       lambda vals: kernels.profile_bounds(vals, J, slack, *limits(), mu=mu))
+
+
+def _weak(J, dx):
+    """:func:`_weak_values`, with bounds (weak <= strong, and Jensen).  They
+    decide where the profile mean m and |I| sqrt(m) lie within
+    2**+-BOUND_EXP."""
+    def values(vals, d, index):
+        return _weak_values(vals, J, d, index, dx)
+
+    slack = _slack(J, 1.0)
+    if slack is None:
+        return _Functional(values)
+    return _Functional(values,
+                       lambda vals: kernels.profile_bounds(vals, J, slack, *_weak_limits(J)))
+
+
+@functools.lru_cache(maxsize=32)
+def _weak_limits(J):
+    """:func:`_weak`'s (floor, ceil) heaps."""
+    d, L = np.arange(J, dtype=float), float(kernels.BOUND_EXP)
+    return _limits(_by_depth(J, np.maximum(-L, 2 * (d - L))), np.full(1 << J, L))
+
+
 def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
                     p: float = 2.0, q: float = 2.0, C: float = 4.0) -> DominationCertificate:
     """Sparse domination by L^p/L^q averages of localized square functions.
@@ -661,22 +842,21 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
         raise ValueError("stopping constant C must be >= 1")
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
-
-    def nf(vals, d, index):
-        return _lp_values(vals, J, d, index, p, dx)
-
-    def ng(vals, d, index):
-        return _lp_values(vals, J, d, index, q, dx)
-
-    def l2(vals, d, index):
-        return _lp_values(vals, J, d, index, 2.0, dx)
-
-    run, final_C, (Nf, Ng) = _stop("square", T.nodes, (full_f, full_g), (nf, ng), C)
+    heaps = _StockHeaps(T.nodes, (full_f, full_g), (_lp(J, p, dx), _lp(J, q, dx)))
+    run, final_C = _stop("square", T.nodes, heaps, C)
     # every collection node is a family node, so generation 1's heaps hold
     # its values over the whole family; at p = 2 they are the L^2 values too
     at = kernels.node_mask(run.order, 1 << J)
-    Lf = Nf if p == 2.0 else _value_heap(l2, full_f, at)
-    Lg = Ng if q == 2.0 else _value_heap(l2, full_g, at)
+    heaps.read(at)
+    Nf, Ng = heaps.heaps
+
+    def l2(full):
+        heap = _LazyHeaps(J, [functools.partial(_lp(J, 2.0, dx).values, full)])
+        heap.read(at)
+        return heap.heaps[0]
+
+    Lf = Nf if p == 2.0 else l2(full_f)
+    Lg = Ng if q == 2.0 else l2(full_g)
     length = _lengths(run.order)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = Nf[run.order] * Ng[run.order] * length
@@ -725,12 +905,10 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
         raise ValueError("weight must be strictly positive")
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
-
-    def norm_w(vals, d, index):
-        return _lp_w_values(vals, J, d, index, r, weight.values, weight.heap, dx)
-
-    run, final_C, _ = _stop("weighted", T.nodes, (full_f, full_g), (norm_w, norm_w), C,
-                            measure=weight.heap)
+    norm_w = _lp_w(J, r, weight.values, weight.heap, dx)
+    run, final_C = _stop("weighted", T.nodes,
+                         _StockHeaps(T.nodes, (full_f, full_g), (norm_w, norm_w)), C,
+                         measure=weight.heap)
 
     hf = hardy_norm(f, p, weight)
     cg_norm = cmo_norm(g, p, weight)
@@ -744,7 +922,7 @@ def dominate_weighted(T: HaarMultiplier, f: Signal, g: Signal, weight,
     for d in range(J):
         at = run.order[(run.order >> d) == 1]
         if at.size:
-            norms[at] = norm_w(np.where((owned >> d) == 1, full_f, 0.0), d, at - (1 << d))
+            norms[at] = norm_w.values(np.where((owned >> d) == 1, full_f, 0.0), d, at - (1 << d))
 
     # omega-sparse chain terms: w(Q)^{1/p} * ||S_{I_Q} f||_{L^r(w)} / w(Q)^{1/r}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -799,12 +977,9 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     osc_f, osc_g = osc.heaps
     cf, cg, full_f, full_g = _family_stock(T, f, g, osc.read)
     J, dx = f.depth_J, f.cell_width
-
-    def weak(vals, d, index):
-        return _weak_values(vals, J, d, index, dx)
-
-    run, final_C, _ = _stop("osc", T.nodes, (full_f, full_g), (weak, weak), C,
-                            refs=osc.heaps, lazy=osc)
+    weak = _weak(J, dx)
+    run, final_C = _stop("osc", T.nodes, _StockHeaps(T.nodes, (full_f, full_g), (weak, weak)),
+                         C, refs=osc)
     of, og = osc_f[run.order], osc_g[run.order]
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_terms = of * og * _lengths(run.order)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,22 @@ class TestCli:
         path.write_text(json.dumps({"n_intervals": -3}))
         assert main(["campaign", "--config", str(path)]) == 2
         assert "n_intervals must be >= 0, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_intervals", 2.5), ("n_intervals", True), ("depth_J", 6.0), ("chi_M", False),
+        ("stop_C", math.nan), ("weak_K", math.nan), ("p", math.nan), ("q", math.inf),
+        ("lam", math.nan), ("hardy_p", math.nan), ("r", math.nan), ("stop_C", True)])
+    def test_mistyped_or_non_finite_config_is_diagnosed(self, tmp_path, capsys, field, value):
+        # each passed validation before and failed in a trial (a traceback
+        # and exit 1, a StoppingFailure up to nan, or a campaign that is not ok)
+        data = {"depth_J": 4, "trials": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**data).validate()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["campaign", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sparsedom: error: {field} must be") and err.count("\n") == 1
 
     def test_invalid_config_is_diagnosed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

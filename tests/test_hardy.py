@@ -15,7 +15,7 @@ from sparsedom.haar import (HaarCoefficients, HaarMultiplier, haar_transform, ht
 from sparsedom.hardy import (Weight, ap_characteristic, atomic_decompose,
                              cmo_norm, hardy_norm, square_function)
 from sparsedom.sparse import child_budget_ok
-from sparsedom.stopping import _grouped, _lp_values, _squared, _stop
+from sparsedom.stopping import _grouped, _lp, _squared, _stop, _StockHeaps
 
 
 def I(d, i):
@@ -299,12 +299,8 @@ def _per_atom_reference(f, p, C):
     nodes = coeffs.support_nodes()
     if not nodes.size:
         return {}, {}, np.full(1 << J, coeffs.mean), {"empty": True}
-    dx = f.cell_width
-
-    def n_r(vals, d, index):
-        return _lp_values(vals, J, d, index, r, dx)
-
-    run, _, _ = _stop("atoms", nodes, (_squared(coeffs.heap, "f"),), (n_r,), C)
+    heaps = _StockHeaps(nodes, (_squared(coeffs.heap, "f"),), (_lp(J, r, f.cell_width),))
+    run, _ = _stop("atoms", nodes, heaps, C)
     family, starts = _grouped(run.order, run.owners, run.members)
     coefficients, atoms = {}, {}
     for k, node in enumerate(run.order.tolist()):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 from test_cz import hard_signals
 
-from sparsedom import kernels
+from sparsedom import kernels, stopping
 from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, oscillation
 from sparsedom.generate import generate_signal
+from sparsedom.haar import haar_transform
+from sparsedom.hardy import Weight
 
 
 def _direct_chi_row(absf, J, d, M):
@@ -399,3 +401,56 @@ def test_narrow_paths_are_taken_and_zero_signs_may_differ():
     assert np.array_equal(got, zeros) and np.all(got == 0.0)
     # a lone row, as Lerner's root row, is numpy's sort bit for bit
     assert _bits(kernels.sort_rows(zeros[:1])) == _bits(np.sort(zeros[:1], axis=-1))
+
+
+def _bound_cases(kind, J, seed, center):
+    """A squared-coefficient heap: a signal's (point masses, zero, constant,
+    cells spanning 1e+-150 around ``center``) or drawn directly (subnormal
+    and mixed profiles), with zeros sprinkled in."""
+    rng = np.random.default_rng(seed)
+    n = 1 << J
+    if kind in ("point_masses", "zero", "constant", "wide"):
+        cells = {"point_masses": lambda: generate_signal("point_masses", J, seed=seed, k=3).values,
+                 "zero": lambda: np.zeros(n), "constant": lambda: np.full(n, 1.5),
+                 "wide": lambda: rng.standard_normal(n) * 10.0 ** (center + rng.uniform(-150, 150, n))
+                 }[kind]()
+        with np.errstate(over="ignore"):
+            vals = haar_transform(Signal(cells)).heap ** 2
+    else:
+        tiny = rng.integers(1, 1 << 30, n) * 5e-324
+        vals = tiny if kind == "subnormal" else np.where(
+            rng.random(n) < 0.5, 10.0 ** rng.uniform(-300, 300, n), tiny)
+    vals = np.where(np.isfinite(vals) & (rng.random(n) < 0.8), vals, 0.0)
+    vals[0] = 0.0
+    return vals
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.integers(1, 7), seed=st.integers(0, 10_000), center=st.floats(-150.0, 150.0),
+       kind=st.sampled_from(["point_masses", "zero", "constant", "wide", "subnormal", "mixed"]),
+       t=st.sampled_from([1.0, 1e6, 1e-6, 1e200]))
+def test_profile_bounds_bracket_every_value(J, seed, center, kind, t):
+    # lo <= V <= hi at every node for each functional that takes bounds, or
+    # the node's range is (-inf, inf) and only its value decides it; a
+    # weighted value out of the float range raises, and only there
+    vals = _bound_cases(kind, J, seed, center)
+    w = Weight(np.where(np.arange(1 << J) < (1 << J) // 2, 1.0, t))      # A_2 near t / 4
+    dx = 2.0 ** -J
+    functionals = [stopping._lp(J, p, dx) for p in (0.5, 1.0, 2.0)]
+    functionals += [stopping._lp_w(J, r, w.values, w.heap, dx) for r in (0.25, 0.5)]
+    functionals += [stopping._weak(J, dx)]
+    for fn in functionals:
+        rows = fn.bounds(vals)
+        if rows is None:
+            continue
+        lo, hi = rows
+        for node in range(1, 1 << J):
+            d = node.bit_length() - 1
+            undecided = lo[node] == -np.inf and hi[node] == np.inf
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    value = fn.values(vals, d, np.array([node - (1 << d)]))[0]
+            except ValueError:
+                assert undecided, node
+                continue
+            assert undecided or lo[node] <= value <= hi[node], (node, lo[node], value, hi[node])

@@ -448,8 +448,8 @@ def _reached(generations, measure=None):
     return out
 
 
-def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, lazy=None,
-                          measure=None, signals=None, agendas=None, weight=None):
+def _reference_run_family(nodes, heaps, refs, C, measure=None, signals=None, agendas=None,
+                          weight=None):
     """The old retry policy on the per-interval engines: each attempt runs
     to completion, then the 1/2 budget is applied to the whole run, and a
     budget break raises _RetryNeeded.  The budget is taken in the measure
@@ -462,7 +462,7 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, lazy=N
     measure = None if weight is None else weight.heap
     generations = []
     try:
-        run = _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generations)
+        run = _reference_run(nodes, heaps, refs, C, signals, generations)
     finally:
         if agendas is not None:
             agendas.update(_reached(generations, measure))
@@ -471,12 +471,14 @@ def _reference_run_family(nodes, heaps, functionals, refs, C, first=None, lazy=N
     return run
 
 
-def _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generations):
+def _reference_run(nodes, heaps, refs, C, signals, generations):
     """The per-interval engines: the old average recursion on fixed heaps,
-    and one functional call per stock member for the other modes.  Memo
-    free: every value is evaluated afresh, and the engine's shared
-    generation-1 heaps are ignored.  Heaps filled on demand are filled at
-    every node before the run, for the certificate to read.
+    and one functional call per stock member for the other modes, on the
+    coefficient heaps and functionals of a ``stopping._StockHeaps``.  Memo
+    free: every value is evaluated afresh, and neither the engine's shared
+    generation-1 values nor its bounds are read.  Fixed heaps and reference
+    heaps are filled at every node before the run, for the certificate to
+    read.
 
     With reference heaps ``refs`` (osc), each agenda node's references are
     the one-interval ``oscillation`` of ``signals``, the caller's own f and
@@ -484,16 +486,19 @@ def _reference_run(nodes, heaps, functionals, refs, C, lazy, signals, generation
     each generation's agenda nodes and (child, parent) node arrays, as
     :func:`_reference_run_avg` does."""
     intervals = [DyadicInterval.from_node(n) for n in nodes.tolist()]
-    if lazy is not None:
-        lazy.read(np.ones(heaps[0].shape[0], dtype=bool))
-    if functionals is None:
-        return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps), C,
+    every = np.ones(heaps.heaps[0].shape[0], dtype=bool)
+    if refs is not None:
+        refs.read(every)
+    if not isinstance(heaps, stopping._StockHeaps):
+        heaps.read(every)
+        return _as_run(*_reference_run_avg(intervals, *map(_HeapAverages, heaps.heaps), C,
                                            generations))
+    functionals = heaps.functionals
 
     def value(k, heap, I):
-        return float(functionals[k](heap, I.depth, np.array([I.index]))[0])
+        return float(functionals[k].values(heap, I.depth, np.array([I.index]))[0])
 
-    heaps = [h.copy() for h in heaps]
+    heaps = [h.copy() for h in heaps.base]
     stock = set(intervals)
     order, subfam, child_map = [], {}, {}
     agenda = _maximal_intervals(stock)
@@ -603,9 +608,9 @@ class TestFamilyEngineEquivalence:
         T = full_multiplier(J)
         engine, retried = stopping._run_family, []
 
-        def spy(nodes, heaps, functionals, refs, C, *rest, **kw):
+        def spy(nodes, heaps, refs, C, *rest, **kw):
             try:
-                return engine(nodes, heaps, functionals, refs, C, *rest, **kw)
+                return engine(nodes, heaps, refs, C, *rest, **kw)
             except stopping._RetryNeeded:
                 retried.append(C)
                 raise
@@ -882,56 +887,72 @@ class TestIncrementalValues:
                "osc": lambda: dominate_oscillation(T, f, g, C=1.0),
                "atoms": lambda: atomic_decompose(Signal(f.values + g.values), p=1.0, C=1.0)}[mode]
         weight = w if mode == "weighted" else None
-        engine, stock_values, value_heap = \
-            stopping._run_family, stopping._stock_values, stopping._value_heap
-        attempts, evaluations, kept = [], [], []
+        engine, init, restocked = \
+            stopping._run_family, stopping._StockHeaps.__init__, stopping._StockHeaps.restocked
+        attempts, built, generations, kept = [], [], [], []
 
-        def engine_spy(nodes, heaps, functionals, refs, C, *rest, **kw):
+        def engine_spy(nodes, heaps, refs, C, *rest, **kw):
             # each attempt decides as the memo-free per-interval engine does,
-            # and takes every later generation's values from _stock_values
-            attempts.append((nodes, functionals, []))
+            # and takes every later generation's heaps from restocked
+            attempts.append((nodes, heaps, []))
             try:
-                want = _reference_run_family(nodes, heaps, functionals, refs, C,
-                                             signals=(f, g), weight=weight)
+                want = _reference_run_family(nodes, heaps, refs, C, signals=(f, g),
+                                             weight=weight)
             except stopping._RetryNeeded:
                 with pytest.raises(stopping._RetryNeeded):
-                    engine(nodes, heaps, functionals, refs, C, *rest, **kw)
+                    engine(nodes, heaps, refs, C, *rest, **kw)
                 raise
             try:
-                got = engine(nodes, heaps, functionals, refs, C, *rest, **kw)
+                got = engine(nodes, heaps, refs, C, *rest, **kw)
             except stopping._RetryNeeded:
                 pytest.fail(f"the engine rejects C={C}, which the reference accepts")
             assert np.array_equal(got.order, want.order)
             assert _pairs(got.members, got.owners) == _pairs(want.members, want.owners)
             assert _pairs(got.kids, got.parents) == _pairs(want.kids, want.parents)
             stocks = [stock.tobytes() for stock in attempts[-1][2]]
-            assert stocks == [stock.tobytes() for stock in _later_stocks(want, 1 << J)
-                              for _ in functionals]
+            assert stocks == [stock.tobytes() for stock in _later_stocks(want, 1 << J)]
             return got
 
-        def value_heap_spy(functional, vals, mask, out=None):
-            evaluations.append((functional, mask.copy()))
-            return value_heap(functional, vals, mask, out)
+        def init_spy(self, nodes, heaps, functionals):
+            init(self, nodes, heaps, functionals)
+            built.append(self)
+            generations.append((self, kernels.node_mask(nodes, 1 << J)))
 
-        def stock_values_spy(functional, heap, stock, redo=None, prev=None):
-            got = stock_values(functional, heap, stock, redo, prev)
-            fresh = value_heap(functional, np.where(stock, heap, 0.0), stock)
-            assert got.tobytes() == fresh.tobytes()
-            if redo is not None:
-                attempts[-1][2].append(stock.copy())
-                kept.append(int(np.count_nonzero(stock & ~redo)))
-            return got
+        def restocked_spy(self, stock, selected):
+            new = restocked(self, stock, selected)
+            attempts[-1][2].append(stock.copy())
+            generations.append((new, stock.copy()))
+            redo = stock & kernels.heap_subtree_sums(selected, J)
+            kept.append(int(np.count_nonzero(stock & ~redo)))
+            return new
 
         with mock.patch.object(stopping, "_run_family", engine_spy), \
-                mock.patch.object(stopping, "_value_heap", value_heap_spy), \
-                mock.patch.object(stopping, "_stock_values", stock_values_spy):
+                mock.patch.object(stopping._StockHeaps, "__init__", init_spy), \
+                mock.patch.object(stopping._StockHeaps, "restocked", restocked_spy):
             run()
         assert len(attempts) >= 2 and sum(kept) > 0
-        nodes, functionals, _ = attempts[0]
-        family = kernels.node_mask(nodes, 1 << J)
-        first = [fn for fn, mask in evaluations
-                 if any(fn is k for k in functionals) and np.array_equal(mask, family)]
-        assert len(first) == len(functionals)
+        # generation 1 is built once per call, on the family, for every attempt
+        assert len(built) == 1 and all(heaps is built[0] for _, heaps, _ in attempts)
+        # every value a generation holds is the fresh evaluation over its
+        # stock bit for bit, and every range it holds brackets that value
+        for heaps, stock in generations:
+            for k, fn in enumerate(heaps.functionals):
+                fresh = _fresh_values(fn, np.where(stock, heaps.base[k], 0.0), stock)
+                filled = heaps.filled[k]
+                assert heaps.heaps[k][filled].tobytes() == fresh[filled].tobytes()
+                if heaps.lo is not None:
+                    assert np.all(heaps.lo[k] <= fresh) and np.all(fresh <= heaps.hi[k])
+
+
+def _fresh_values(functional, vals, stock):
+    """The functional's value heap over ``vals``: its values at the stock
+    nodes, one call per depth, and 0.0 elsewhere."""
+    out = np.zeros(stock.shape[0])
+    for d in range(stock.shape[0].bit_length() - 1):
+        index = np.flatnonzero(stock[1 << d : 2 << d])
+        if index.size:
+            out[(1 << d) + index] = functional.values(vals, d, index)
+    return out
 
 
 class TestBudgetCut:
@@ -946,28 +967,27 @@ class TestBudgetCut:
         g = generate_signal("point_masses", J, seed=J + 1, k=8)
         w = generate_weight("two_level", J, seed=J + 2, t=64.0)
         measure = w.heap if mode == "weighted" else None
-        engine, stock_values = stopping._run_family, stopping._stock_values
-        attempts, old = [], []      # per attempt: [C, raised, later evaluations]
+        engine, restocked = stopping._run_family, stopping._StockHeaps.restocked
+        attempts, old = [], []      # per attempt: [C, raised, later generations]
 
-        def engine_spy(nodes, heaps, functionals, refs, C, *rest, **kw):
+        def engine_spy(nodes, heaps, refs, C, *rest, **kw):
             if not attempts:
                 # the parent policy's first attempt, run to completion
-                run = _reference_run(nodes, heaps, functionals, refs, C, None, (f, g), old)
+                run = _reference_run(nodes, heaps, refs, C, (f, g), old)
                 assert not stopping.child_budget_ok(run.kids, run.parents, measure)
             attempts.append([C, False, 0])
             try:
-                return engine(nodes, heaps, functionals, refs, C, *rest, **kw)
+                return engine(nodes, heaps, refs, C, *rest, **kw)
             except stopping._RetryNeeded:
                 attempts[-1][1] = True
                 raise
 
-        def stock_values_spy(functional, heap, stock, redo=None, prev=None):
-            if redo is not None:
-                attempts[-1][2] += 1
-            return stock_values(functional, heap, stock, redo, prev)
+        def restocked_spy(self, stock, selected):
+            attempts[-1][2] += 1
+            return restocked(self, stock, selected)
 
         with mock.patch.object(stopping, "_run_family", engine_spy), \
-                mock.patch.object(stopping, "_stock_values", stock_values_spy):
+                mock.patch.object(stopping._StockHeaps, "restocked", restocked_spy):
             cert = (dominate_square(T, f, g, C=1.0) if mode == "square" else
                     dominate_weighted(T, f, g, w, C=1.0))
         # the old policy went on past a first generation that breaks the budget
@@ -1027,8 +1047,8 @@ class TestStructuralChecksFail:
         real = stopping._stop
 
         def tampered(*args, **kwargs):
-            run, C, first = real(*args, **kwargs)
-            return tamper(run, T), C, first
+            run, C = real(*args, **kwargs)
+            return tamper(run, T), C
 
         with mock.patch.object(stopping, "_stop", tampered):
             if mode == "avg":
@@ -1483,3 +1503,27 @@ class TestLerner:
         assert repr(rep["median_Q0"]) == repr(float(root[(hi - lo - 1) // 2]))
         omega = shortest_window_oscillation(root, int(np.floor(lam * (hi - lo))))
         assert repr(rep["omega_Q0"]) == repr(float(omega))
+
+
+@pytest.mark.parametrize("mode", ["square", "atoms", "weighted"])
+def test_raising_value_at_a_bounded_node_still_raises(mode):
+    # a full family at J = 8 takes bounds in generation 1, and the one node
+    # class whose value raises lies below the agenda: the deepest depth,
+    # where |I|**(1/p) underflows for p = 0.006 (the depth above stays
+    # normal), and the depth-7 node over two cells of 1e-200, whose
+    # w(I)**(1/r) underflows to 0.0.  The run raises the error an exact pass
+    # over the whole family raises.
+    J = 8
+    T = full_multiplier(J)
+    f, g = generate_signal("gaussian_noise", J, seed=1), generate_signal("gaussian_noise", J, seed=2)
+    cells = np.ones(1 << J)
+    cells[:2] = 1e-200
+    run, match = {
+        "square": (lambda: dominate_square(T, f, g, p=0.006, q=0.006),
+                   r"\|I\|\*\*\(1/p\) underflows at depth 7 for p = 0.006"),
+        "atoms": (lambda: atomic_decompose(f, p=0.012),
+                  r"\|I\|\*\*\(1/p\) underflows at depth 7 for p = 0.006"),
+        "weighted": (lambda: dominate_weighted(T, f, g, Weight(cells)),
+                     r"weighted L\^r value of the square function overflows")}[mode]
+    with pytest.raises(ValueError, match=match):
+        run()
