@@ -513,7 +513,7 @@ class _StockHeaps(_LazyHeaps):
     depends only on the stock in its own subtree.
 
     Built on the stock of ``nodes``, generation 1.  Where the open rows are
-    wide (:data:`_BOUND_SPAN`), each heap takes certified ranges from one
+    wide (:data:`_BOUND_ROWS`), each heap takes certified ranges from one
     ``functionals[k].bounds`` pass (:func:`kernels.profile_bounds`).  Every
     stock node that no range covers is filled at once, heap by heap and a
     depth at a time, as an exact pass over the whole stock fills it, so a
@@ -562,8 +562,9 @@ class _StockHeaps(_LazyHeaps):
             for ends, value in ((self.lo, -np.inf), (self.hi, np.inf)):
                 np.copyto(ends, 0.0, where=off)
                 np.copyto(ends, value, where=redo)
-        span = sum(np.count_nonzero(redo[1 << d : 2 << d]) * 2.0**-d for d in range(self._J))
-        if span <= _BOUND_SPAN:
+        counts = [np.count_nonzero(redo[1 << d : 2 << d]) for d in range(self._J)]
+        cells = sum(count << (self._J - d) for d, count in enumerate(counts))
+        if cells <= (_BOUND_ROWS << self._J) + _CALL_CELLS * np.count_nonzero(counts):
             return
         for k, (fn, v) in enumerate(zip(self.functionals, vals)):
             rows = None if fn.bounds is None else fn.bounds(v)
@@ -578,10 +579,13 @@ class _StockHeaps(_LazyHeaps):
         return open_ if self.lo is None else open_ & (self.lo[k] == -np.inf)
 
 
-#: Open row cells, in units of 2**J (the sum of |I| over the open nodes),
-#: above which a generation bounds its functional heaps: about what one
-#: bound pass costs in exact row cells.
-_BOUND_SPAN = 2.0
+#: A generation bounds its functional heaps when its open rows hold more
+#: cells than the bound pass and the extra exact calls it brings cost:
+#: _BOUND_ROWS rows of 2**J cells, plus _CALL_CELLS cells per depth with
+#: open nodes (one exact call per depth costs about 40 us, a row cell about
+#: 10 ns, measured at J = 12 and 14).
+_BOUND_ROWS = 2
+_CALL_CELLS = 4096
 
 
 def _chi_heaps(signals, M: int):

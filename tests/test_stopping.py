@@ -556,6 +556,12 @@ def _family_certificates(T, f, g, weights, C, reference=False):
     return json.dumps(out, sort_keys=True)
 
 
+def _bounds_everywhere():
+    """A patch under which every generation bounds its functional heaps,
+    however narrow its open rows."""
+    return mock.patch.multiple(stopping, _BOUND_ROWS=-1, _CALL_CELLS=0)
+
+
 class TestFamilyEngineEquivalence:
     """The level-synchronous engine gives the per-candidate loop's certificates."""
 
@@ -599,8 +605,10 @@ class TestFamilyEngineEquivalence:
             generate_multiplier(J, seed=seed + 2, n_intervals=n_intervals)
         weights = (generate_weight("two_level", J, seed=seed + 3, t=64.0),
                    generate_weight("dyadic_doubling", J, seed=seed + 3, delta=0.25))
-        fast = _family_certificates(T, f, g, weights, C)
-        assert fast == _family_certificates(T, f, g, weights, C, reference=True)
+        reference = _family_certificates(T, f, g, weights, C, reference=True)
+        assert _family_certificates(T, f, g, weights, C) == reference
+        with _bounds_everywhere():
+            assert _family_certificates(T, f, g, weights, C) == reference
 
     def test_self_rejection_retry_matches_reference(self):
         J = 5
@@ -928,7 +936,8 @@ class TestIncrementalValues:
 
         with mock.patch.object(stopping, "_run_family", engine_spy), \
                 mock.patch.object(stopping._StockHeaps, "__init__", init_spy), \
-                mock.patch.object(stopping._StockHeaps, "restocked", restocked_spy):
+                mock.patch.object(stopping._StockHeaps, "restocked", restocked_spy), \
+                _bounds_everywhere():
             run()
         assert len(attempts) >= 2 and sum(kept) > 0
         # generation 1 is built once per call, on the family, for every attempt
@@ -1507,7 +1516,7 @@ class TestLerner:
 
 @pytest.mark.parametrize("mode", ["square", "atoms", "weighted"])
 def test_raising_value_at_a_bounded_node_still_raises(mode):
-    # a full family at J = 8 takes bounds in generation 1, and the one node
+    # a full family at J = 8, bounded in generation 1, where the one node
     # class whose value raises lies below the agenda: the deepest depth,
     # where |I|**(1/p) underflows for p = 0.006 (the depth above stays
     # normal), and the depth-7 node over two cells of 1e-200, whose
@@ -1525,5 +1534,5 @@ def test_raising_value_at_a_bounded_node_still_raises(mode):
                   r"\|I\|\*\*\(1/p\) underflows at depth 7 for p = 0.006"),
         "weighted": (lambda: dominate_weighted(T, f, g, Weight(cells)),
                      r"weighted L\^r value of the square function overflows")}[mode]
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match), _bounds_everywhere():
         run()
