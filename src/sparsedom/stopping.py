@@ -468,10 +468,11 @@ class _LazyHeaps:
         passes = mask.copy()
         for k, limit in enumerate(limits):
             open_ = passes & ~self.filled[k]
-            self._bound(k, open_)
-            lo, hi = self._range(k)
-            self._fill(k, open_ & ~((hi <= limit) | (lo > limit)))
-            passes &= hi <= limit
+            if open_.any():
+                self._bound(k, open_)
+                lo, hi = self._range(k)
+                self._fill(k, open_ & ~((hi <= limit) | (lo > limit)))
+            passes &= self._range(k)[1] <= limit
         return passes
 
     def _range(self, k):
