@@ -521,7 +521,9 @@ class _StockHeaps(_LazyHeaps):
     value that raises there raises here, with the same error; the rest is
     filled only at the agenda and where a range straddles a threshold.
 
-    A later generation (:meth:`restocked`) reopens the stock nodes at or
+    A later generation (:meth:`restocked`: a copy of generation 1's heaps,
+    which every attempt shares, and after that the attempt's own heaps,
+    changed in place) reopens the stock nodes at or
     above a selected node and takes their ranges over the new stock; every
     other node keeps its value or its range, since its subtree holds the
     same stock, and :func:`kernels.subtree_profile`'s rows do not depend on
@@ -535,17 +537,20 @@ class _StockHeaps(_LazyHeaps):
     def __init__(self, nodes, heaps, functionals):
         J = heaps[0].shape[0].bit_length() - 1
         super().__init__(J, functionals)
-        self.base, self.functionals = heaps, functionals
+        self.base, self.functionals, self._private = heaps, functionals, False
         stock = kernels.node_mask(nodes, 1 << J)
         self._restock(stock, stock)
         self.read(np.zeros_like(stock), stock)
 
     def restocked(self, stock, selected):
-        new = copy.copy(self)
-        new.heaps = tuple(heap.copy() for heap in self.heaps)
-        new.filled = self.filled.copy()
-        if self.lo is not None:
-            new.lo, new.hi = self.lo.copy(), self.hi.copy()
+        new = self
+        if not self._private:           # generation 1's, shared by every attempt
+            new = copy.copy(self)
+            new.heaps = tuple(heap.copy() for heap in self.heaps)
+            new.filled = self.filled.copy()
+            if self.lo is not None:
+                new.lo, new.hi = self.lo.copy(), self.hi.copy()
+            new._private = True
         new._restock(stock, stock & kernels.heap_subtree_sums(selected, self._J))
         return new
 

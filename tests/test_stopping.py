@@ -897,7 +897,17 @@ class TestIncrementalValues:
         weight = w if mode == "weighted" else None
         engine, init, restocked = \
             stopping._run_family, stopping._StockHeaps.__init__, stopping._StockHeaps.restocked
-        attempts, built, generations, kept = [], [], [], []
+        attempts, built, generations, kept = [], [], {}, []
+
+        def check(heaps, stock):
+            # every value the heaps hold is the fresh evaluation over the
+            # stock bit for bit, and every range they hold brackets it
+            for k, fn in enumerate(heaps.functionals):
+                fresh = _fresh_values(fn, np.where(stock, heaps.base[k], 0.0), stock)
+                filled = heaps.filled[k]
+                assert heaps.heaps[k][filled].tobytes() == fresh[filled].tobytes()
+                if heaps.lo is not None:
+                    assert np.all(heaps.lo[k] <= fresh) and np.all(fresh <= heaps.hi[k])
 
         def engine_spy(nodes, heaps, refs, C, *rest, **kw):
             # each attempt decides as the memo-free per-interval engine does,
@@ -924,12 +934,13 @@ class TestIncrementalValues:
         def init_spy(self, nodes, heaps, functionals):
             init(self, nodes, heaps, functionals)
             built.append(self)
-            generations.append((self, kernels.node_mask(nodes, 1 << J)))
+            generations[id(self)] = (self, kernels.node_mask(nodes, 1 << J))
 
         def restocked_spy(self, stock, selected):
+            check(*generations[id(self)])      # before a later generation changes it
             new = restocked(self, stock, selected)
             attempts[-1][2].append(stock.copy())
-            generations.append((new, stock.copy()))
+            generations[id(new)] = (new, stock.copy())
             redo = stock & kernels.heap_subtree_sums(selected, J)
             kept.append(int(np.count_nonzero(stock & ~redo)))
             return new
@@ -942,15 +953,8 @@ class TestIncrementalValues:
         assert len(attempts) >= 2 and sum(kept) > 0
         # generation 1 is built once per call, on the family, for every attempt
         assert len(built) == 1 and all(heaps is built[0] for _, heaps, _ in attempts)
-        # every value a generation holds is the fresh evaluation over its
-        # stock bit for bit, and every range it holds brackets that value
-        for heaps, stock in generations:
-            for k, fn in enumerate(heaps.functionals):
-                fresh = _fresh_values(fn, np.where(stock, heaps.base[k], 0.0), stock)
-                filled = heaps.filled[k]
-                assert heaps.heaps[k][filled].tobytes() == fresh[filled].tobytes()
-                if heaps.lo is not None:
-                    assert np.all(heaps.lo[k] <= fresh) and np.all(fresh <= heaps.hi[k])
+        for heaps, stock in generations.values():
+            check(heaps, stock)
 
 
 def _fresh_values(functional, vals, stock):
