@@ -245,7 +245,7 @@ def _run_family(nodes, heaps, refs, C, measure=None):
         selected = stock & passes
         members = np.flatnonzero(selected)
         closure = kernels.heap_subtree_sums(rejected, J)
-        passes |= heaps.test(inside & closure & ~stock, limits)
+        passes |= heaps.test_off(inside & closure & ~stock, limits)
         kids = kernels.maximal_nodes(~passes & inside & closure)
         if not child_budget_ok(kids, owner[kids], measure):
             raise _RetryNeeded(f"the children break the 1/2 budget at C={C}")
@@ -375,6 +375,21 @@ def _family_stock(T, f, g, read=None):
 # chi^M average stopping time (L^1 averages)
 # ---------------------------------------------------------------------------
 
+class _Ranges(NamedTuple):
+    """Certified ranges around a lazy heap, and what they cost, in cells read
+    (about 10 ns each).  ``rows(d)`` is (lo, hi) around the heap at every
+    depth-d node, or None at a depth it cannot bound.  An exact value at
+    depth d reads ``node[d]`` cells and a bound row ``row[d]``; the first
+    row also costs ``shared`` (a pass that serves every depth), and each
+    bounded depth ``call`` more, for the second fill call it brings: the
+    nodes that straddle a threshold are filled apart from the agenda."""
+    rows: object
+    node: np.ndarray
+    row: np.ndarray
+    call: float = 0.0
+    shared: float = 0.0
+
+
 class _LazyHeaps:
     """Heaps filled on demand, one per fill function, NaN until filled.
 
@@ -383,31 +398,34 @@ class _LazyHeaps:
     for the depth-d nodes 2**d + index.  Every attempt of a call shares the
     ``filled`` masks, so a node is filled at most once per heap.
 
-    With ``bounds`` (``bounds[k](d)``: a certified (lo, hi) around heap k at
-    every depth-d node, or None at a depth it cannot bound), ``lo[k]`` and
+    With ``bounds`` (one :class:`_Ranges` or None per heap), ``lo[k]`` and
     ``hi[k]`` hold each node's known range: (-inf, inf) until its depth is
     bounded, the value itself once filled.  They are None until a first
     depth is bounded, and the heaps stand for both (NaN, which decides
     nothing, where not filled).  ``test(mask, limits)`` decides
     heap <= limit from these ranges wherever that is certain and fills only
-    the rest.  A depth is bounded the first time a read or a test meets more
-    than :data:`_BOUND_MIN` of its nodes open, about what the bounds cost in
-    exact rows; below that, or at a depth the bounds cannot cover, the nodes
-    are read exactly, and ``read(mask, stock)`` fills those of ``stock``
-    together with ``mask``, in the same calls.
+    the rest.  One rule, in :meth:`_bound`, says which depths are bounded:
+    those whose open nodes would read more cells exactly than their row and
+    its extra call cost, once these gains outweigh the shared pass.  The
+    other open nodes, and those whose range is open below, are read
+    exactly: ``read(mask, stock)`` fills those of ``stock`` together with
+    ``mask``, in the same calls.
     """
 
-    def __init__(self, J: int, fills, bounds=None):
+    def __init__(self, J: int, fills, bounds=None, blank=np.nan):
         size = 1 << J
-        self.heaps = tuple(np.full(size, np.nan) for _ in fills)
+        self.heaps = tuple(np.zeros(size) if blank == 0.0 else np.full(size, blank)
+                           for _ in fills)
         self.filled = np.zeros((len(fills), size), dtype=bool)
         self.lo = self.hi = None
         self._tried = np.zeros((len(fills), J), dtype=bool)
         self._ranged = np.zeros((len(fills), J), dtype=bool)
-        self._fills, self._bounds, self._J = fills, bounds, J
+        self._paid = np.zeros(len(fills), dtype=bool)
+        self._fills, self._J = fills, J
+        self._bounds = [None] * len(fills) if bounds is None else bounds
 
     def _depth_cuts(self, nodes):
-        return np.searchsorted(nodes, 1 << np.arange(self._J + 1)).tolist()
+        return np.searchsorted(nodes, _depth_starts(self._J)).tolist()
 
     def _fill(self, k, mask):
         new = np.flatnonzero(mask & ~self.filled[k])
@@ -422,13 +440,18 @@ class _LazyHeaps:
             self.lo[k, new] = self.hi[k, new] = heap[new]
 
     def read(self, mask, stock=None):
+        rest = None if stock is None else stock & ~mask
         for k in range(len(self.heaps)):
-            self._fill(k, mask if stock is None else mask | self._bound(k, stock & ~mask))
+            self._fill(k, mask if rest is None else mask | self._bound(k, rest))
 
     def restocked(self, stock, selected):
         """The heaps of the next generation, whose stock is ``stock`` once the
         boolean heap ``selected`` has left it: fixed heaps do not change."""
         return self
+
+    def test_off(self, mask, limits):
+        """:meth:`test` at nodes off the stock."""
+        return self.test(mask, limits)
 
     def _open_ranges(self):
         """Allocate ``lo`` and ``hi``, the values where filled and (-inf, inf)
@@ -439,26 +462,30 @@ class _LazyHeaps:
             self.hi = np.where(self.filled, heaps, np.inf)
 
     def _bound(self, k, mask):
-        """Bound each depth with more than _BOUND_MIN of the nodes of mask
-        open in heap k, once, and return the open nodes at the depths left
-        without bounds: only their values decide them."""
+        """Bound heap k at the depths where that pays for the open nodes of
+        ``mask``, each depth once, and return the open nodes no range covers:
+        only their values decide them."""
         exact = mask & ~self.filled[k]
-        if self._bounds is None:
+        src = self._bounds[k]
+        if src is None:
             return exact
-        cuts = self._depth_cuts(np.flatnonzero(exact))
-        for d, lo, hi in zip(range(self._J), cuts, cuts[1:]):
-            if hi - lo > _BOUND_MIN and not self._tried[k, d]:
+        gain = np.diff(self._depth_cuts(np.flatnonzero(exact))) * src.node - src.row - src.call
+        pick = (gain > 0) & ~self._tried[k]
+        if pick.any() and (self._paid[k] or gain[pick].sum() > src.shared):
+            self._paid[k] = True
+            for d in np.flatnonzero(pick).tolist():
                 self._tried[k, d] = True
-                rows = self._bounds[k](d)
+                rows = src.rows(d)
                 if rows is not None:
                     self._ranged[k, d] = True
                     self._open_ranges()
                     at, free = slice(1 << d, 2 << d), ~self.filled[k, 1 << d : 2 << d]
                     np.copyto(self.lo[k, at], rows[0], where=free)
                     np.copyto(self.hi[k, at], rows[1], where=free)
-            if hi > lo and self._ranged[k, d]:
-                exact[1 << d : 2 << d] = False
-        return exact
+        if not self._ranged[k].any():
+            return exact
+        covered = np.repeat(np.append(False, self._ranged[k]), np.diff(_depth_starts(self._J), prepend=0))
+        return exact & ~(covered & (self.lo[k] > -np.inf))
 
     def test(self, mask, limits):
         """Boolean heap of the nodes of ``mask`` where heaps[k] <= limits[k]
@@ -503,8 +530,10 @@ class _LazyHeaps:
         return best
 
 
-#: Open nodes of one depth above which a read or a test bounds the whole depth.
-_BOUND_MIN = 2 * kernels.CHI_NEAR + 1
+@functools.lru_cache(maxsize=32)
+def _depth_starts(J):
+    """The first node of each depth 0..J, 2**d."""
+    return 1 << np.arange(J + 1)
 
 
 class _StockHeaps(_LazyHeaps):
@@ -513,34 +542,41 @@ class _StockHeaps(_LazyHeaps):
     0.0)`` at the stock nodes, and 0.0 off the stock.  A node's value
     depends only on the stock in its own subtree.
 
-    Built on the stock of ``nodes``, generation 1.  Where the open rows are
-    wide (:data:`_BOUND_ROWS`), each heap takes certified ranges from one
-    ``functionals[k].bounds`` pass (:func:`kernels.profile_bounds`).  Every
-    stock node that no range covers is filled at once, heap by heap and a
-    depth at a time, as an exact pass over the whole stock fills it, so a
-    value that raises there raises here, with the same error; the rest is
-    filled only at the agenda and where a range straddles a threshold.
+    Built on the stock of ``nodes``, generation 1, which every attempt
+    shares.  Each generation's ranges come from one
+    ``functionals[k].bounds`` pass over its stock
+    (:func:`kernels.profile_bounds`), made the first time
+    :meth:`_LazyHeaps._bound` bounds a depth.  An exact value reads 2**(J -
+    d) cells at depth d, the pass costs :data:`_BOUND_ROWS` rows of 2**J
+    cells, and a bounded depth an exact call, :data:`_CALL_CELLS`, so a
+    depth pays only where its open rows hold more than 2**12 cells: no
+    stock at J <= 12 is bounded, since a row holds at most 2**J cells, and
+    at J >= 13 only the stocks with wide open rows are (deep-J14's atoms).
+    Every open stock node that no range covers is filled with the agenda,
+    heap by heap and a depth at a time, as an exact pass over the whole
+    stock fills it, so a value that raises there raises here, with the same
+    error; the rest is filled only where a range straddles a threshold.
 
     A later generation (:meth:`restocked`: a copy of generation 1's heaps,
-    which every attempt shares, and after that the attempt's own heaps,
-    changed in place) reopens the stock nodes at or
-    above a selected node and takes their ranges over the new stock; every
-    other node keeps its value or its range, since its subtree holds the
-    same stock, and :func:`kernels.subtree_profile`'s rows do not depend on
-    the rows computed with them, so a value filled later is the fresh one
-    bit for bit.  Open nodes that no range covers are filled with the
-    agenda, in the same calls.  A value that overflows in a later
-    generation would have done so in generation 1: each is at most its
-    value over the larger stock.
+    and after that the attempt's own heaps, changed in place) reopens the
+    stock nodes at or above a selected node; every other node keeps its
+    value or its range, since its subtree holds the same stock, and
+    :func:`kernels.subtree_profile`'s rows do not depend on the rows
+    computed with them, so a value filled later is the fresh one bit for
+    bit.  A reopened node keeps its old value until it is filled with the
+    next agenda, and nothing reads it before; where ranges are held its
+    range is reopened too.  A value that overflows in a later generation
+    would have done so in generation 1: each is at most its value over the
+    larger stock.
     """
 
     def __init__(self, nodes, heaps, functionals):
         J = heaps[0].shape[0].bit_length() - 1
-        super().__init__(J, functionals)
+        super().__init__(J, functionals, blank=0.0)
         self.base, self.functionals, self._private = heaps, functionals, False
         stock = kernels.node_mask(nodes, 1 << J)
-        self._restock(stock, stock)
-        self.read(np.zeros_like(stock), stock)
+        self.filled[:] = ~stock
+        self._restock(stock)
 
     def restocked(self, stock, selected):
         new = self
@@ -548,48 +584,60 @@ class _StockHeaps(_LazyHeaps):
             new = copy.copy(self)
             new.heaps = tuple(heap.copy() for heap in self.heaps)
             new.filled = self.filled.copy()
+            new._tried, new._ranged = self._tried.copy(), self._ranged.copy()
             if self.lo is not None:
                 new.lo, new.hi = self.lo.copy(), self.hi.copy()
             new._private = True
-        new._restock(stock, stock & kernels.heap_subtree_sums(selected, self._J))
+        redo = stock & kernels.heap_subtree_sums(selected, self._J)
+        for heap in new.heaps:
+            np.copyto(heap, 0.0, where=selected)
+        new.filled |= selected
+        new.filled &= ~redo
+        if new.lo is not None:
+            for ends, value in ((new.lo, -np.inf), (new.hi, np.inf)):
+                np.copyto(ends, 0.0, where=selected)
+                np.copyto(ends, value, where=redo)
+        if new._tried.any():
+            new._tried[:, np.add.reduceat(redo, _depth_starts(self._J)[:-1]) > 0] = False
+        new._restock(stock)
         return new
 
-    def _restock(self, stock, redo):
-        """Set the stock, 0.0 off it, and reopen the nodes of ``redo``."""
+    def test_off(self, mask, limits):
+        """``mask`` itself: off the stock every value is 0.0, which passes
+        every limit, C times a value >= 0."""
+        return mask
+
+    def _restock(self, stock):
+        """The fills and the bound pass over ``stock``, 0.0 off it."""
         vals = [np.where(stock, heap, 0.0) for heap in self.base]
         self._fills = [functools.partial(fn.values, v) for fn, v in zip(self.functionals, vals)]
-        off = ~stock
-        for heap in self.heaps:
-            np.copyto(heap, 0.0, where=off)
-            np.copyto(heap, np.nan, where=redo)
-        self.filled |= off
-        self.filled &= ~redo
-        if self.lo is not None:
-            for ends, value in ((self.lo, -np.inf), (self.hi, np.inf)):
-                np.copyto(ends, 0.0, where=off)
-                np.copyto(ends, value, where=redo)
-        counts = [np.count_nonzero(redo[1 << d : 2 << d]) for d in range(self._J)]
-        cells = sum(count << (self._J - d) for d, count in enumerate(counts))
-        if cells <= (_BOUND_ROWS << self._J) + _CALL_CELLS * np.count_nonzero(counts):
-            return
-        for k, (fn, v) in enumerate(zip(self.functionals, vals)):
-            rows = None if fn.bounds is None else fn.bounds(v)
-            if rows is not None:
-                self._open_ranges()
-                np.copyto(self.lo[k], rows[0], where=redo)
-                np.copyto(self.hi[k], rows[1], where=redo)
-
-    def _bound(self, k, mask):
-        """The open nodes of ``mask`` that no range covers."""
-        open_ = mask & ~self.filled[k]
-        return open_ if self.lo is None else open_ & (self.lo[k] == -np.inf)
+        # a depth's open rows hold at most 2**J cells: where that is no more
+        # than _CALL_CELLS, no depth can pay, and the heaps are read exactly
+        wide = (1 << self._J) > _CALL_CELLS
+        node = np.ldexp(1.0, self._J - np.arange(self._J))
+        self._bounds = [_Ranges(_pass_rows(fn.bounds, v), node, np.zeros(self._J),
+                                _CALL_CELLS, _BOUND_ROWS << self._J)
+                        if wide and fn.bounds is not None else None
+                        for fn, v in zip(self.functionals, vals)]
+        self._paid[:] = False
 
 
-#: A generation bounds its functional heaps when its open rows hold more
-#: cells than the bound pass and the extra exact calls it brings cost:
-#: _BOUND_ROWS rows of 2**J cells, plus _CALL_CELLS cells per depth with
-#: open nodes (one exact call per depth costs about 40 us, a row cell about
-#: 10 ns, measured at J = 12 and 14).
+def _pass_rows(bounds, vals):
+    """rows(d) of :class:`_Ranges`: depth d of ``bounds(vals)``, one pass
+    made on the first call, or None where it gives none."""
+    whole = functools.cache(lambda: bounds(vals))
+
+    def rows(d):
+        heaps = whole()
+        return None if heaps is None else tuple(h[1 << d : 2 << d] for h in heaps)
+    return rows
+
+
+#: The cost of a functional's bounds, in cells (about 10 ns each): its
+#: pass, _BOUND_ROWS rows of 2**J cells, and _CALL_CELLS for the exact call
+#: a bounded depth adds, about 40 us of :func:`kernels.subtree_profile`
+#: dispatch (measured at J = 12 and 14).  Bounding every depth of
+#: dense-hard-J12's families made square, weighted and atoms 5-35% slower.
 _BOUND_ROWS = 2
 _CALL_CELLS = 4096
 
@@ -598,8 +646,13 @@ def _chi_heaps(signals, M: int):
     """:class:`_LazyHeaps` of |I|**-1 int |s| chi_I^M, one heap per signal s:
     exact values from :func:`kernels.chi_sums_depth`, one call per depth and
     signal, and certified ranges from :func:`kernels.chi_bounds_depth` at
-    every depth whose row is wider than its near field."""
+    every depth whose row is wider than its near field.  An exact value
+    reads the 2**J cells once, a bound row reads them once per near-field
+    block, 2 CHI_NEAR + 1 times, and a fill costs per run of indices, not
+    per call, so a depth is bounded once more than 2 CHI_NEAR + 1 of its
+    nodes are open."""
     J = signals[0].depth_J
+    node = np.full(J, float(1 << J))
 
     def chi(absv):
         return lambda d, index: kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
@@ -616,7 +669,8 @@ def _chi_heaps(signals, M: int):
         return rows
 
     absvs = [np.abs(s.values) for s in signals]
-    return _LazyHeaps(J, [chi(a) for a in absvs], [bound(a) for a in absvs])
+    return _LazyHeaps(J, [chi(a) for a in absvs],
+                      [_Ranges(bound(a), node, (2 * kernels.CHI_NEAR + 1) * node) for a in absvs])
 
 
 def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
