@@ -379,14 +379,13 @@ class _Ranges(NamedTuple):
     """Certified ranges around a lazy heap, and what they cost, in cells read
     (about 10 ns each).  ``rows(d)`` is (lo, hi) around the heap at every
     depth-d node, or None at a depth it cannot bound.  An exact value at
-    depth d reads ``node[d]`` cells and a bound row ``row[d]``; the first
-    row also costs ``shared`` (a pass that serves every depth), and each
-    bounded depth ``call`` more, for the second fill call it brings: the
-    nodes that straddle a threshold are filled apart from the agenda."""
+    depth d reads ``node[d]`` cells, and bounding depth d costs ``cost[d]``:
+    its row, and the second fill call it can bring, since the nodes that
+    straddle a threshold are filled apart from the agenda.  The first
+    bounded depth also pays ``shared``, a pass that serves every depth."""
     rows: object
     node: np.ndarray
-    row: np.ndarray
-    call: float = 0.0
+    cost: np.ndarray
     shared: float = 0.0
 
 
@@ -469,7 +468,8 @@ class _LazyHeaps:
         src = self._bounds[k]
         if src is None:
             return exact
-        gain = np.diff(self._depth_cuts(np.flatnonzero(exact))) * src.node - src.row - src.call
+        counts = np.diff(np.searchsorted(np.flatnonzero(exact), _depth_starts(self._J)))
+        gain = counts * src.node - src.cost
         pick = (gain > 0) & ~self._tried[k]
         if pick.any() and (self._paid[k] or gain[pick].sum() > src.shared):
             self._paid[k] = True
@@ -574,23 +574,25 @@ class _StockHeaps(_LazyHeaps):
         J = heaps[0].shape[0].bit_length() - 1
         super().__init__(J, functionals, blank=0.0)
         self.base, self.functionals, self._private = heaps, functionals, False
-        stock = kernels.node_mask(nodes, 1 << J)
-        self.filled[:] = ~stock
-        self._restock(stock)
+        self.filled[:] = ~kernels.node_mask(nodes, 1 << J)
+        self._restock(heaps)
 
     def restocked(self, stock, selected):
         new = self
         if not self._private:           # generation 1's, shared by every attempt
             new = copy.copy(self)
             new.heaps = tuple(heap.copy() for heap in self.heaps)
+            vals = [v.copy() for v in self._vals]
             new.filled = self.filled.copy()
             new._tried, new._ranged = self._tried.copy(), self._ranged.copy()
             if self.lo is not None:
                 new.lo, new.hi = self.lo.copy(), self.hi.copy()
             new._private = True
-        redo = stock & kernels.heap_subtree_sums(selected, self._J)
-        for heap in new.heaps:
+        else:
+            vals = self._vals
+        for heap in (*new.heaps, *vals):
             np.copyto(heap, 0.0, where=selected)
+        redo = stock & kernels.heap_subtree_sums(selected, self._J)
         new.filled |= selected
         new.filled &= ~redo
         if new.lo is not None:
@@ -599,7 +601,7 @@ class _StockHeaps(_LazyHeaps):
                 np.copyto(ends, value, where=redo)
         if new._tried.any():
             new._tried[:, np.add.reduceat(redo, _depth_starts(self._J)[:-1]) > 0] = False
-        new._restock(stock)
+        new._restock(vals)
         return new
 
     def test_off(self, mask, limits):
@@ -607,16 +609,15 @@ class _StockHeaps(_LazyHeaps):
         every limit, C times a value >= 0."""
         return mask
 
-    def _restock(self, stock):
-        """The fills and the bound pass over ``stock``, 0.0 off it."""
-        vals = [np.where(stock, heap, 0.0) for heap in self.base]
+    def _restock(self, vals):
+        """The fills and the bound pass over the stock heaps ``vals``."""
+        self._vals = vals
         self._fills = [functools.partial(fn.values, v) for fn, v in zip(self.functionals, vals)]
         # a depth's open rows hold at most 2**J cells: where that is no more
         # than _CALL_CELLS, no depth can pay, and the heaps are read exactly
         wide = (1 << self._J) > _CALL_CELLS
-        node = np.ldexp(1.0, self._J - np.arange(self._J))
-        self._bounds = [_Ranges(_pass_rows(fn.bounds, v), node, np.zeros(self._J),
-                                _CALL_CELLS, _BOUND_ROWS << self._J)
+        node, cost = _depth_starts(self._J)[:0:-1], np.full(self._J, _CALL_CELLS)
+        self._bounds = [_Ranges(_pass_rows(fn.bounds, v), node, cost, _BOUND_ROWS << self._J)
                         if wide and fn.bounds is not None else None
                         for fn, v in zip(self.functionals, vals)]
         self._paid[:] = False
@@ -652,7 +653,7 @@ def _chi_heaps(signals, M: int):
     per call, so a depth is bounded once more than 2 CHI_NEAR + 1 of its
     nodes are open."""
     J = signals[0].depth_J
-    node = np.full(J, float(1 << J))
+    node = np.full(J, 1 << J)
 
     def chi(absv):
         return lambda d, index: kernels.chi_sums_depth(absv, J, d, M, index) / 2.0 ** (-d)
