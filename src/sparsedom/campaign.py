@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,14 @@ _INT_FIELDS = ("depth_J", "trials", "seed", "chi_M", "n_intervals")
 _FLOAT_FIELDS = ("p", "q", "hardy_p", "r", "stop_C", "lam", "weak_K")
 
 
+def _finite(value) -> bool:
+    """Whether a number is a finite float; an int too large for one is not."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 @dataclass
 class CampaignConfig:
     depth_J: int = 10
@@ -67,15 +76,16 @@ class CampaignConfig:
     def validate(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or not -2**63 <= value < 2**63:
+                raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if value is None and name == "r":
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
                                                                  np.floating)) \
-                    or not np.isfinite(value):
+                    or not _finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 3 <= self.depth_J <= 16:
             raise ValueError(f"depth_J must lie in [3, 16], got {self.depth_J}")

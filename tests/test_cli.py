@@ -572,10 +572,12 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("n_intervals", 2.5), ("n_intervals", True), ("depth_J", 6.0), ("chi_M", False),
         ("stop_C", math.nan), ("weak_K", math.nan), ("p", math.nan), ("q", math.inf),
-        ("lam", math.nan), ("hardy_p", math.nan), ("r", math.nan), ("stop_C", True)])
+        ("lam", math.nan), ("hardy_p", math.nan), ("r", math.nan), ("stop_C", True),
+        ("stop_C", 10**400), ("chi_M", 10**400)])
     def test_mistyped_or_non_finite_config_is_diagnosed(self, tmp_path, capsys, field, value):
         # each passed validation before and failed in a trial (a traceback
-        # and exit 1, a StoppingFailure up to nan, or a campaign that is not ok)
+        # and exit 1, a StoppingFailure up to nan, or a campaign that is not ok);
+        # an int too large for a float is no finite number
         data = {"depth_J": 4, "trials": 1, field: value}
         with pytest.raises(ValueError, match=field):
             CampaignConfig(**data).validate()
