@@ -27,8 +27,11 @@ weighted, osc and atoms functionals, each a mean of the square root of a
 subtree profile, from :func:`kernels.profile_bounds` (its top term below,
 Jensen above).  A value is computed exactly only at agenda nodes, at the
 nodes a certificate records, where a range straddles the threshold and
-where no range can be had (:class:`_LazyHeaps`, :class:`_StockHeaps`), so
+where no range is held (:class:`_LazyHeaps`, :class:`_StockHeaps`), so
 decisions and recorded values are those of the exact heaps bit for bit.
+One cost rule (:meth:`_LazyHeaps._bound`) says where ranges are taken:
+avg's at a depth with more than 2 CHI_NEAR + 1 open nodes, the
+functionals' only on stocks at J >= 13 whose open rows are wide.
 
 The stopping threshold C only needs to be "large enough"; runs start from
 the given C and double it, a bounded number of times, while an attempt
@@ -208,10 +211,12 @@ def _run_family(nodes, heaps, refs, C, measure=None):
     Child rule, the 1/2-sparse stopping rule of Lerner and Nazarov: Q0's
     children are the maximal nodes strictly inside Q0 that fail the test
     and contain a rejected node; the test reads the heaps at the nodes off
-    the stock on the path down to a rejected node.  A functional's value
-    heap is 0.0 off the stock, so for square, weighted, osc and atoms these
-    are exactly Q0's maximal rejected nodes; avg's fixed heaps can stop at
-    an ancestor of a rejected node that is not in the family.  Sub-families
+    the stock on the path down to a rejected node
+    (:meth:`_LazyHeaps.test_off`).  A functional's value heap is 0.0 off
+    the stock, which passes every limit, so for square, weighted, osc and
+    atoms these are exactly Q0's maximal rejected nodes, read without a
+    test; avg's fixed heaps can stop at an ancestor of a rejected node that
+    is not in the family.  Sub-families
     and children are in node order, and the next agenda lists the children
     in agenda order.
 
@@ -390,7 +395,8 @@ class _Ranges(NamedTuple):
 
 
 class _LazyHeaps:
-    """Heaps filled on demand, one per fill function, NaN until filled.
+    """Heaps filled on demand, one per fill function, ``blank`` (NaN by
+    default) until filled.
 
     ``read(mask)`` fills every heap k at the nodes of the boolean heap
     ``mask`` not filled in it yet, one ``fills[k](d, index)`` call per depth
@@ -400,10 +406,10 @@ class _LazyHeaps:
     With ``bounds`` (one :class:`_Ranges` or None per heap), ``lo[k]`` and
     ``hi[k]`` hold each node's known range: (-inf, inf) until its depth is
     bounded, the value itself once filled.  They are None until a first
-    depth is bounded, and the heaps stand for both (NaN, which decides
-    nothing, where not filled).  ``test(mask, limits)`` decides
-    heap <= limit from these ranges wherever that is certain and fills only
-    the rest.  One rule, in :meth:`_bound`, says which depths are bounded:
+    depth is bounded, and the heaps stand for both where filled.
+    ``test(mask, limits)`` decides heap <= limit from these ranges wherever
+    that is certain and fills only the rest (every open node while no range
+    is held).  One rule, in :meth:`_bound`, says which depths are bounded:
     those whose open nodes would read more cells exactly than their row and
     its extra call cost, once these gains outweigh the shared pass.  The
     other open nodes, and those whose range is open below, are read
@@ -484,7 +490,9 @@ class _LazyHeaps:
                     np.copyto(self.hi[k, at], rows[1], where=free)
         if not self._ranged[k].any():
             return exact
-        covered = np.repeat(np.append(False, self._ranged[k]), np.diff(_depth_starts(self._J), prepend=0))
+        # the depths' nodes, entry 0 first: 1, 1, 2, 4, ... of them
+        sizes = np.diff(_depth_starts(self._J), prepend=0)
+        covered = np.repeat(np.append(False, self._ranged[k]), sizes)
         return exact & ~(covered & (self.lo[k] > -np.inf))
 
     def test(self, mask, limits):
@@ -497,8 +505,9 @@ class _LazyHeaps:
             open_ = passes & ~self.filled[k]
             if open_.any():
                 self._bound(k, open_)
-                lo, hi = self._range(k)
-                self._fill(k, open_ & ~((hi <= limit) | (lo > limit)))
+                if self.lo is not None:
+                    open_ &= ~((self.hi[k] <= limit) | (self.lo[k] > limit))
+                self._fill(k, open_)
             passes &= self._range(k)[1] <= limit
         return passes
 
@@ -543,13 +552,14 @@ class _StockHeaps(_LazyHeaps):
     depends only on the stock in its own subtree.
 
     Built on the stock of ``nodes``, generation 1, which every attempt
-    shares.  Each generation's ranges come from one
-    ``functionals[k].bounds`` pass over its stock
+    shares; ``heaps`` are 0.0 off that stock (entry 0, which no node reads,
+    aside), so generation 1 reads them as they are.  Each generation's
+    ranges come from one ``functionals[k].bounds`` pass over its stock
     (:func:`kernels.profile_bounds`), made the first time
-    :meth:`_LazyHeaps._bound` bounds a depth.  An exact value reads 2**(J -
-    d) cells at depth d, the pass costs :data:`_BOUND_ROWS` rows of 2**J
-    cells, and a bounded depth an exact call, :data:`_CALL_CELLS`, so a
-    depth pays only where its open rows hold more than 2**12 cells: no
+    :meth:`_LazyHeaps._bound` bounds a depth.  An exact value reads
+    2**(J - d) cells at depth d, the pass costs :data:`_BOUND_ROWS` rows of
+    2**J cells, and a bounded depth an exact call, :data:`_CALL_CELLS`, so
+    a depth pays only where its open rows hold more than 2**12 cells: no
     stock at J <= 12 is bounded, since a row holds at most 2**J cells, and
     at J >= 13 only the stocks with wide open rows are (deep-J14's atoms).
     Every open stock node that no range covers is filled with the agenda,
@@ -557,17 +567,17 @@ class _StockHeaps(_LazyHeaps):
     stock fills it, so a value that raises there raises here, with the same
     error; the rest is filled only where a range straddles a threshold.
 
-    A later generation (:meth:`restocked`: a copy of generation 1's heaps,
-    and after that the attempt's own heaps, changed in place) reopens the
-    stock nodes at or above a selected node; every other node keeps its
-    value or its range, since its subtree holds the same stock, and
-    :func:`kernels.subtree_profile`'s rows do not depend on the rows
-    computed with them, so a value filled later is the fresh one bit for
-    bit.  A reopened node keeps its old value until it is filled with the
-    next agenda, and nothing reads it before; where ranges are held its
-    range is reopened too.  A value that overflows in a later generation
-    would have done so in generation 1: each is at most its value over the
-    larger stock.
+    A later generation (:meth:`restocked`: a copy of generation 1's value
+    and coefficient heaps, and after that the attempt's own, changed in
+    place) zeroes the selected nodes and reopens the stock nodes at or
+    above one; every other node keeps its value or its range, since its
+    subtree holds the same stock, and :func:`kernels.subtree_profile`'s
+    rows do not depend on the rows computed with them, so a value filled
+    later is the fresh one bit for bit.  A reopened node keeps its old
+    value until it is filled with the next agenda, and nothing reads it
+    before; where ranges are held its range is reopened too.  A value that
+    overflows in a later generation would have done so in generation 1:
+    each is at most its value over the larger stock.
     """
 
     def __init__(self, nodes, heaps, functionals):

@@ -562,6 +562,38 @@ def _bounds_everywhere():
     return mock.patch.multiple(stopping, _BOUND_ROWS=-1, _CALL_CELLS=0)
 
 
+class TestBoundRule:
+    """One cost rule decides where every lazy heap takes ranges."""
+
+    def test_avg_bounds_a_depth_past_its_near_field(self):
+        # a chi^M bound row reads the cells 2 CHI_NEAR + 1 times, an exact
+        # value once: a depth is bounded once more nodes than that are open
+        J, d, near = 8, 6, 2 * kernels.CHI_NEAR + 1
+        f = generate_signal("gaussian_noise", J, seed=0)
+        for n_open, bounded in ((near, False), (near + 1, True)):
+            heaps = stopping._chi_heaps((f, f), 8)
+            mask = kernels.node_mask((1 << d) + np.arange(n_open), 1 << J)
+            exact = heaps._bound(0, mask)
+            assert heaps._ranged[0, d] == bounded
+            assert np.array_equal(exact, mask & ~heaps._ranged[0, d])
+
+    @pytest.mark.parametrize("J", [8, 12, 13])
+    def test_functional_heaps_bound_only_wide_stocks(self, J):
+        # no depth's row holds more than 2**J cells, so at J <= 12 no depth
+        # can pay for the exact call bounding adds; at J = 13 the whole
+        # family's rows outweigh the pass and are bounded on the first read
+        f = generate_signal("gaussian_noise", J, seed=J)
+        full = stopping._squared(haar_transform(f).heap, "f")
+        nodes = np.arange(1, 1 << J)
+        narrow = nodes[nodes >= 1 << (J - 2)]
+        for stock, wide in ((nodes, J > 12), (narrow, False)):
+            heaps = stopping._StockHeaps(stock, (full,), (stopping._lp(J, 2.0, f.cell_width),))
+            assert (heaps._bounds[0] is not None) == (J > 12)
+            heaps.read(kernels.node_mask(stock[:1], 1 << J), kernels.node_mask(stock, 1 << J))
+            assert heaps._ranged.any() == wide
+            assert heaps.filled[0].all() != wide
+
+
 class TestFamilyEngineEquivalence:
     """The level-synchronous engine gives the per-candidate loop's certificates."""
 
