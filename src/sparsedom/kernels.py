@@ -20,7 +20,8 @@ The square, weighted, osc and atoms stopping times likewise settle their
 tests from :func:`profile_bounds`: every mean of the square root of a
 subtree profile lies between the square roots of the node's own term and
 of the profile's mean, one :func:`heap_subtree_sums` pass for all nodes,
-widened by a rounding bound; rows are computed only at the agenda, the
+widened by a rounding bound; on stocks whose open rows are wide enough
+to pay for the pass (J >= 13), rows are computed only at the agenda, the
 recorded nodes and where a bound cannot decide.
 
 Both have a single numpy path.  At depth d every weight chi_I^M(x) depends

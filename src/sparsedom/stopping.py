@@ -575,9 +575,11 @@ class _StockHeaps(_LazyHeaps):
     rows do not depend on the rows computed with them, so a value filled
     later is the fresh one bit for bit.  A reopened node keeps its old
     value until it is filled with the next agenda, and nothing reads it
-    before; where ranges are held its range is reopened too.  A value that
-    overflows in a later generation would have done so in generation 1:
-    each is at most its value over the larger stock.
+    before.  It keeps its range too, which stays certified: its own term,
+    the lower bound, is still in the stock, and its values and the
+    profile's mean only fall as the stock shrinks; a depth with reopened
+    nodes may be bounded afresh.  For the same reason a value that
+    overflows in a later generation would have done so in generation 1.
     """
 
     def __init__(self, nodes, heaps, functionals):
@@ -606,9 +608,8 @@ class _StockHeaps(_LazyHeaps):
         new.filled |= selected
         new.filled &= ~redo
         if new.lo is not None:
-            for ends, value in ((new.lo, -np.inf), (new.hi, np.inf)):
+            for ends in (new.lo, new.hi):
                 np.copyto(ends, 0.0, where=selected)
-                np.copyto(ends, value, where=redo)
         if new._tried.any():
             new._tried[:, np.add.reduceat(redo, _depth_starts(self._J)[:-1]) > 0] = False
         new._restock(vals)
