@@ -541,15 +541,18 @@ class _LazyHeaps:
 
 @functools.lru_cache(maxsize=32)
 def _depth_starts(J):
-    """The first node of each depth 0..J, 2**d."""
-    return 1 << np.arange(J + 1)
+    """Read-only array of the first node of each depth 0..J, 2**d."""
+    starts = 1 << np.arange(J + 1)
+    starts.flags.writeable = False
+    return starts
 
 
 class _StockHeaps(_LazyHeaps):
     """Value heaps of stopping functionals over a stock, filled on demand:
-    heap k is ``functionals[k].values`` over ``np.where(stock, heaps[k],
-    0.0)`` at the stock nodes, and 0.0 off the stock.  A node's value
-    depends only on the stock in its own subtree.
+    heap k holds ``functionals[k].values`` over ``np.where(stock,
+    heaps[k], 0.0)`` at the stock nodes.  A node's value depends only on
+    the stock in its own subtree.  Off the stock a value is 0.0, which
+    passes every limit, so the engine never reads the heaps there.
 
     Built on the stock of ``nodes``, generation 1, which every attempt
     shares; ``heaps`` are 0.0 off that stock (entry 0, which no node reads,
@@ -567,19 +570,21 @@ class _StockHeaps(_LazyHeaps):
     stock fills it, so a value that raises there raises here, with the same
     error; the rest is filled only where a range straddles a threshold.
 
-    A later generation (:meth:`restocked`: a copy of generation 1's value
-    and coefficient heaps, and after that the attempt's own, changed in
-    place) zeroes the selected nodes and reopens the stock nodes at or
-    above one; every other node keeps its value or its range, since its
-    subtree holds the same stock, and :func:`kernels.subtree_profile`'s
-    rows do not depend on the rows computed with them, so a value filled
-    later is the fresh one bit for bit.  A reopened node keeps its old
-    value until it is filled with the next agenda, and nothing reads it
-    before.  It keeps its range too, which stays certified: its own term,
-    the lower bound, is still in the stock, and its values and the
-    profile's mean only fall as the stock shrinks; a depth with reopened
-    nodes may be bounded afresh.  For the same reason a value that
-    overflows in a later generation would have done so in generation 1.
+    A later generation (:meth:`restocked`) reopens the stock nodes at or
+    above a selected node; every other stock node keeps its value or its
+    range, since its subtree holds the same stock, and
+    :func:`kernels.subtree_profile`'s rows do not depend on the rows
+    computed with them, so a value filled later is the fresh one bit for
+    bit.  A generation that reopens nothing is the last one's heaps
+    themselves; the first that does copies them, and its coefficient
+    heaps, once per attempt, and changes its copies in place after that.
+    A reopened node keeps its old value until it is filled with the next
+    agenda, and nothing reads it before.  It keeps its range too, which
+    stays certified: its own term, the lower bound, is still in the stock,
+    and its values and the profile's mean only fall as the stock shrinks;
+    a depth with reopened nodes may be bounded afresh.  For the same reason
+    a value that overflows in a later generation would have done so in
+    generation 1.
     """
 
     def __init__(self, nodes, heaps, functionals):
@@ -587,32 +592,30 @@ class _StockHeaps(_LazyHeaps):
         super().__init__(J, functionals, blank=0.0)
         self.base, self.functionals, self._private = heaps, functionals, False
         self.filled[:] = ~kernels.node_mask(nodes, 1 << J)
-        self._restock(heaps)
+        self._restock(list(heaps))
 
     def restocked(self, stock, selected):
+        redo = stock & kernels.heap_subtree_sums(selected, self._J)
+        if not redo.any():
+            return self
         new = self
-        if not self._private:           # generation 1's, shared by every attempt
+        if not self._private:           # shared by every attempt
             new = copy.copy(self)
             new.heaps = tuple(heap.copy() for heap in self.heaps)
-            vals = [v.copy() for v in self._vals]
+            new._vals = [v.copy() for v in self._vals]
             new.filled = self.filled.copy()
             new._tried, new._ranged = self._tried.copy(), self._ranged.copy()
             if self.lo is not None:
                 new.lo, new.hi = self.lo.copy(), self.hi.copy()
             new._private = True
-        else:
-            vals = self._vals
-        for heap in (*new.heaps, *vals):
-            np.copyto(heap, 0.0, where=selected)
-        redo = stock & kernels.heap_subtree_sums(selected, self._J)
-        new.filled |= selected
+        # a node selected in a generation that reopened nothing is below no
+        # stock node, so no value reads it
+        for v in new._vals:
+            np.copyto(v, 0.0, where=selected)
         new.filled &= ~redo
-        if new.lo is not None:
-            for ends in (new.lo, new.hi):
-                np.copyto(ends, 0.0, where=selected)
         if new._tried.any():
             new._tried[:, np.add.reduceat(redo, _depth_starts(self._J)[:-1]) > 0] = False
-        new._restock(vals)
+        new._restock(new._vals)
         return new
 
     def test_off(self, mask, limits):

@@ -932,14 +932,16 @@ class TestIncrementalValues:
         attempts, built, generations, kept = [], [], {}, []
 
         def check(heaps, stock):
-            # every value the heaps hold is the fresh evaluation over the
-            # stock bit for bit, and every range they hold brackets it
+            # every value the heaps hold at the stock, which is all the
+            # engine reads, is the fresh evaluation over the stock bit for
+            # bit, and every range they hold there brackets it
             for k, fn in enumerate(heaps.functionals):
                 fresh = _fresh_values(fn, np.where(stock, heaps.base[k], 0.0), stock)
-                filled = heaps.filled[k]
+                filled = heaps.filled[k] & stock
                 assert heaps.heaps[k][filled].tobytes() == fresh[filled].tobytes()
                 if heaps.lo is not None:
-                    assert np.all(heaps.lo[k] <= fresh) and np.all(fresh <= heaps.hi[k])
+                    lo, hi, fresh = heaps.lo[k][stock], heaps.hi[k][stock], fresh[stock]
+                    assert np.all(lo <= fresh) and np.all(fresh <= hi)
 
         def engine_spy(nodes, heaps, refs, C, *rest, **kw):
             # each attempt decides as the memo-free per-interval engine does,
