@@ -186,7 +186,8 @@ def _run_family(nodes, heaps, refs, C, measure=None):
     The stock starts as the boolean heap of ``nodes``.  ``heaps`` is a
     :class:`_LazyHeaps` of one value heap V_k per condition, generation 1's,
     shared by every attempt: avg's fixed chi^M averages, or a
-    :class:`_StockHeaps` of stopping functionals over the stock, 0.0 off it.
+    :class:`_StockHeaps` of stopping functionals over the stock, read only
+    at the stock.
     The agenda nodes are disjoint and a functional reads only the stock
     inside each, so one V_k serves them all.  Within an attempt the stock
     only shrinks, and each later generation's functional heaps are the last
@@ -212,13 +213,12 @@ def _run_family(nodes, heaps, refs, C, measure=None):
     children are the maximal nodes strictly inside Q0 that fail the test
     and contain a rejected node; the test reads the heaps at the nodes off
     the stock on the path down to a rejected node
-    (:meth:`_LazyHeaps.test_off`).  A functional's value heap is 0.0 off
-    the stock, which passes every limit, so for square, weighted, osc and
-    atoms these are exactly Q0's maximal rejected nodes, read without a
-    test; avg's fixed heaps can stop at an ancestor of a rejected node that
-    is not in the family.  Sub-families
-    and children are in node order, and the next agenda lists the children
-    in agenda order.
+    (:meth:`_LazyHeaps.test_off`).  A functional's value is 0.0 off the
+    stock, which passes every limit, so for square, weighted, osc and atoms
+    these are exactly Q0's maximal rejected nodes, found without a test;
+    avg's fixed heaps can stop at an ancestor of a rejected node that is
+    not in the family.  Sub-families and children are in node order, and
+    the next agenda lists the children in agenda order.
 
     The 1/2 child budget (:func:`child_budget_ok`, in ``measure``: a heap,
     default lengths) is judged one generation at a time, as soon as its
