@@ -45,10 +45,15 @@ index i) sits at position ``(1 << d) + i``, so an array of length 2**J
 covers depths 0 .. J-1 (entry 0 unused).  The stopping engine, sparse
 collections and the atomic decomposition share the heap helpers
 :func:`node_mask`, :func:`ancestor_max` (one pass down: on a heap holding
-each member's own node, every node's nearest member at or above it),
+each member's own node, every node's nearest member at or above it) and
 :func:`heap_subtree_sums` (one pass up: on a boolean heap, the ancestor
-closure) and :func:`maximal_nodes`; node arrays are deduplicated by
-:func:`sorted_unique`.
+closure).  Node sets, sorted and deduplicated by :func:`sorted_unique`,
+are looked up by :func:`nearest_in` (each node's nearest member at or
+above it: the stopping engine's owners, maximal nodes and children, and a
+collection's forest) and closed upwards by :func:`ancestor_closure`; both
+work on node arrays, O(n J) for n nodes, while n J <= 2**J, and take the
+heap pass above that, so a sparse set never pays for the whole heap and a
+dense one never pays more than it.
 
 Block arrays, one row per same-depth interval and 2**(J-d) cells a row,
 are reduced and sorted along their rows by :func:`row_sums`,
@@ -95,7 +100,8 @@ __all__ = [
     "heap_subtree_sums",
     "node_mask",
     "ancestor_max",
-    "maximal_nodes",
+    "nearest_in",
+    "ancestor_closure",
     "sorted_unique",
     "NARROW",
     "row_sums",
@@ -422,19 +428,63 @@ def ancestor_max(heap):
     return out
 
 
-def maximal_nodes(mask):
-    """Nodes set in a boolean heap with no set strict ancestor, in node order."""
-    above = np.zeros_like(mask)
-    above[2:] = np.repeat(ancestor_max(mask)[1 : mask.shape[0] >> 1], 2)
-    return np.flatnonzero(mask & ~above)
+def nearest_in(nodes, members, strict=False):
+    """Each of ``nodes``' nearest node of ``members`` at or above it
+    (strictly above with ``strict``), or 0 where there is none.
+
+    Two formulations give the same array.  On node arrays, each node's
+    ancestors from its own depth (the next one up with ``strict``) to the
+    shallowest member's are looked up in a boolean heap of ``members``, and
+    the deepest hit, the largest node, is kept: L cells per node, L the
+    depth span.  On the heap, :func:`ancestor_max` of the heap holding each
+    member's own node is read at the nodes (at their parents with
+    ``strict``): about 2 cells per heap entry, 2**J in all (the heap is the
+    smallest that holds every node).  The density rule takes the node arrays
+    while ``nodes.size * L <= 2**J``: sparse sets, such as a stopping run's
+    stock of a 96-interval family at J = 14, cost O(n L) and not O(2**J),
+    and a dense one, such as a whole heap's stock, keeps the heap's O(2**J).
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    members = np.asarray(members, dtype=np.intp)
+    out = np.zeros(nodes.shape, dtype=np.intp)
+    if not nodes.size or not members.size:
+        return out
+    size = 1 << int(max(nodes.max(), members.max())).bit_length()
+    span = int(nodes.max()).bit_length() - int(members.min()).bit_length() + 1
+    if span <= int(strict):
+        return out
+    if nodes.size * span > size:
+        owner = np.zeros(size, dtype=np.intp)
+        owner[members] = members
+        return ancestor_max(owner)[nodes >> 1 if strict else nodes]
+    anc = nodes.reshape(-1, 1) >> np.arange(int(strict), span)
+    return np.max(anc * node_mask(members, size)[anc], axis=1).reshape(nodes.shape)
+
+
+def ancestor_closure(nodes, size):
+    """Boolean heap of length ``size`` set at ``nodes`` and at all their
+    ancestors, by :func:`nearest_in`'s density rule: on node arrays, each
+    node's J = log2(size) shifts scattered, while ``nodes.size * J <=
+    size``; else one :func:`heap_subtree_sums` pass over their heap."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    J = size.bit_length() - 1
+    if nodes.size * J > size:
+        return heap_subtree_sums(node_mask(nodes, size), J)
+    out = node_mask(nodes.reshape(-1, 1) >> np.arange(J), size)
+    out[0] = False
+    return out
 
 
 def sorted_unique(a):
     """``np.unique`` of an integer array, by one sort and a mask of the
     entries that differ from their left neighbour: numpy 2's ``np.unique``
     hashes integer arrays, about 20x slower than sorting at a few thousand
-    entries."""
-    s = np.sort(a, axis=None)
+    entries.  A strictly increasing array is copied unsorted, about 10x
+    faster than sorting it at 2**14 entries."""
+    a = np.ravel(a)
+    if np.all(a[1:] > a[:-1]):
+        return a.copy()
+    s = np.sort(a)
     keep = np.ones(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]

@@ -41,13 +41,10 @@ def _lengths(nodes):
 
 
 def _forest(nodes):
-    """Each node's nearest strict ancestor among the sorted ``nodes``, or 0:
-    one ancestor_max pass over the heap holding each member's own node."""
-    if not nodes.size:
-        return nodes.copy()
-    owner = np.zeros(1 << int(nodes[-1]).bit_length(), dtype=np.intp)
-    owner[nodes] = nodes
-    return kernels.ancestor_max(owner)[nodes >> 1]
+    """Each node's nearest strict ancestor among the sorted ``nodes``, or 0
+    (:func:`kernels.nearest_in`: O(n J) on node arrays for a sparse
+    collection, not a heap 2**J wide)."""
+    return kernels.nearest_in(nodes, nodes, strict=True)
 
 
 class SparseCollection:

@@ -7,11 +7,16 @@ never trust the proof: the partition, the 1/2 child budget (in the mode's
 measure) and the domination inequality are all re-verified numerically.
 
 One engine, :func:`_run_family`, runs every stopping time (avg, square,
-weighted, osc, atoms) a generation at a time on heap arrays, with one child
-rule, and every mode enters it through :func:`_stop`, which doubles C.
-Node arrays run from the multiplier (``T.nodes``, ``T.eps``) through the
-engine to the certificate, which keeps the run's node arrays and one array
-per per-node quantity, aligned with the run order.  The run's members and
+weighted, osc, atoms) a generation at a time, with one child rule, and
+every mode enters it through :func:`_stop`, which doubles C; each mode
+rejects a C whose doublings are not finite (:func:`_check_doublings`).
+Values stay in heaps, and the engine's bookkeeping (stock, agenda, owners,
+members, children) runs on node arrays through one lookup,
+:func:`kernels.nearest_in`, which takes the heap only for dense sets, so a
+generation of a sparse family costs O(stock) and not O(2**J).  Node arrays
+run from the multiplier (``T.nodes``, ``T.eps``) through the engine to the
+certificate, which keeps the run's node arrays and one array per per-node
+quantity, aligned with the run order.  The run's members and
 children are grouped by their owner's position in the run order, once
 (:func:`_grouped`); no :class:`DyadicInterval` is built per family member:
 the certificate's ``subfamilies`` and ``children`` are read-only views that
@@ -29,7 +34,7 @@ Jensen above).  A value is computed exactly only at agenda nodes, at the
 nodes a certificate records, where a range straddles the threshold and
 where no range is held (:class:`_LazyHeaps`, :class:`_StockHeaps`), so
 decisions and recorded values are those of the exact heaps bit for bit.
-One cost rule (:meth:`_LazyHeaps._bound`) says where ranges are taken:
+One cost rule (:meth:`_LazyHeaps._take_ranges`) says where ranges are taken:
 avg's at a depth with more than 2 CHI_NEAR + 1 open nodes, the
 functionals' only on stocks at J >= 13 whose open rows are wide.
 
@@ -167,7 +172,7 @@ class DominationCertificate:
 
 
 # ---------------------------------------------------------------------------
-# the stopping engine: heap arrays, one level-synchronous pass per generation
+# the stopping engine: values in heaps, bookkeeping on node arrays
 # ---------------------------------------------------------------------------
 
 class _Run(NamedTuple):
@@ -181,9 +186,21 @@ class _Run(NamedTuple):
 
 
 def _run_family(nodes, heaps, refs, C, measure=None):
-    """One attempt at threshold C, level-synchronous over heap arrays.
+    """One attempt at threshold C, a generation at a time: values in heaps,
+    bookkeeping on node arrays.
 
-    The stock starts as the boolean heap of ``nodes``.  ``heaps`` is a
+    Each generation keeps its stock, agenda, owners, members, rejected
+    nodes and children as sorted node arrays (the agenda in agenda order),
+    so its bookkeeping costs O(stock) and not O(2**J).  One lookup,
+    :func:`kernels.nearest_in` (an agenda node or the nearest ancestor in a
+    set), finds the first agenda (the stock's maximal nodes), each stock
+    node's owner and the children (the maximal failing nodes), and the
+    limits C * R_k[owner] are scattered into heaps at the stock nodes only.
+    The lookup takes the heap formulation on its own where a set is dense,
+    such as a whole heap's stock.  The value heaps keep their boolean-heap
+    API, fed by :func:`kernels.node_mask` scatters.
+
+    The stock starts as the nodes of ``nodes``.  ``heaps`` is a
     :class:`_LazyHeaps` of one value heap V_k per condition, generation 1's,
     shared by every attempt: avg's fixed chi^M averages, or a
     :class:`_StockHeaps` of stopping functionals over the stock, read only
@@ -212,13 +229,14 @@ def _run_family(nodes, heaps, refs, C, measure=None):
     Child rule, the 1/2-sparse stopping rule of Lerner and Nazarov: Q0's
     children are the maximal nodes strictly inside Q0 that fail the test
     and contain a rejected node; the test reads the heaps at the nodes off
-    the stock on the path down to a rejected node
-    (:meth:`_LazyHeaps.test_off`).  A functional's value is 0.0 off the
-    stock, which passes every limit, so for square, weighted, osc and atoms
-    these are exactly Q0's maximal rejected nodes, found without a test;
-    avg's fixed heaps can stop at an ancestor of a rejected node that is
-    not in the family.  Sub-families and children are in node order, and
-    the next agenda lists the children in agenda order.
+    the stock on the path down to a rejected node, at most J of them a
+    rejected node (:func:`kernels.ancestor_closure`), where the heaps hold
+    a value there (:attr:`_LazyHeaps.off_stock`).  A functional's value is
+    0.0 off the stock, which passes every limit, so for square, weighted,
+    osc and atoms these are exactly Q0's maximal rejected nodes, found
+    without a test; avg's fixed heaps can stop at an ancestor of a rejected
+    node that is not in the family.  Sub-families and children are in node
+    order, and the next agenda lists the children in agenda order.
 
     The 1/2 child budget (:func:`child_budget_ok`, in ``measure``: a heap,
     default lengths) is judged one generation at a time, as soon as its
@@ -228,40 +246,69 @@ def _run_family(nodes, heaps, refs, C, measure=None):
     the verdict is the whole run's bit for bit.
     """
     size = heaps.heaps[0].shape[0]
-    J = size.bit_length() - 1
-    stock = kernels.node_mask(nodes, size)
-    agenda = kernels.maximal_nodes(stock)
+    stock = kernels.sorted_unique(nodes)
+    in_stock = kernels.node_mask(stock, size)
+    agenda = stock[_maximal(stock, in_stock)]
     parts = [(np.zeros(0, dtype=np.intp),) * 5]
     while agenda.size:
-        owner = np.zeros(size, dtype=np.intp)
-        owner[agenda] = agenda
-        owner = kernels.ancestor_max(owner)
+        owners = kernels.nearest_in(stock, agenda)
         at = kernels.node_mask(agenda, size)
-        heaps.read(at, stock)
+        heaps.read(at, in_stock)
         if refs is not None:
             refs.read(at)
-        limits = [C * ref[owner] for ref in (heaps if refs is None else refs).heaps]
-        passes = heaps.test(stock, limits)
-        rejected = stock & ~passes
-        if rejected[agenda].any():
+        references = (heaps if refs is None else refs).heaps
+        limits = [np.zeros(size) for _ in references]
+        for limit, ref in zip(limits, references):
+            limit[stock] = C * ref[owners]
+        kept = heaps.test(in_stock, limits)[stock]
+        if not kept[np.searchsorted(stock, agenda[in_stock[agenda]])].all():
             raise _RetryNeeded(f"an agenda node rejected itself at C={C}")
-        inside = owner > 0
-        inside[agenda] = False
-        selected = stock & passes
-        members = np.flatnonzero(selected)
-        closure = kernels.heap_subtree_sums(rejected, J)
-        passes |= heaps.test_off(inside & closure & ~stock, limits)
-        kids = kernels.maximal_nodes(~passes & inside & closure)
-        if not child_budget_ok(kids, owner[kids], measure):
+        rejected, members = stock[~kept], stock[kept]
+        in_rejected = kernels.node_mask(rejected, size)
+        fails, failed, fail_owners = rejected, in_rejected, owners[~kept]
+        if heaps.off_stock and rejected.size:
+            # the nodes off the stock strictly inside an agenda node and
+            # above a rejected node, each with its agenda node's limits
+            path = np.flatnonzero(kernels.ancestor_closure(rejected, size) & ~in_stock)
+            path_owners = kernels.nearest_in(path, agenda)
+            inner = (path_owners > 0) & (path_owners != path)
+            path, path_owners = path[inner], path_owners[inner]
+            for limit, ref in zip(limits, references):
+                limit[path] = C * ref[path_owners]
+            off = ~heaps.test(kernels.node_mask(path, size), limits)[path]
+            if off.any():
+                fails = np.concatenate((fails, path[off]))
+                by_node = np.argsort(fails, kind="stable")
+                fails = fails[by_node]
+                fail_owners = np.concatenate((fail_owners, path_owners[off]))[by_node]
+                failed = failed | kernels.node_mask(path[off], size)
+        top = _maximal(fails, failed)
+        kids, kid_owners = fails[top], fail_owners[top]
+        if not child_budget_ok(kids, kid_owners, measure):
             raise _RetryNeeded(f"the children break the 1/2 budget at C={C}")
-        parts.append((agenda, members, owner[members], kids, owner[kids]))
-        rank = np.zeros(size, dtype=np.intp)
-        rank[agenda] = np.arange(agenda.size)
-        agenda = kids[np.argsort(rank[owner[kids]], kind="stable")]
-        stock = rejected
+        parts.append((agenda, members, owners[kept], kids, kid_owners))
+        agenda = kids[np.argsort(_positions(agenda, kid_owners), kind="stable")]
+        stock, in_stock = rejected, in_rejected
         if agenda.size:
-            heaps = heaps.restocked(stock, selected)
+            heaps = heaps.restocked(in_stock, kernels.node_mask(members, size))
     return _Run(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _maximal(nodes, mask):
+    """Whether each of the sorted ``nodes``, the set nodes of the boolean
+    heap ``mask``, has no strict ancestor among them: not where its parent
+    is one, and elsewhere as :func:`kernels.nearest_in` finds."""
+    top = ~mask[nodes >> 1]
+    top[top] = kernels.nearest_in(nodes[top], nodes, strict=True) == 0
+    return top
+
+
+def _check_doublings(C):
+    """ValueError unless C and its :data:`MAX_DOUBLINGS` doublings are
+    finite: no test can fail at C = inf, and none can pass at C = nan."""
+    if not np.isfinite(float(C) * 2.0**MAX_DOUBLINGS):
+        raise ValueError(f"stopping constant C must be finite, and so must C * "
+                         f"2**{MAX_DOUBLINGS}; got {C}")
 
 
 def _stop(mode, nodes, heaps, C, refs=None, measure=None):
@@ -371,7 +418,8 @@ def _family_stock(T, f, g, read=None):
     cf, cg = haar_transform(f), haar_transform(g)
     fam_mask = kernels.node_mask(T.nodes, 1 << f.depth_J)
     if read is not None:
-        read(kernels.node_mask(kernels.maximal_nodes(fam_mask), fam_mask.shape[0]))
+        family = np.flatnonzero(fam_mask)
+        read(kernels.node_mask(family[_maximal(family, fam_mask)], fam_mask.shape[0]))
     return (cf, cg, _squared(np.where(fam_mask, cf.heap, 0.0), "f"),
             _squared(np.where(fam_mask, cg.heap, 0.0), "g"))
 
@@ -409,13 +457,17 @@ class _LazyHeaps:
     depth is bounded, and the heaps stand for both where filled.
     ``test(mask, limits)`` decides heap <= limit from these ranges wherever
     that is certain and fills only the rest (every open node while no range
-    is held).  One rule, in :meth:`_bound`, says which depths are bounded:
-    those whose open nodes would read more cells exactly than their row and
-    its extra call cost, once these gains outweigh the shared pass.  The
+    is held).  One rule, in :meth:`_take_ranges`, says which depths are
+    bounded: those whose open nodes would read more cells exactly than their
+    row and its extra call cost, once these gains outweigh the shared pass.  The
     other open nodes, and those whose range is open below, are read
     exactly: ``read(mask, stock)`` fills those of ``stock`` together with
     ``mask``, in the same calls.
     """
+
+    #: Whether the engine tests nodes off the stock: fixed heaps hold a
+    #: value there that can fail a limit.
+    off_stock = True
 
     def __init__(self, J: int, fills, bounds=None, blank=np.nan):
         size = 1 << J
@@ -454,10 +506,6 @@ class _LazyHeaps:
         boolean heap ``selected`` has left it: fixed heaps do not change."""
         return self
 
-    def test_off(self, mask, limits):
-        """:meth:`test` at nodes off the stock."""
-        return self.test(mask, limits)
-
     def _open_ranges(self):
         """Allocate ``lo`` and ``hi``, the values where filled and (-inf, inf)
         elsewhere, unless they are there."""
@@ -468,12 +516,22 @@ class _LazyHeaps:
 
     def _bound(self, k, mask):
         """Bound heap k at the depths where that pays for the open nodes of
-        ``mask``, each depth once, and return the open nodes no range covers:
-        only their values decide them."""
+        ``mask`` (:meth:`_take_ranges`), and return the open nodes no range
+        covers: only their values decide them."""
         exact = mask & ~self.filled[k]
+        if not self._take_ranges(k, exact):
+            return exact
+        # the depths' nodes, entry 0 first: 1, 1, 2, 4, ... of them
+        sizes = np.diff(_depth_starts(self._J), prepend=0)
+        covered = np.repeat(np.append(False, self._ranged[k]), sizes)
+        return exact & ~(covered & (self.lo[k] > -np.inf))
+
+    def _take_ranges(self, k, exact):
+        """Bound heap k at the depths where that pays for the open nodes
+        ``exact``, each depth once; whether heap k holds any range."""
         src = self._bounds[k]
         if src is None:
-            return exact
+            return False
         counts = np.diff(np.searchsorted(np.flatnonzero(exact), _depth_starts(self._J)))
         gain = counts * src.node - src.cost
         pick = (gain > 0) & ~self._tried[k]
@@ -488,12 +546,7 @@ class _LazyHeaps:
                     at, free = slice(1 << d, 2 << d), ~self.filled[k, 1 << d : 2 << d]
                     np.copyto(self.lo[k, at], rows[0], where=free)
                     np.copyto(self.hi[k, at], rows[1], where=free)
-        if not self._ranged[k].any():
-            return exact
-        # the depths' nodes, entry 0 first: 1, 1, 2, 4, ... of them
-        sizes = np.diff(_depth_starts(self._J), prepend=0)
-        covered = np.repeat(np.append(False, self._ranged[k]), sizes)
-        return exact & ~(covered & (self.lo[k] > -np.inf))
+        return bool(self._ranged[k].any())
 
     def test(self, mask, limits):
         """Boolean heap of the nodes of ``mask`` where heaps[k] <= limits[k]
@@ -504,7 +557,7 @@ class _LazyHeaps:
         for k, limit in enumerate(limits):
             open_ = passes & ~self.filled[k]
             if open_.any():
-                self._bound(k, open_)
+                self._take_ranges(k, open_)
                 if self.lo is not None:
                     open_ &= ~((self.hi[k] <= limit) | (self.lo[k] > limit))
                 self._fill(k, open_)
@@ -559,7 +612,7 @@ class _StockHeaps(_LazyHeaps):
     aside), so generation 1 reads them as they are.  Each generation's
     ranges come from one ``functionals[k].bounds`` pass over its stock
     (:func:`kernels.profile_bounds`), made the first time
-    :meth:`_LazyHeaps._bound` bounds a depth.  An exact value reads
+    :meth:`_LazyHeaps._take_ranges` bounds a depth.  An exact value reads
     2**(J - d) cells at depth d, the pass costs :data:`_BOUND_ROWS` rows of
     2**J cells, and a bounded depth an exact call, :data:`_CALL_CELLS`, so
     a depth pays only where its open rows hold more than 2**12 cells: no
@@ -587,6 +640,10 @@ class _StockHeaps(_LazyHeaps):
     generation 1.
     """
 
+    #: Off the stock every value is 0.0, which passes every limit, C times a
+    #: value >= 0, so no node there is tested.
+    off_stock = False
+
     def __init__(self, nodes, heaps, functionals):
         J = heaps[0].shape[0].bit_length() - 1
         super().__init__(J, functionals, blank=0.0)
@@ -595,7 +652,7 @@ class _StockHeaps(_LazyHeaps):
         self._restock(list(heaps))
 
     def restocked(self, stock, selected):
-        redo = stock & kernels.heap_subtree_sums(selected, self._J)
+        redo = stock & kernels.ancestor_closure(np.flatnonzero(selected), stock.shape[0])
         if not redo.any():
             return self
         new = self
@@ -617,11 +674,6 @@ class _StockHeaps(_LazyHeaps):
             new._tried[:, np.add.reduceat(redo, _depth_starts(self._J)[:-1]) > 0] = False
         new._restock(new._vals)
         return new
-
-    def test_off(self, mask, limits):
-        """``mask`` itself: off the stock every value is 0.0, which passes
-        every limit, C times a value >= 0."""
-        return mask
 
     def _restock(self, vals):
         """The fills and the bound pass over the stock heaps ``vals``."""
@@ -705,6 +757,7 @@ def dominate_avg(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1 for termination")
+    _check_doublings(C)
     cf, cg, _, _ = _family_stock(T, f, g)
     chi = _chi_heaps((f, g), M)
     chif, chig = chi.heaps
@@ -917,8 +970,11 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if p <= 0 or q <= 0:
         raise ValueError("exponents must be > 0")
+    if not (np.isfinite(p) and np.isfinite(q)):
+        raise ValueError(f"exponents must be finite, got p = {p}, q = {q}")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
+    _check_doublings(C)
     cf, cg, full_f, full_g = _family_stock(T, f, g)
     J, dx = f.depth_J, f.cell_width
     heaps = _StockHeaps(T.nodes, (full_f, full_g), (_lp(J, p, dx), _lp(J, q, dx)))
@@ -952,8 +1008,9 @@ def dominate_square(T: HaarMultiplier, f: Signal, g: Signal,
 
 
 def _hardy_exponents(p, r, C):
-    """r, p / 2 when None, once p lies in (0, 1], 0 < r < p and C >= 1;
-    ValueError at the first that fails, in that order."""
+    """r, p / 2 when None, once p lies in (0, 1], 0 < r < p, C >= 1 and C
+    doubles finitely (:func:`_check_doublings`); ValueError at the first
+    that fails, in that order."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     if r is None:
@@ -962,6 +1019,7 @@ def _hardy_exponents(p, r, C):
         raise ValueError("need 0 < r < p")
     if C < 1.0:
         raise ValueError("stopping constant C must be >= 1")
+    _check_doublings(C)
     return r
 
 
@@ -1052,6 +1110,7 @@ def dominate_oscillation(T: HaarMultiplier, f: Signal, g: Signal,
     """
     if C <= 0:
         raise ValueError("stopping constant C must be > 0")
+    _check_doublings(C)
     osc = _osc_heaps((f, g))
     osc_f, osc_g = osc.heaps
     cf, cg, full_f, full_g = _family_stock(T, f, g, osc.read)

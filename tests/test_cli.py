@@ -445,6 +445,23 @@ class TestCli:
         assert "non-finite" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args, error", [
+        (["dominate", "--mode", "square", "--stop-C", "nan"], "stopping constant C"),
+        (["dominate", "--mode", "osc", "--stop-C", "inf"], "stopping constant C"),
+        (["dominate", "--mode", "avg", "--stop-C", "1e308"], "stopping constant C"),
+        (["dominate", "--mode", "weighted", "--stop-C", "inf"], "stopping constant C"),
+        (["atoms", "--stop-C", "nan"], "stopping constant C"),
+        (["dominate", "--mode", "square", "--p", "nan"], "exponents"),
+        (["dominate", "--mode", "square", "--q", "inf"], "exponents"),
+    ])
+    def test_non_finite_stopping_parameter(self, capsys, args, error):
+        # a nan C made nine failing attempts, an inf C printed "C": Infinity
+        rc = main(args + ["--depth", "6", "--seed", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"sparsedom: error: {error} must be finite" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_overflowing_oscillation(self, tmp_path, capsys):
         # finite cells whose L^1 oscillation overflows
         sig = tmp_path / "f.txt"

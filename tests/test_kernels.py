@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 from test_cz import hard_signals
 
-from sparsedom import kernels, stopping
+from sparsedom import kernels, sparse, stopping
 from sparsedom.dyadic import DyadicInterval, Signal, chi_weights, oscillation
 from sparsedom.generate import generate_signal
 from sparsedom.haar import haar_transform
@@ -247,7 +248,8 @@ def test_dd_interval_sums_overflow():
     assert hi[3] == 3.0 and exact[3]
 
 
-@pytest.mark.parametrize("case", ["empty", "one", "all_equal", "unsorted", "wide", "intp"])
+@pytest.mark.parametrize("case", ["empty", "one", "all_equal", "unsorted", "wide", "intp",
+                                  "increasing"])
 def test_sorted_unique_equals_np_unique(case):
     rng = np.random.default_rng(3)
     a = {"empty": np.zeros(0, dtype=np.int64),
@@ -255,7 +257,8 @@ def test_sorted_unique_equals_np_unique(case):
          "all_equal": np.full(50, 3),
          "unsorted": rng.integers(-20, 20, 300),
          "wide": rng.integers(-2**62, 2**62, 1000),
-         "intp": rng.integers(1, 1 << 12, 4000).astype(np.intp)}[case]
+         "intp": rng.integers(1, 1 << 12, 4000).astype(np.intp),
+         "increasing": np.arange(1, 1 << 14)}[case]
     got, want = kernels.sorted_unique(a), np.unique(a)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -268,6 +271,110 @@ def test_sorted_unique_random_int_arrays():
         assert np.array_equal(kernels.sorted_unique(a), np.unique(a))
     grid = rng.integers(0, 9, (6, 7))          # np.unique flattens, so does this
     assert np.array_equal(kernels.sorted_unique(grid), np.unique(grid))
+
+
+def _walk_nearest(nodes, members, strict):
+    """nearest_in one node at a time: walk up from the node (from its
+    parent with ``strict``) to the first member."""
+    members, out = set(members.tolist()), []
+    for x in nodes.tolist():
+        x >>= int(strict)
+        while x and x not in members:
+            x >>= 1
+        out.append(x)
+    return np.array(out, dtype=np.intp)
+
+
+def _heap_owners(nodes, members, strict):
+    """The heap formulation the stopping engine used to build owners with:
+    ancestor_max over the heap holding each member's own node."""
+    top = int(max(nodes.max(initial=1), members.max(initial=1)))
+    owner = np.zeros(1 << top.bit_length(), dtype=np.intp)
+    owner[members] = members
+    return kernels.ancestor_max(owner)[nodes >> 1 if strict else nodes]
+
+
+def _heap_maximal(mask):
+    """The deleted maximal_nodes: set nodes with no set strict ancestor."""
+    above = np.zeros_like(mask)
+    above[2:] = np.repeat(kernels.ancestor_max(mask)[1 : mask.shape[0] >> 1], 2)
+    return np.flatnonzero(mask & ~above)
+
+
+def _node_sets(J, rng):
+    """(name, nodes) node sets at depth < J: empty, the root, the full heap,
+    a chain, sparse and dense random sets, both unsorted."""
+    size = 1 << J
+    leaf = (1 << (J - 1)) + int(rng.integers(1 << (J - 1)))
+    full = np.arange(1, size)
+    sets = {"empty": full[:0], "root": full[:1], "full": full,
+            "chain": np.array([leaf >> k for k in range(J)])[::-1]}
+    for name, n in (("sparse", max(1, size // (4 * J))), ("dense", size // 2)):
+        sets[name] = rng.permutation(full)[:n]
+    return sets
+
+
+class TestNearestIn:
+    """kernels.nearest_in equals the heap kernels it replaces, on both sides
+    of its density rule."""
+
+    @pytest.mark.parametrize("J", range(1, 15))
+    def test_equals_heap_kernels(self, J):
+        rng = np.random.default_rng(J)
+        sets = _node_sets(J, rng)
+        for name, nodes in sets.items():
+            ordered = kernels.sorted_unique(nodes)
+            for strict in (False, True):
+                got = kernels.nearest_in(nodes, nodes, strict=strict)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, _heap_owners(nodes, nodes, strict)), (name, strict)
+            # maximal nodes and the collection forest
+            mask = kernels.node_mask(nodes, 1 << J)
+            top = ordered[kernels.nearest_in(ordered, nodes, strict=True) == 0]
+            assert np.array_equal(top, _heap_maximal(mask)), name
+            want = _heap_owners(ordered, ordered, True) if ordered.size else ordered
+            assert np.array_equal(sparse._forest(ordered), want), name
+            # owners: each node's agenda node, the maximal nodes in shuffled
+            # agenda order, and agenda nodes of a second set
+            agenda = rng.permutation(top)
+            assert np.array_equal(kernels.nearest_in(nodes, agenda),
+                                  _heap_owners(nodes, agenda, False)), name
+            for other in ("sparse", "chain"):
+                got = kernels.nearest_in(sets[other], nodes)
+                assert np.array_equal(got, _heap_owners(sets[other], nodes, False))
+            closure = kernels.heap_subtree_sums(mask, J)
+            assert np.array_equal(kernels.ancestor_closure(nodes, 1 << J), closure), name
+
+    @pytest.mark.parametrize("J", [1, 3, 6])
+    def test_equals_walk(self, J):
+        rng = np.random.default_rng(J + 20)
+        for nodes in _node_sets(J, rng).values():
+            members = rng.permutation(nodes)[: max(1, nodes.size // 3)]
+            for strict in (False, True):
+                assert np.array_equal(kernels.nearest_in(nodes, members, strict=strict),
+                                      _walk_nearest(nodes, members, strict))
+
+    def test_empty_and_shape(self):
+        nodes = np.array([[5, 6], [7, 1]])
+        assert kernels.nearest_in(nodes, np.array([], dtype=np.intp)).shape == (2, 2)
+        assert np.array_equal(kernels.nearest_in(nodes, [1, 3], strict=True), [[1, 3], [3, 0]])
+        assert kernels.nearest_in([], [1]).shape == (0,)
+
+    @pytest.mark.parametrize("J", [12, 14])
+    def test_density_rule_picks_the_formulation(self, J):
+        # node arrays for a 96-node set, the heap for the whole heap; the
+        # answers agree either way (test_equals_heap_kernels)
+        rng = np.random.default_rng(J)
+        sparse_set = np.sort(rng.permutation(np.arange(1, 1 << J))[:96])
+        full = np.arange(1, 1 << J)
+        for nodes, heap in ((sparse_set, False), (full, True)):
+            with mock.patch.object(kernels, "ancestor_max",
+                                   side_effect=kernels.ancestor_max) as heap_pass, \
+                    mock.patch.object(kernels, "heap_subtree_sums",
+                                      side_effect=kernels.heap_subtree_sums) as closure_pass:
+                kernels.nearest_in(nodes, nodes, strict=True)
+                kernels.ancestor_closure(nodes, 1 << J)
+            assert heap_pass.called == heap and closure_pass.called == heap
 
 
 def test_heap_subtree_sums():

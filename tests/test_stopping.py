@@ -664,6 +664,97 @@ class TestFamilyEngineEquivalence:
         assert cert.to_dict() == reference.to_dict()
 
 
+class TestDeepSparseFamilies:
+    """At J = 13 and 14, where a 96-interval family's stock is far smaller
+    than the heap, the engine keeps its bookkeeping on node arrays and still
+    gives the reference engines' certificates."""
+
+    @staticmethod
+    def _inputs(J, kind="gaussian_noise", family="random"):
+        """f, g and a 96-interval multiplier: random intervals, mostly
+        disjoint, or pieces of a few root-to-leaf chains, nested, whose runs
+        take several generations and C doublings."""
+        kw = {"k": 32} if kind == "sparse_haar" else {}
+        f = generate_signal(kind, J, seed=J, **kw)
+        g = generate_signal(kind, J, seed=J + 1, **kw)
+        if family == "random":
+            return generate_multiplier(J, seed=J + 2, n_intervals=96), f, g
+        rng = np.random.default_rng(J + 2)
+        nodes = set()
+        while len(nodes) < 96:
+            leaf = (1 << (J - 1)) + int(rng.integers(1 << (J - 1)))
+            nodes.update(leaf >> k for k in range(int(rng.integers(J // 2, J))))
+        nodes = rng.permutation(sorted(nodes))[:96]
+        return HaarMultiplier.from_nodes(nodes, rng.uniform(-1.0, 1.0, 96)), f, g
+
+    @pytest.mark.parametrize("J", [13, 14])
+    @pytest.mark.parametrize("mode", ["avg", "square"])
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "sparse_haar"])
+    @pytest.mark.parametrize("family", ["random", "chains"])
+    def test_matches_reference_engine(self, J, mode, kind, family):
+        T, f, g = self._inputs(J, kind, family)
+        run = {"avg": lambda: dominate_avg(T, f, g, M=8, C=1.0),
+               "square": lambda: dominate_square(T, f, g, C=1.0)}[mode]
+        engine = functools.partial(_reference_run_family, signals=(f, g))
+        fast = _certificate_json(run)
+        with mock.patch.object(stopping, "_run_family", engine):
+            assert fast == _certificate_json(run)
+        assert json.loads(fast)[0]["checks"]["partition_ok"]
+
+    def test_sparse_stock_makes_no_heap_pass(self):
+        # a 96-node stock at J = 14 takes the node arrays for every lookup;
+        # the whole heap's stock of a Gaussian signal's atoms takes the heap
+        T, f, g = self._inputs(14)
+        engine, heap_passes, inside = stopping._run_family, [], []
+        ancestor_max = kernels.ancestor_max
+
+        def max_spy(heap):
+            if inside:
+                heap_passes.append(heap.shape[0])
+            return ancestor_max(heap)
+
+        def engine_spy(*args, **kw):
+            inside.append(True)
+            try:
+                return engine(*args, **kw)
+            finally:
+                inside.pop()
+
+        with mock.patch.object(kernels, "ancestor_max", max_spy), \
+                mock.patch.object(stopping, "_run_family", engine_spy):
+            cert = dominate_square(T, f, g, C=4.0)
+            assert cert.ok() and heap_passes == []
+            atomic_decompose(f, p=1.0, C=4.0)
+        assert heap_passes
+
+
+@pytest.mark.parametrize("entry", ["avg", "square", "weighted", "osc", "atoms"])
+@pytest.mark.parametrize("C", [math.nan, math.inf, 1e308])
+def test_non_finite_stopping_constant_rejected(entry, C):
+    # C = inf passes every test and C = nan fails them all; 1e308 is finite,
+    # but its doublings are not
+    J = 4
+    f, g = generate_signal("gaussian_noise", J, seed=1), generate_signal("step", J, seed=2)
+    T = generate_multiplier(J, seed=3, n_intervals=5)
+    w = generate_weight("two_level", J, seed=4, t=4.0)
+    run = {"avg": lambda: dominate_avg(T, f, g, C=C),
+           "square": lambda: dominate_square(T, f, g, C=C),
+           "weighted": lambda: dominate_weighted(T, f, g, w, C=C),
+           "osc": lambda: dominate_oscillation(T, f, g, C=C),
+           "atoms": lambda: atomic_decompose(f, p=1.0, C=C)}[entry]
+    with pytest.raises(ValueError, match="stopping constant C must be finite"):
+        run()
+
+
+@pytest.mark.parametrize("p, q", [(math.nan, 2.0), (2.0, math.inf), (math.inf, math.nan)])
+def test_non_finite_square_exponents_rejected(p, q):
+    J = 4
+    f = generate_signal("gaussian_noise", J, seed=1)
+    T = generate_multiplier(J, seed=3, n_intervals=5)
+    with pytest.raises(ValueError, match="exponents must be finite"):
+        dominate_square(T, f, f, p=p, q=q)
+
+
 def _certificate_json(run):
     """to_dict() JSON plus the sub-family order, or the stopping failure."""
     try:
